@@ -23,7 +23,7 @@ bench:
 # bench-smoke is the CI guard: every benchmark must still compile and
 # complete one iteration.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PipelineRun$$|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'PipelineRun$$|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox|PropagateExact' -benchtime 1x .
 
 # bench-guard fails if the serving hot paths' allocs/op regress above
 # their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached
@@ -36,15 +36,14 @@ bench-guard:
 # internal/adversary), then the trustctl attack CLI over scenarios/ to
 # render the resistance tables and emit attack-report.json — the
 # artifact CI archives for trend tracking. A final run replays the
-# collusion-ring scenario against the approximating serving
-# configuration (percolation pruning + landmark-sketch propagation), so
-# attack signals are pinned to survive the approximations. Any failing
-# assertion path fails the target.
+# collusion-ring scenario with propagation measured through 16-landmark
+# sketches (the ?approx=landmark serving mode), so attack signals are
+# pinned to survive the approximation. Any failing assertion path fails
+# the target.
 attack-smoke:
 	$(GO) test -race -count=1 -run 'TestSeedCorpus' ./internal/adversary
 	$(GO) run ./cmd/trustctl attack -dir scenarios -json attack-report.json
-	$(GO) run ./cmd/trustctl attack -scenario scenarios/collusion-ring.json \
-		-propagate-prune-tau 0.10 -landmarks 16 -json attack-report-approx.json
+	$(GO) run ./cmd/trustctl attack -scenario scenarios/collusion-ring.json -landmarks 16 -json attack-report-approx.json
 
 # cluster-smoke boots a real 3-shard cluster behind the consistent-hash
 # router next to an unsharded reference, checks routed responses are

@@ -2,14 +2,12 @@ package weboftrust
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"weboftrust/internal/affinity"
 	"weboftrust/internal/core"
-	"weboftrust/internal/graph"
 	"weboftrust/internal/propagation"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/shard"
@@ -113,64 +111,6 @@ func WithWebColdStartGenerosity(k float64) Option {
 			return fmt.Errorf("weboftrust: cold-start generosity %v outside [0,1]", k)
 		}
 		c.Web.ColdGenerosity = k
-		return nil
-	}
-}
-
-// WithPropagatePruneTau maintains a percolation-pruned companion of the
-// web-of-trust graph — every edge whose T̂ weight falls below tau is
-// dropped — and routes the propagation queries (PropagateInto, Propagate)
-// over it. Trust transitivity undergoes a percolation transition
-// (Richters & Peixoto): sub-threshold edges cannot carry trust through a
-// chain, so pruning them trades a small, bounded score error for a
-// proportionally smaller traversal. The web artifact itself — rows,
-// generosity, neighbor queries, the complete graph — is unchanged, and
-// PropagateExactInto always traverses the complete graph. tau 0 (the
-// default) disables pruning: propagation is exact. Like the rest of the
-// web policy, the knob is excluded from the configuration fingerprint.
-func WithPropagatePruneTau(tau float64) Option {
-	return func(c *core.Config) error {
-		if math.IsNaN(tau) || tau < 0 || tau > 1 {
-			return fmt.Errorf("weboftrust: propagate prune tau %v outside [0,1]", tau)
-		}
-		c.Web.PruneTau = tau
-		return nil
-	}
-}
-
-// WithPropagateMaxDepth truncates the propagation traversals
-// (PropagateInto, Propagate) to the BFS depth-ball of radius d around
-// the source — the depth half of the truncated-walk approximation.
-// Trust mass decays multiplicatively along a chain (Richters &
-// Peixoto), so mass that must travel beyond a short horizon cannot move
-// a ranking, and a traversal that never visits it trades a small,
-// test-pinned score error for a proportionally smaller walk. Each
-// algorithm composes the bound with its own horizon (the tighter wins);
-// PropagateExactInto always ignores it. d 0 (the default) disables the
-// bound. Like the rest of the web policy, the knob is excluded from the
-// configuration fingerprint.
-func WithPropagateMaxDepth(d int) Option {
-	return func(c *core.Config) error {
-		if d < 0 {
-			return fmt.Errorf("weboftrust: propagate max depth %d < 0", d)
-		}
-		c.Web.WalkDepth = d
-		return nil
-	}
-}
-
-// WithPropagateMassEps drops propagation walk tails whose carried trust
-// mass has decayed to eps or below — the mass half of the truncated
-// walk: Appleseed stops spreading parcels that weak, MoleTrust and
-// TidalTrust floor predicted values at or below it to zero.
-// PropagateExactInto always ignores it. eps 0 (the default) disables
-// the bound. Excluded from the configuration fingerprint.
-func WithPropagateMassEps(eps float64) Option {
-	return func(c *core.Config) error {
-		if math.IsNaN(eps) || eps < 0 {
-			return fmt.Errorf("weboftrust: propagate mass eps %v invalid", eps)
-		}
-		c.Web.WalkMassEps = eps
 		return nil
 	}
 }
@@ -570,31 +510,8 @@ func ParsePropagationAlgo(s string) (PropagationAlgo, error) {
 // from source's viewpoint over the web of trust, with the source's own
 // entry zeroed (it does not rank itself). Every entry of dst is
 // overwritten, so serving layers can hand in pooled, dirty buffers. The
-// result is deterministic for a given model and algorithm. Under
-// WithPropagatePruneTau the traversal runs over the percolation-pruned
-// companion graph, and under WithPropagateMaxDepth /
-// WithPropagateMassEps it is additionally truncated (both bounded
-// approximations); otherwise — and always via PropagateExactInto — it
-// runs complete and exact.
+// result is exact and deterministic for a given model and algorithm.
 func (m *TrustModel) PropagateInto(algo PropagationAlgo, source UserID, dst []float64) error {
-	return m.propagateOnto(m.WebOfTrust().PropagationGraph(), algo, source, m.truncation(), dst)
-}
-
-// PropagateExactInto is PropagateInto over the complete web graph with
-// no truncation, regardless of any pruning or truncated-walk policy —
-// the exact-mode fallback, and the reference every approximation's
-// error bound is measured against.
-func (m *TrustModel) PropagateExactInto(algo PropagationAlgo, source UserID, dst []float64) error {
-	return m.propagateOnto(m.WebOfTrust().Graph(), algo, source, propagation.Truncate{}, dst)
-}
-
-// truncation returns the walk truncation the model's policy configures
-// for the approximate propagation path (the zero value when disabled).
-func (m *TrustModel) truncation() propagation.Truncate {
-	return propagation.Truncate{MaxDepth: m.cfg.Web.WalkDepth, MassEps: m.cfg.Web.WalkMassEps}
-}
-
-func (m *TrustModel) propagateOnto(g *graph.Graph, algo PropagationAlgo, source UserID, tr propagation.Truncate, dst []float64) error {
 	numU := m.dataset.NumUsers()
 	if len(dst) != numU {
 		return fmt.Errorf("weboftrust: PropagateInto dst length %d, want %d", len(dst), numU)
@@ -602,21 +519,22 @@ func (m *TrustModel) propagateOnto(g *graph.Graph, algo PropagationAlgo, source 
 	if int(source) < 0 || int(source) >= numU {
 		return fmt.Errorf("weboftrust: propagate source %d out of range (%d users)", source, numU)
 	}
+	g := m.WebOfTrust().Graph()
 	switch algo {
 	case PropagateAppleseed:
-		ranks, err := propagation.DefaultAppleseed().RankTruncated(g, int(source), tr)
+		ranks, err := propagation.DefaultAppleseed().Rank(g, int(source))
 		if err != nil {
 			return err
 		}
 		copy(dst, ranks)
 	case PropagateMoleTrust:
-		ranks, err := propagation.DefaultMoleTrust().RankTruncated(g, int(source), tr)
+		ranks, err := propagation.DefaultMoleTrust().Rank(g, int(source))
 		if err != nil {
 			return err
 		}
 		copy(dst, ranks)
 	case PropagateTidalTrust:
-		res := propagation.TidalTrust{MaxDepth: propagateDepth}.InferAllTruncated(g, int(source), tr)
+		res := propagation.TidalTrust{MaxDepth: propagateDepth}.InferAll(g, int(source))
 		for j, r := range res {
 			if r.OK && r.Value > 0 {
 				dst[j] = r.Value
@@ -645,11 +563,10 @@ func (m *TrustModel) Propagate(algo PropagationAlgo, source UserID, k int) ([]Ra
 	return core.RankRow(dst, k), nil
 }
 
-// GlobalRanks computes the EigenTrust global trust vector over the
-// complete web graph (never the pruned companion), run to convergence —
-// the cold path a serving layer takes when it has no predecessor vector.
-// It reports the power iterations used. The vector is a probability
-// distribution: scores sum to 1.
+// GlobalRanks computes the EigenTrust global trust vector over the web
+// graph, run to convergence — the cold path a serving layer takes when it
+// has no predecessor vector. It reports the power iterations used. The
+// vector is a probability distribution: scores sum to 1.
 func (m *TrustModel) GlobalRanks() ([]float64, int, error) {
 	ranks, iters, err := propagation.DefaultEigenTrust().RanksFrom(m.WebOfTrust().Graph(), nil)
 	if err != nil {

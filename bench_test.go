@@ -1047,119 +1047,25 @@ func BenchmarkSwapDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagatePruned measures a propagation cache miss on the
-// Medium community with a tau=0.10 percolation-pruned traversal graph
-// against the exact traversal over the complete graph, per algorithm.
-func BenchmarkPropagatePruned(b *testing.B) {
+// BenchmarkPropagateExact measures a propagation cache miss on the
+// Medium community: one exact traversal per op, per algorithm, cycling
+// over sources 0..99 (the source set BENCH_pr10's PropagatePruned/*/exact
+// rows used, so the figures compare).
+func BenchmarkPropagateExact(b *testing.B) {
 	e := env(b)
-	model, err := weboftrust.Derive(e.Dataset, weboftrust.WithPropagatePruneTau(0.10))
+	model, err := weboftrust.Derive(e.Dataset)
 	if err != nil {
 		b.Fatal(err)
 	}
 	dst := make([]float64, e.Dataset.NumUsers())
-	for _, tc := range []struct {
-		name string
-		algo weboftrust.PropagationAlgo
-	}{
-		{"appleseed", weboftrust.PropagateAppleseed},
-		{"moletrust", weboftrust.PropagateMoleTrust},
-		{"tidaltrust", weboftrust.PropagateTidalTrust},
+	for _, algo := range []weboftrust.PropagationAlgo{
+		weboftrust.PropagateAppleseed, weboftrust.PropagateMoleTrust, weboftrust.PropagateTidalTrust,
 	} {
-		b.Run(tc.name+"/pruned", func(b *testing.B) {
-			b.ResetTimer()
+		b.Run(algo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := model.PropagateInto(tc.algo, weboftrust.UserID(i%100), dst); err != nil {
+				if err := model.PropagateInto(algo, weboftrust.UserID(i%100), dst); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(tc.name+"/exact", func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := model.PropagateExactInto(tc.algo, weboftrust.UserID(i%100), dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// approxSources returns the first n users with at least one web out-edge:
-// sources whose propagation actually walks the graph.
-func approxSources(b *testing.B, m *weboftrust.TrustModel, n int) []weboftrust.UserID {
-	b.Helper()
-	web := m.WebOfTrust()
-	var src []weboftrust.UserID
-	for u := 0; u < web.NumUsers() && len(src) < n; u++ {
-		if to, _ := web.Neighbors(weboftrust.UserID(u)); len(to) > 0 {
-			src = append(src, weboftrust.UserID(u))
-		}
-	}
-	if len(src) == 0 {
-		b.Fatal("no source with web out-edges")
-	}
-	return src
-}
-
-// BenchmarkPropagateApprox measures one propagation per op, cycling over
-// 200 sources with web out-edges, under each approximation against the
-// exact traversal: truncated walks (depth 3, mass eps 1e-3), percolation
-// pruning (tau 0.10) and landmark composition (16 landmarks, sketch built
-// outside the timer). Medium runs all three algorithms, Large the two
-// that finish in reasonable time. Run with -benchtime 200x so every
-// source is measured once.
-func BenchmarkPropagateApprox(b *testing.B) {
-	for _, preset := range []struct {
-		name  string
-		env   func(*testing.B) *experiments.Env
-		algos []weboftrust.PropagationAlgo
-	}{
-		{"medium", env, []weboftrust.PropagationAlgo{weboftrust.PropagateAppleseed, weboftrust.PropagateMoleTrust, weboftrust.PropagateTidalTrust}},
-		{"large", envLarge, []weboftrust.PropagationAlgo{weboftrust.PropagateAppleseed, weboftrust.PropagateMoleTrust}},
-	} {
-		b.Run(preset.name, func(b *testing.B) {
-			d := preset.env(b).Dataset
-			derive := func(opts ...weboftrust.Option) *weboftrust.TrustModel {
-				m, err := weboftrust.Derive(d, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return m
-			}
-			exact := derive()
-			truncated := derive(weboftrust.WithPropagateMaxDepth(3), weboftrust.WithPropagateMassEps(1e-3))
-			pruned := derive(weboftrust.WithPropagatePruneTau(0.10))
-			src := approxSources(b, exact, 200)
-			rank, _, err := exact.GlobalRanks()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids := weboftrust.SelectLandmarkIDs(rank, 16)
-			dst := make([]float64, d.NumUsers())
-			for _, algo := range preset.algos {
-				traverse := func(name string, m *weboftrust.TrustModel) {
-					b.Run(algo.String()+"/"+name, func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							if err := m.PropagateInto(algo, src[i%len(src)], dst); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
-				}
-				traverse("exact", exact)
-				traverse("truncated", truncated)
-				traverse("pruned", pruned)
-				sk, err := exact.BuildLandmarkSketch(algo, ids)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(algo.String()+"/landmark", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := exact.ComposeLandmarks(sk, src[i%len(src)], dst); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
 			}
 		})
 	}

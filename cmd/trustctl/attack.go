@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"weboftrust"
 	"weboftrust/internal/adversary"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/store"
@@ -28,9 +27,6 @@ func cmdAttack(args []string) error {
 	jsonOut := fs.String("json", "", "write the resistance-metrics report JSON to this path")
 	exportLog := fs.String("export-log", "", "write the attacked dataset as an event log (single -scenario only)")
 	users := fs.String("users", "", "with -export-log: keep only these sources' actions (i/N shard spec or id list)")
-	pruneTau := fs.Float64("propagate-prune-tau", 0, "derive models with percolation pruning at this tau (0 = off)")
-	maxDepth := fs.Int("propagate-max-depth", 0, "derive models with a truncated-walk depth horizon (0 = unbounded)")
-	massEps := fs.Float64("propagate-mass-eps", 0, "derive models with a truncated-walk mass floor (0 = off)")
 	landmarks := fs.Int("landmarks", 0, "measure propagation inflation through N-landmark sketches (?approx=landmark mode; 0 = exact)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,15 +53,6 @@ func cmdAttack(args []string) error {
 	}
 
 	runner := adversary.NewRunner()
-	if *pruneTau > 0 {
-		runner.DeriveOpts = append(runner.DeriveOpts, weboftrust.WithPropagatePruneTau(*pruneTau))
-	}
-	if *maxDepth > 0 {
-		runner.DeriveOpts = append(runner.DeriveOpts, weboftrust.WithPropagateMaxDepth(*maxDepth))
-	}
-	if *massEps > 0 {
-		runner.DeriveOpts = append(runner.DeriveOpts, weboftrust.WithPropagateMassEps(*massEps))
-	}
 	runner.Landmarks = *landmarks
 	rep, err := runner.RunSuite(scs)
 	if err != nil {

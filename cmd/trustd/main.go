@@ -6,7 +6,6 @@
 //	trustd serve   -log events.log [-addr :8080] [-shard i/N] [-poll 500ms] [-cache-results 512]
 //	               [-workers N] [-checkpoint-dir DIR] [-checkpoint-interval 5m] [-checkpoint-keep 2]
 //	               [-web-tau T] [-web-cold-generosity K] [-max-inflight N]
-//	               [-propagate-prune-tau T] [-propagate-max-depth D] [-propagate-mass-eps E]
 //	               [-propagate-precompute-budget D] [-landmarks L] [-pprof-addr :6060]
 //	trustd serve   -snapshot data.wot [-addr :8080]            (static serving)
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
@@ -61,10 +60,8 @@
 // -web-cold-generosity gives users who cannot calibrate a k_i a fallback),
 // or -web-tau switches to a global score threshold. /v1/neighbors lists a
 // user's predicted-trust edges, /v1/propagate ranks transitive trust over
-// the graph (with -propagate-prune-tau T weak edges are percolation-pruned
-// from the traversal, -propagate-max-depth / -propagate-mass-eps truncate
-// the walks themselves, and ?approx=landmark answers from the landmark-hub
-// sketches; ?exact=1 forces the complete, untruncated graph), /v1/rank
+// the graph with an exact traversal (?approx=landmark answers from the
+// landmark-hub sketches instead, labelled as approximate), /v1/rank
 // serves the global EigenTrust leaderboard (warm-refreshed across ingest
 // swaps), and /v1/graph/stats reports the graph's shape. With
 // -propagate-precompute-budget set, each incremental swap spends up to
@@ -73,7 +70,7 @@
 //
 // Endpoints: /v1/topk?user=U&k=K, /v1/trust?from=I&to=J,
 // /v1/expertise?user=U, /v1/neighbors?user=U,
-// /v1/propagate?algo=appleseed|moletrust|tidaltrust&user=U&k=K[&exact=1|&approx=landmark],
+// /v1/propagate?algo=appleseed|moletrust|tidaltrust&user=U&k=K[&approx=landmark],
 // /v1/rank[?k=K | ?user=U], /v1/graph/stats, /v1/stats, /healthz, /readyz,
 // /metrics (Prometheus text).
 package main
@@ -133,7 +130,6 @@ func cmdServe(args []string) error {
 	snapshot := fs.String("snapshot", "", "snapshot to serve statically (alternative to -log)")
 	poll := fs.Duration("poll", server.DefaultPoll, "event log polling interval")
 	cacheResults := fs.Int("cache-results", server.DefaultCacheResults, "ranked top-k result LRU capacity (-1 disables)")
-	fs.IntVar(cacheResults, "cache-rows", server.DefaultCacheResults, "deprecated alias for -cache-results")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "result cache byte budget (-1 unbounded)")
 	workers := fs.Int("workers", 0, "pipeline worker goroutines for derive and ingest (0 = one per CPU)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for warm-restart checkpoints (restore at boot, write periodically and on shutdown)")
@@ -141,9 +137,6 @@ func cmdServe(args []string) error {
 	ckptKeep := fs.Int("checkpoint-keep", server.DefaultCheckpointKeep, "recent checkpoints to retain")
 	webTau := fs.Float64("web-tau", -1, "binarise the web of trust with a global score threshold instead of per-user top-k generosity (-1 = per-user top-k)")
 	webColdK := fs.Float64("web-cold-generosity", 0, "generosity fallback for users whose history cannot calibrate one (per-user top-k policy; 0 = paper protocol)")
-	pruneTau := fs.Float64("propagate-prune-tau", 0, "percolation-prune the propagation graph: drop edges with trust weight below tau for /v1/propagate traversals (0 = exact; ?exact=1 always bypasses)")
-	walkDepth := fs.Int("propagate-max-depth", 0, "truncate /v1/propagate traversals to this BFS depth around the source (0 = unbounded; ?exact=1 always bypasses)")
-	walkEps := fs.Float64("propagate-mass-eps", 0, "drop propagation walk tails whose carried trust mass decays to this or below (0 = keep everything; ?exact=1 always bypasses)")
 	precomputeBudget := fs.Duration("propagate-precompute-budget", 0, "wall-clock budget per incremental swap for pre-warming hot tainted sources' propagation results (0 = disabled)")
 	landmarks := fs.Int("landmarks", 0, "landmark hubs for the ?approx=landmark propagation mode (0 = default 16; negative disables)")
 	shardFlag := fs.String("shard", "", "serve shard i/N of a source-partitioned cluster (e.g. 1/3; empty = unsharded)")
@@ -180,15 +173,6 @@ func cmdServe(args []string) error {
 	}
 	if *webColdK != 0 {
 		derive = append(derive, weboftrust.WithWebColdStartGenerosity(*webColdK))
-	}
-	if *pruneTau != 0 {
-		derive = append(derive, weboftrust.WithPropagatePruneTau(*pruneTau))
-	}
-	if *walkDepth != 0 {
-		derive = append(derive, weboftrust.WithPropagateMaxDepth(*walkDepth))
-	}
-	if *walkEps != 0 {
-		derive = append(derive, weboftrust.WithPropagateMassEps(*walkEps))
 	}
 	if *shardFlag != "" {
 		sp, err := shard.Parse(*shardFlag)

@@ -28,10 +28,6 @@ type Runner struct {
 	// PropSources is how many honest sources the per-algorithm
 	// propagation-inflation metric averages over.
 	PropSources int
-	// DeriveOpts are applied to every Derive (clean baseline and attacked
-	// model alike), so scenarios can be replayed against the serving
-	// tier's configuration — percolation pruning, truncated walks.
-	DeriveOpts []weboftrust.Option
 	// Landmarks, when positive, measures propagation inflation through
 	// the landmark-sketch composition (`?approx=landmark` serving mode)
 	// with this many landmarks instead of exact traversals — pinning that
@@ -130,7 +126,7 @@ func (r *Runner) baseline(sc *Scenario) (*baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	model, err := weboftrust.Derive(d, r.DeriveOpts...)
+	model, err := weboftrust.Derive(d)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +152,7 @@ func (r *Runner) Run(sc *Scenario) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	attacked, err := weboftrust.Derive(attackedD, r.DeriveOpts...)
+	attacked, err := weboftrust.Derive(attackedD)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +330,7 @@ func (r *Runner) propagationMeans(m *weboftrust.TrustModel, ranks []float64, hon
 			if sk != nil {
 				err = m.ComposeLandmarks(sk, ratings.UserID(src), dst)
 			} else {
-				err = m.PropagateExactInto(algo, ratings.UserID(src), dst)
+				err = m.PropagateInto(algo, ratings.UserID(src), dst)
 			}
 			if err != nil {
 				continue

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"weboftrust"
 )
 
 const corpusDir = "../../scenarios"
@@ -79,18 +77,17 @@ func TestScenarioLoading(t *testing.T) {
 }
 
 // TestApproximateModeScenario pins that attack signals survive the
-// serving-tier approximations: the collusion-ring scenario still passes
-// its assertions when the models derive with percolation pruning and the
-// propagation-inflation metric is measured through 16-landmark sketch
-// composition (the `?approx=landmark` serving mode) — the same
-// configuration `make attack-smoke` replays.
+// serving tier's one approximation: the collusion-ring scenario still
+// passes its assertions when the propagation-inflation metric is
+// measured through 16-landmark sketch composition (the
+// `?approx=landmark` serving mode) — the same configuration
+// `make attack-smoke` replays.
 func TestApproximateModeScenario(t *testing.T) {
 	sc, err := LoadScenario(corpusDir + "/collusion-ring.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	r.DeriveOpts = append(r.DeriveOpts, weboftrust.WithPropagatePruneTau(0.10))
 	r.Landmarks = 16
 	res, err := r.Run(sc)
 	if err != nil {
@@ -100,7 +97,7 @@ func TestApproximateModeScenario(t *testing.T) {
 		t.Errorf("approximate mode: %s", f)
 	}
 	if !res.Passed {
-		t.Error("collusion-ring fails under prune tau 0.10 + landmark measurement")
+		t.Error("collusion-ring fails under landmark measurement")
 	}
 	// The landmark-mode measurement must actually differ from the exact
 	// one somewhere — otherwise the mode flag is dead.

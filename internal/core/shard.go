@@ -90,7 +90,6 @@ func (w *Web) withShard(spec shard.Spec) *Web {
 		g:          w.g,
 		numEdges:   w.numEdges,
 		spec:       spec,
-		pruned:     w.pruned,
 		dirty:      w.dirty,
 	}
 }
@@ -118,13 +117,6 @@ func NewShardedWeb(policy WebPolicy, generosity []float64, to [][]int32, wts [][
 			rows[u] = WebRow{To: gt, W: gw}
 		}
 	}
-	var pruned *graph.Graph
-	if policy.PruneTau > 0 {
-		pruned, err = buildPruned(g, nil, nil, policy.PruneTau)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded web: pruned graph: %w", err)
-		}
-	}
 	return &Web{
 		policy:     policy,
 		generosity: generosity,
@@ -132,7 +124,6 @@ func NewShardedWeb(policy WebPolicy, generosity []float64, to [][]int32, wts [][
 		g:          g,
 		numEdges:   g.NumEdges(),
 		spec:       spec,
-		pruned:     pruned,
 	}, nil
 }
 

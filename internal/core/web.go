@@ -34,27 +34,6 @@ type WebPolicy struct {
 	// along. 0 (the default) is the paper's protocol exactly: k_i = 0
 	// selects nothing. Must be in [0, 1].
 	ColdGenerosity float64
-	// PruneTau, when positive, additionally maintains a pruned companion
-	// graph that drops edges whose T̂ weight falls below it. Trust
-	// transitivity undergoes a percolation transition (Richters &
-	// Peixoto): sub-threshold edges cannot carry trust through a long
-	// chain, so the propagation algorithms may traverse the pruned graph
-	// as a principled approximation of the exact one — the web itself
-	// (rows, generosity, the full graph) is unchanged. 0 disables
-	// pruning. Must be in [0, 1].
-	PruneTau float64
-	// WalkDepth, when positive, truncates propagation traversals to the
-	// BFS depth-ball of that radius around the source — the depth half
-	// of the truncated-walk approximation (Richters & Peixoto's
-	// percolation argument again: mass travelling beyond a short horizon
-	// has decayed too far to move a ranking). Like PruneTau it only
-	// shapes how the propagation algorithms traverse; the web artifact
-	// itself is unchanged. 0 disables the bound.
-	WalkDepth int
-	// WalkMassEps, when positive, drops walk tails whose carried trust
-	// mass has decayed to it or below — the mass half of the truncated
-	// walk. 0 disables the bound. Must not be negative or NaN.
-	WalkMassEps float64
 }
 
 // DefaultWebPolicy returns the paper's protocol: per-user top-k by
@@ -63,12 +42,6 @@ func DefaultWebPolicy() WebPolicy { return WebPolicy{Policy: PerUserTopK} }
 
 // Validate rejects out-of-range parameters and unknown policies.
 func (p WebPolicy) Validate() error {
-	if math.IsNaN(p.PruneTau) || p.PruneTau < 0 || p.PruneTau > 1 {
-		return fmt.Errorf("core: prune tau %v outside [0,1]", p.PruneTau)
-	}
-	if math.IsNaN(p.WalkMassEps) || p.WalkMassEps < 0 {
-		return fmt.Errorf("core: walk mass eps %v invalid", p.WalkMassEps)
-	}
 	switch p.Policy {
 	case PerUserTopK:
 		if p.ColdGenerosity < 0 || p.ColdGenerosity > 1 {
@@ -90,29 +63,17 @@ func (p WebPolicy) Validate() error {
 
 // String renders the policy for stats surfaces and logs.
 func (p WebPolicy) String() string {
-	var s string
 	switch p.Policy {
 	case PerUserTopK:
 		if p.ColdGenerosity > 0 {
-			s = fmt.Sprintf("per-user-topk(cold-k=%g)", p.ColdGenerosity)
-		} else {
-			s = "per-user-topk"
+			return fmt.Sprintf("per-user-topk(cold-k=%g)", p.ColdGenerosity)
 		}
+		return "per-user-topk"
 	case GlobalThreshold:
-		s = fmt.Sprintf("threshold(tau=%g)", p.Tau)
+		return fmt.Sprintf("threshold(tau=%g)", p.Tau)
 	default:
-		s = p.Policy.String()
+		return p.Policy.String()
 	}
-	if p.PruneTau > 0 {
-		s += fmt.Sprintf("+prune(tau=%g)", p.PruneTau)
-	}
-	if p.WalkDepth > 0 {
-		s += fmt.Sprintf("+walk(depth=%d)", p.WalkDepth)
-	}
-	if p.WalkMassEps > 0 {
-		s += fmt.Sprintf("+walk(eps=%g)", p.WalkMassEps)
-	}
-	return s
 }
 
 // effectiveGenerosity applies the cold-start fallback to a raw k_i.
@@ -156,10 +117,6 @@ type Web struct {
 	g          *graph.Graph
 	numEdges   int
 	spec       shard.Spec
-	// pruned is the percolation-pruned companion graph (policy.PruneTau
-	// > 0 only): the same nodes with every edge of weight < PruneTau
-	// dropped. nil when pruning is disabled.
-	pruned *graph.Graph
 	// dirty marks, for a web produced by the incremental path, the users
 	// whose row or generosity may differ from the predecessor's — the
 	// exact set buildWeb recomputed; every other row is shared by
@@ -210,22 +167,9 @@ func (w *Web) rowAt(u int) WebRow {
 // unsharded spelling (0/1) means all of them.
 func (w *Web) ShardSpec() shard.Spec { return w.spec.Canon() }
 
-// Graph returns the complete CSR graph form (shared; do not modify).
+// Graph returns the CSR graph form the propagation algorithms traverse
+// (shared; do not modify).
 func (w *Web) Graph() *graph.Graph { return w.g }
-
-// PrunedGraph returns the percolation-pruned companion graph, or nil when
-// the policy does not prune (PruneTau == 0).
-func (w *Web) PrunedGraph() *graph.Graph { return w.pruned }
-
-// PropagationGraph returns the graph the propagation algorithms should
-// traverse: the pruned companion when the policy maintains one, otherwise
-// the complete graph.
-func (w *Web) PropagationGraph() *graph.Graph {
-	if w.pruned != nil {
-		return w.pruned
-	}
-	return w.g
-}
 
 // DirtyUsers returns the users whose row or generosity may differ from
 // the predecessor web this one was incrementally built from — a
@@ -313,67 +257,7 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 	w.g = g
 	w.numEdges = g.NumEdges()
 	w.dirty = dirty
-	if policy.PruneTau > 0 {
-		var oldPruned *graph.Graph
-		if dirty != nil {
-			oldPruned = old.pruned
-		}
-		w.pruned, err = buildPruned(g, oldPruned, dirty, policy.PruneTau)
-		if err != nil {
-			return nil, fmt.Errorf("core: web build: pruned graph: %w", err)
-		}
-	}
 	return w, nil
-}
-
-// buildPruned derives the percolation-pruned companion of g: every edge
-// of weight < tau dropped. Rows that survive intact share g's packed
-// slices. When the incremental path supplies the predecessor's pruned
-// graph and the dirty set, clean users' pruned rows are taken from it by
-// reference and only dirty rows are refiltered and spliced.
-func buildPruned(g *graph.Graph, oldPruned *graph.Graph, dirty []bool, tau float64) (*graph.Graph, error) {
-	n := g.NumNodes()
-	to := make([][]int32, n)
-	w := make([][]float64, n)
-	delta := oldPruned != nil && dirty != nil && oldPruned.NumNodes() <= n
-	for u := 0; u < n; u++ {
-		if delta && u < oldPruned.NumNodes() && !dirty[u] {
-			to[u], w[u] = oldPruned.Out(u)
-			continue
-		}
-		to[u], w[u] = pruneRow(g, u, tau)
-	}
-	if delta {
-		return graph.UpdateRows(oldPruned, n, dirty, to, w)
-	}
-	return graph.FromRows(n, to, w)
-}
-
-// pruneRow filters node u's out-row of g to edges with weight >= tau,
-// sharing g's slices when nothing is dropped.
-func pruneRow(g *graph.Graph, u int, tau float64) ([]int32, []float64) {
-	to, w := g.Out(u)
-	kept := 0
-	for _, x := range w {
-		if x >= tau {
-			kept++
-		}
-	}
-	if kept == len(to) {
-		return to, w
-	}
-	if kept == 0 {
-		return nil, nil
-	}
-	ft := make([]int32, 0, kept)
-	fw := make([]float64, 0, kept)
-	for i, x := range w {
-		if x >= tau {
-			ft = append(ft, to[i])
-			fw = append(fw, x)
-		}
-	}
-	return ft, fw
 }
 
 // dirtyUsers marks the users whose web row or generosity may differ from

@@ -427,122 +427,3 @@ func TestPolicyRowMatchesTopKOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// prunedOracle filters g's rows by the percolation threshold the slow,
-// obvious way: keep every edge with weight >= tau.
-func prunedOracle(t *testing.T, w *Web, tau float64) ([][]int32, [][]float64) {
-	t.Helper()
-	g := w.Graph()
-	n := g.NumNodes()
-	to := make([][]int32, n)
-	wts := make([][]float64, n)
-	for u := 0; u < n; u++ {
-		gt, gw := g.Out(u)
-		for i := range gt {
-			if gw[i] >= tau {
-				to[u] = append(to[u], gt[i])
-				wts[u] = append(wts[u], gw[i])
-			}
-		}
-	}
-	return to, wts
-}
-
-// TestPrunedGraphMatchesFilter: the percolation-pruned companion holds
-// exactly the edges at or above tau, both on a fresh derive and along an
-// incremental update chain (where clean users' pruned rows are reused),
-// and the full graph itself is unchanged by the policy.
-func TestPrunedGraphMatchesFilter(t *testing.T) {
-	property := func(seed uint64) bool {
-		oldD := randomGrowableDataset(seed)
-		newD, _ := growDataset(oldD, seed^0xbeef)
-		const tau = 0.25
-		cfg := DefaultConfig()
-		cfg.Web.PruneTau = tau
-		plain := DefaultConfig()
-
-		oldArt, err := cfg.Run(oldD)
-		if err != nil {
-			t.Logf("seed %d: run: %v", seed, err)
-			return false
-		}
-		oldPlain, err := plain.Run(oldD)
-		if err != nil {
-			t.Logf("seed %d: plain run: %v", seed, err)
-			return false
-		}
-		websEqual(t, oldPlain.Web, oldArt.Web.withoutPrune())
-		checkPruned := func(w *Web) bool {
-			pg := w.PrunedGraph()
-			if pg == nil {
-				t.Logf("seed %d: no pruned graph", seed)
-				return false
-			}
-			wantTo, wantW := prunedOracle(t, w, tau)
-			for u := 0; u < pg.NumNodes(); u++ {
-				gt, gw := pg.Out(u)
-				if len(gt) != len(wantTo[u]) {
-					t.Logf("seed %d: pruned row %d has %d edges, want %d", seed, u, len(gt), len(wantTo[u]))
-					return false
-				}
-				for i := range gt {
-					if gt[i] != wantTo[u][i] || gw[i] != wantW[u][i] {
-						t.Logf("seed %d: pruned row %d edge %d mismatch", seed, u, i)
-						return false
-					}
-				}
-			}
-			return true
-		}
-		if !checkPruned(oldArt.Web) {
-			return false
-		}
-		upd, err := cfg.Update(oldArt, oldD, newD)
-		if err != nil {
-			t.Logf("seed %d: update: %v", seed, err)
-			return false
-		}
-		if !checkPruned(upd.Web) {
-			return false
-		}
-		// The incremental pruned graph must equal a fresh derive's bitwise.
-		fresh, err := cfg.Run(newD)
-		if err != nil {
-			t.Logf("seed %d: fresh run: %v", seed, err)
-			return false
-		}
-		fg, ug := fresh.Web.PrunedGraph(), upd.Web.PrunedGraph()
-		if fg.NumEdges() != ug.NumEdges() {
-			t.Logf("seed %d: pruned edges %d vs fresh %d", seed, ug.NumEdges(), fg.NumEdges())
-			return false
-		}
-		for u := 0; u < fg.NumNodes(); u++ {
-			ft, fw := fg.Out(u)
-			ut, uw := ug.Out(u)
-			if len(ft) != len(ut) {
-				t.Logf("seed %d: pruned row %d len mismatch", seed, u)
-				return false
-			}
-			for i := range ft {
-				if ft[i] != ut[i] || fw[i] != uw[i] {
-					t.Logf("seed %d: pruned row %d edge %d mismatch vs fresh", seed, u, i)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
-// withoutPrune returns a shallow copy presenting the same web minus the
-// pruned companion, so websEqual can compare policies that differ only
-// in PruneTau (the full graph must not depend on it).
-func (w *Web) withoutPrune() *Web {
-	cp := *w
-	cp.pruned = nil
-	cp.policy.PruneTau = 0
-	return &cp
-}

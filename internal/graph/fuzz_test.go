@@ -21,9 +21,9 @@ func FuzzGraphNew(f *testing.F) {
 	}
 	f.Add(seed(0))
 	f.Add(seed(3, 0, 1, 100, 1, 2, 200, 2, 0, 300))
-	f.Add(seed(2, 0, 0, 1, 1, 5, 2))     // self-loop + out-of-range
-	f.Add(seed(4, 0, 1, 7, 0, 1, 9))     // duplicate edge (weights merge)
-	f.Add(seed(65535, 0, 65534, 1))      // huge node count, sparse
+	f.Add(seed(2, 0, 0, 1, 1, 5, 2)) // self-loop + out-of-range
+	f.Add(seed(4, 0, 1, 7, 0, 1, 9)) // duplicate edge (weights merge)
+	f.Add(seed(65535, 0, 65534, 1))  // huge node count, sparse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

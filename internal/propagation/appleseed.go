@@ -35,18 +35,6 @@ func DefaultAppleseed() Appleseed {
 // The source's own entry is 0 (it does not rank itself). It returns an
 // error for invalid parameters or an out-of-range source.
 func (as Appleseed) Rank(g *graph.Graph, source int) ([]float64, error) {
-	return as.RankTruncated(g, source, Truncate{})
-}
-
-// RankTruncated is Rank under a truncation bound: with tr.MaxDepth > 0
-// the spread is confined to the depth-ball around the source (edges
-// leaving the ball are excluded from the spreading split, exactly as
-// self-loops are), and with tr.MassEps > 0 parcels whose energy has
-// decayed to tr.MassEps or below are dropped instead of retained and
-// forwarded — the low-mass walk tail that costs iterations without
-// moving the ranking. A zero tr takes the identical code path as Rank,
-// so the untruncated result is bitwise-unchanged.
-func (as Appleseed) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]float64, error) {
 	if as.Injection <= 0 {
 		return nil, fmt.Errorf("%w: injection %v", ErrBadConfig, as.Injection)
 	}
@@ -56,18 +44,10 @@ func (as Appleseed) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]fl
 	if as.MaxIter < 1 || !(as.Tol > 0) {
 		return nil, fmt.Errorf("%w: MaxIter %d / Tol %v", ErrBadConfig, as.MaxIter, as.Tol)
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
 	n := g.NumNodes()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("%w: source %d out of range %d", ErrBadConfig, source, n)
 	}
-	var depth []int // nil = unbounded horizon
-	if tr.MaxDepth > 0 {
-		depth = g.BFSDepths(source, tr.MaxDepth)
-	}
-	eps := tr.MassEps
 	trust := make([]float64, n)
 	in := make([]float64, n)
 	nextIn := make([]float64, n)
@@ -80,9 +60,6 @@ func (as Appleseed) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]fl
 		}
 		for v := 0; v < n; v++ {
 			e := in[v]
-			if e <= eps && v != source {
-				continue
-			}
 			if e <= 0 {
 				continue
 			}
@@ -98,7 +75,7 @@ func (as Appleseed) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]fl
 			// excluded for the source itself.
 			total := 0.0
 			for i2, u := range to {
-				if int(u) != v && (depth == nil || depth[u] >= 0) {
+				if int(u) != v {
 					total += w[i2]
 				}
 			}
@@ -117,9 +94,6 @@ func (as Appleseed) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]fl
 			for i2, u := range to {
 				if int(u) == v {
 					continue // self-loops carry no trust
-				}
-				if depth != nil && depth[u] < 0 {
-					continue // beyond the truncation horizon
 				}
 				nextIn[u] += forward * w[i2] / total
 			}

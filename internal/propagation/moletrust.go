@@ -33,40 +33,26 @@ func DefaultMoleTrust() MoleTrust {
 // node within the horizon. The source's own entry is 1 (it trusts itself
 // fully); unreachable or beyond-horizon nodes are 0.
 func (mt MoleTrust) Rank(g *graph.Graph, source int) ([]float64, error) {
-	return mt.RankTruncated(g, source, Truncate{})
-}
-
-// RankTruncated is Rank under a truncation bound: tr.MaxDepth tightens
-// the trust horizon to min(MaxDepth, tr.MaxDepth) — MoleTrust's native
-// cost knob, so the depth cap is the real traversal saving — and
-// tr.MassEps floors predicted values at or below it to zero (values
-// under the propagation Threshold never spread anyway, so the floor
-// only trims the served tail). A zero tr is bitwise-identical to Rank.
-func (mt MoleTrust) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]float64, error) {
 	if mt.MaxDepth < 1 {
 		return nil, fmt.Errorf("%w: MaxDepth %d < 1", ErrBadConfig, mt.MaxDepth)
 	}
 	if mt.Threshold < 0 || mt.Threshold > 1 {
 		return nil, fmt.Errorf("%w: Threshold %v outside [0,1]", ErrBadConfig, mt.Threshold)
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
 	n := g.NumNodes()
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("%w: source %d out of range %d", ErrBadConfig, source, n)
 	}
-	maxDepth := tr.depthCap(mt.MaxDepth)
-	depth := g.BFSDepths(source, maxDepth)
-	byDepth := make([][]int, maxDepth+1)
+	depth := g.BFSDepths(source, mt.MaxDepth)
+	byDepth := make([][]int, mt.MaxDepth+1)
 	for v, d := range depth {
-		if d >= 0 && d <= maxDepth {
+		if d >= 0 && d <= mt.MaxDepth {
 			byDepth[d] = append(byDepth[d], v)
 		}
 	}
 	trust := make([]float64, n)
 	trust[source] = 1
-	for d := 1; d <= maxDepth; d++ {
+	for d := 1; d <= mt.MaxDepth; d++ {
 		for _, v := range byDepth[d] {
 			from, w := g.In(v)
 			var num, den float64
@@ -85,11 +71,6 @@ func (mt MoleTrust) RankTruncated(g *graph.Graph, source int, tr Truncate) ([]fl
 				trust[v] = num / den
 			}
 		}
-	}
-	if tr.MassEps > 0 {
-		save := trust[source]
-		floorInPlace(trust, tr.MassEps)
-		trust[source] = save
 	}
 	return trust, nil
 }

@@ -146,27 +146,12 @@ type InferResult struct {
 
 // InferAll computes trust from source to every other node.
 func (tt TidalTrust) InferAll(g *graph.Graph, source int) []InferResult {
-	return tt.InferAllTruncated(g, source, Truncate{})
-}
-
-// InferAllTruncated is InferAll under a truncation bound: tr.MaxDepth
-// tightens the shortest-path search horizon to min(MaxDepth,
-// tr.MaxDepth) — every sink beyond it becomes unanswerable instead of
-// paying a deep search — and tr.MassEps floors inferred values at or
-// below it (an inference that weak is served as "no path"). A zero tr
-// is bitwise-identical to InferAll.
-func (tt TidalTrust) InferAllTruncated(g *graph.Graph, source int, tr Truncate) []InferResult {
-	eff := tt
-	eff.MaxDepth = tr.depthCap(tt.MaxDepth)
 	out := make([]InferResult, g.NumNodes())
 	for sink := 0; sink < g.NumNodes(); sink++ {
 		if sink == source {
 			continue
 		}
-		v, ok := eff.Infer(g, source, sink)
-		if ok && tr.MassEps > 0 && v <= tr.MassEps {
-			v, ok = 0, false
-		}
+		v, ok := tt.Infer(g, source, sink)
 		out[sink] = InferResult{Value: v, OK: ok}
 	}
 	return out

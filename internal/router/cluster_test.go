@@ -195,12 +195,9 @@ func TestClusterMatchesUnsharded(t *testing.T) {
 					// suspicion vector is a pure function of (dataset, web),
 					// refreshed bit-identically across swaps on every shard.
 					"/v1/anomaly/top?k=10",
-					"/v1/propagate?algo=appleseed&user=0&k=5&exact=1",
 					// Approximation-mode error paths proxy byte-identically:
-					// unknown mode and the exact/approx conflict are both 400s
-					// from the owning shard.
+					// an unknown mode is a 400 from the owning shard.
 					"/v1/propagate?algo=appleseed&user=0&k=5&approx=bogus",
-					"/v1/propagate?algo=appleseed&user=0&k=5&approx=landmark&exact=1",
 					// Error paths must proxy byte-identically too: out of
 					// range (404 from whichever shard it hashes to) and
 					// unparsable (400 from the rotating fallback shard).

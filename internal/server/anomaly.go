@@ -2,8 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
-	"sync/atomic"
 
 	"weboftrust"
 	"weboftrust/internal/anomaly"
@@ -11,63 +9,27 @@ import (
 	"weboftrust/internal/ratings"
 )
 
-// anomalyState is a state's per-user suspicion scores (internal/anomaly).
-// Like rankState, root states compute lazily on first use — the full
-// Compute pass stays off the boot path — while parent-matched swaps
-// install an eagerly, incrementally refreshed Scores on the ingest
-// goroutine. Scores are a pure function of (dataset, web graph) and the
-// incremental Update is bit-identical to a cold Compute, so every
-// replica serves identical scores regardless of its swap cadence — the
-// property that lets the router fan /v1/anomaly out to any shard.
-type anomalyState struct {
-	once    sync.Once
-	done    atomic.Bool
-	compute func() *anomaly.Scores
-	scores  *anomaly.Scores
-}
-
-// lazyAnomaly defers the full scoring pass until the first anomaly query.
-func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *anomalyState {
-	return &anomalyState{compute: func() *anomaly.Scores {
+// lazyAnomaly defers the full scoring pass (internal/anomaly) until the
+// first anomaly query. Like the rank vector, root states compute the
+// per-user suspicion scores lazily — the full Compute pass stays off the
+// boot path — while parent-matched swaps install incrementally refreshed
+// scores on the ingest goroutine (refreshAnomaly). Scores are a pure
+// function of (dataset, web graph) and the incremental Update is
+// bit-identical to a cold Compute, so every replica serves identical
+// scores regardless of its swap cadence — the property that lets the
+// router fan /v1/anomaly out to any shard.
+func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *lazy[*anomaly.Scores] {
+	return newLazy(func() *anomaly.Scores {
 		s.metrics.anomalyComputes.Add(1)
 		return anomaly.Compute(model.Dataset(), model.WebOfTrust().Graph())
-	}}
-}
-
-// eagerAnomaly wraps already-refreshed scores (the swap path).
-func eagerAnomaly(sc *anomaly.Scores) *anomalyState {
-	a := &anomalyState{scores: sc}
-	a.done.Store(true)
-	return a
-}
-
-// get returns the scores, computing once on first use. Concurrent
-// callers coalesce on the sync.Once.
-func (a *anomalyState) get() *anomaly.Scores {
-	a.once.Do(func() {
-		if a.compute != nil {
-			a.scores = a.compute()
-			a.compute = nil
-		}
-		a.done.Store(true)
 	})
-	return a.scores
 }
 
-// peek returns the scores only if already computed — the metrics scrape
-// must never force a scoring pass.
-func (a *anomalyState) peek() (*anomaly.Scores, bool) {
-	if !a.done.Load() {
-		return nil, false
-	}
-	return a.scores, true
-}
-
-// refreshAnomaly builds the new state's anomaly scores across a
+// refreshAnomaly computes the new state's anomaly scores across a
 // parent-matched swap: it forces the predecessor's scores (starting the
 // chain, like the rank refresh above it) and advances them incrementally
 // over the ingest delta — paying O(dirty closure), not O(users).
-func (s *Server) refreshAnomaly(model *weboftrust.TrustModel, prev *state, dirty []bool) *anomalyState {
+func (s *Server) refreshAnomaly(model *weboftrust.TrustModel, prev *state, dirty []bool) *anomaly.Scores {
 	prevScores := prev.anomaly.get()
 	var prevG *graph.Graph
 	// Computing prevScores built prev's web, but a restored-then-swapped
@@ -77,9 +39,9 @@ func (s *Server) refreshAnomaly(model *weboftrust.TrustModel, prev *state, dirty
 		prevG = prevWeb.Graph()
 	}
 	s.metrics.anomalyRefreshes.Add(1)
-	return eagerAnomaly(anomaly.Update(
+	return anomaly.Update(
 		prevScores, prev.model.Dataset(), model.Dataset(),
-		prevG, model.WebOfTrust().Graph(), dirty))
+		prevG, model.WebOfTrust().Graph(), dirty)
 }
 
 // AnomalySignals is the per-signal breakdown of one user's suspicion
@@ -145,7 +107,7 @@ type AnomalyTopResponse struct {
 // handleAnomalyTop serves the suspicion leaderboard through the same
 // result-cache/singleflight path as top-k and propagation answers (one
 // kindAnomalyTop entry per cached k; the score vector itself lives in
-// the state's anomalyState, so a miss only copies and ranks it).
+// the state's lazy anomaly holder, so a miss only copies and ranks it).
 func (s *Server) handleAnomalyTop(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epAnomalyTop].Add(1)
 	st, ok := s.loadState(w)

@@ -19,22 +19,12 @@ const (
 	kindAppleseed
 	kindMoleTrust
 	kindTidalTrust
-	// The exact-mode propagate kinds answer ?exact=1: the same algorithms
-	// forced over the complete graph when the server prunes (without
-	// pruning they compute the same values as their plain kinds, cached
-	// separately). Keep them contiguous and in the same algorithm order.
-	kindAppleseedExact
-	kindMoleTrustExact
-	kindTidalTrustExact
 	// kindAnomalyTop is the /v1/anomaly/top leaderboard (always user 0:
-	// the suspicion vector is global, not per-source). It must stay after
-	// the exact propagate kinds — propagateAlgo's arithmetic never sees it
-	// because fillScore handles it explicitly.
+	// the suspicion vector is global, not per-source).
 	kindAnomalyTop
 	// The landmark propagate kinds answer ?approx=landmark: the O(L·U)
-	// sketch composition instead of a traversal. Keep them contiguous and
-	// in the same algorithm order; like kindAnomalyTop they are handled
-	// explicitly by fillScore, never by propagateAlgo's arithmetic, and
+	// sketch composition instead of a traversal. Keep them contiguous, in
+	// the same algorithm order as the traversal kinds, and last:
 	// migrateCache always drops them (the landmark selection itself moves
 	// with the rank vector, so no taint argument proves them stable).
 	kindAppleseedLandmark
@@ -43,10 +33,10 @@ const (
 )
 
 // isPropagateKind reports whether the kind is a propagation family —
-// pruned, exact or landmark — the families heat tracking and swap-time
+// traversal or landmark — the families heat tracking and swap-time
 // precompute apply to.
 func isPropagateKind(k resultKind) bool {
-	return (k >= kindAppleseed && k <= kindTidalTrustExact) ||
+	return (k >= kindAppleseed && k <= kindTidalTrust) ||
 		(k >= kindAppleseedLandmark && k <= kindTidalTrustLandmark)
 }
 

@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"weboftrust"
@@ -18,77 +16,23 @@ const DefaultLandmarks = 16
 
 // landmarkState is a state's landmark sketches: the L top-ranked hubs'
 // full propagation vectors, one set per algorithm, backing the
-// `?approx=landmark` serving mode. Like rankState and anomalyState, root
-// states build lazily on first use — the L full traversals stay off the
-// boot path — while parent-matched swaps eagerly refresh any sketch the
-// predecessor had built, carrying every landmark vector the taint
-// invariant proves unchanged (see Server.refreshLandmarks). The landmark
-// selection re-derives from the new state's warm rank vector at every
-// swap, so it — and therefore every served sketch — is a pure function
-// of the swap history, byte-identical across replicas with the same
-// cadence.
+// `?approx=landmark` serving mode. Like the rank vector and anomaly
+// scores, root states build lazily on first use — the L full traversals
+// stay off the boot path — while parent-matched swaps eagerly refresh any
+// sketch the predecessor had built, carrying every landmark vector the
+// taint invariant proves unchanged (see Server.refreshLandmarks). The
+// landmark selection re-derives from the new state's warm rank vector at
+// every swap, so it — and therefore every served sketch — is a pure
+// function of the swap history, byte-identical across replicas with the
+// same cadence.
 type landmarkState struct {
 	// count is the configured landmark count; 0 disables the mode (the
-	// `?approx=landmark` queries answer 400).
-	count   int
-	idsOnce sync.Once
-	idsDone atomic.Bool
-	idsFn   func() []int32
-	ids     []int32
-	// algos holds one lazily-or-eagerly built sketch per PropagationAlgo.
-	algos [3]algoSketch
-}
-
-// algoSketch is one algorithm's sketch with the shared lazy/eager
-// lifecycle: compute runs at most once; done lets peek observe without
-// forcing.
-type algoSketch struct {
-	once    sync.Once
-	done    atomic.Bool
-	compute func() *weboftrust.LandmarkSketch
-	sk      *weboftrust.LandmarkSketch
-}
-
-func (as *algoSketch) get() *weboftrust.LandmarkSketch {
-	as.once.Do(func() {
-		if as.compute != nil {
-			as.sk = as.compute()
-			as.compute = nil
-		}
-		as.done.Store(true)
-	})
-	return as.sk
-}
-
-// peek returns the sketch only if already built — swaps refresh built
-// sketches but never force unbuilt ones, and the metrics scrape forces
-// nothing.
-func (as *algoSketch) peek() (*weboftrust.LandmarkSketch, bool) {
-	if !as.done.Load() {
-		return nil, false
-	}
-	return as.sk, true
-}
-
-// landmarkIDs returns the state's landmark selection, deriving it from
-// the state's rank vector on first use.
-func (ls *landmarkState) landmarkIDs() []int32 {
-	ls.idsOnce.Do(func() {
-		if ls.idsFn != nil {
-			ls.ids = ls.idsFn()
-			ls.idsFn = nil
-		}
-		ls.idsDone.Store(true)
-	})
-	return ls.ids
-}
-
-// peekIDs returns the selection only if something has already derived it.
-func (ls *landmarkState) peekIDs() ([]int32, bool) {
-	if !ls.idsDone.Load() {
-		return nil, false
-	}
-	return ls.ids, true
+	// `?approx=landmark` queries answer 400) and leaves ids and algos nil.
+	count int
+	// ids is the landmark selection, derived from the state's rank vector.
+	ids *lazy[[]int32]
+	// algos holds one sketch per PropagationAlgo.
+	algos [3]*lazy[*weboftrust.LandmarkSketch]
 }
 
 // landmarkCount resolves Options.Landmarks: 0 means the default,
@@ -113,16 +57,14 @@ func (s *Server) lazyLandmarks(st *state) *landmarkState {
 		return ls
 	}
 	model := st.model
-	ls.idsFn = func() []int32 {
-		vec, _ := st.rank.get()
-		return weboftrust.SelectLandmarkIDs(vec, ls.count)
-	}
+	ls.ids = newLazy(func() []int32 {
+		return weboftrust.SelectLandmarkIDs(st.rank.get().vec, ls.count)
+	})
 	for a := range ls.algos {
 		algo := weboftrust.PropagationAlgo(a)
-		as := &ls.algos[a]
-		as.compute = func() *weboftrust.LandmarkSketch {
+		ls.algos[a] = newLazy(func() *weboftrust.LandmarkSketch {
 			start := time.Now()
-			sk, err := model.BuildLandmarkSketch(algo, ls.landmarkIDs())
+			sk, err := model.BuildLandmarkSketch(algo, ls.ids.get())
 			if err != nil {
 				// The ids are range-checked by selection and the algo is
 				// one of ours; an error is a broken invariant.
@@ -131,7 +73,7 @@ func (s *Server) lazyLandmarks(st *state) *landmarkState {
 			s.metrics.landmarkBuilds.Add(1)
 			s.metrics.landmarkRefreshNanos.Add(time.Since(start).Nanoseconds())
 			return sk
-		}
+		})
 	}
 	return ls
 }
@@ -154,15 +96,11 @@ func (s *Server) refreshLandmarks(st, prev *state, tainted []bool) {
 			continue
 		}
 		start := time.Now()
-		sk, err := st.model.RefreshLandmarkSketch(prevSk, weboftrust.PropagationAlgo(a), ls.landmarkIDs(), tainted)
+		sk, err := st.model.RefreshLandmarkSketch(prevSk, weboftrust.PropagationAlgo(a), ls.ids.get(), tainted)
 		if err != nil {
 			continue
 		}
-		as := &ls.algos[a]
-		as.sk = sk
-		as.compute = nil
-		as.once.Do(func() {})
-		as.done.Store(true)
+		ls.algos[a].ready(sk)
 		s.metrics.landmarkRefreshes.Add(1)
 		s.metrics.landmarkRefreshNanos.Add(time.Since(start).Nanoseconds())
 	}

@@ -12,13 +12,8 @@ import (
 func TestPropagateApproxParamValidation(t *testing.T) {
 	srv, _, _ := openServer(t)
 	h := srv.Handler()
-	for _, url := range []string{
-		"/v1/propagate?algo=appleseed&user=3&approx=bogus",
-		"/v1/propagate?algo=appleseed&user=3&approx=landmark&exact=1",
-	} {
-		if rec := get(t, h, url); rec.Code != 400 {
-			t.Errorf("%s: %d, want 400 (%s)", url, rec.Code, rec.Body.String())
-		}
+	if rec := get(t, h, "/v1/propagate?algo=appleseed&user=3&approx=bogus"); rec.Code != 400 {
+		t.Errorf("approx=bogus: %d, want 400 (%s)", rec.Code, rec.Body.String())
 	}
 	// A server with landmarks disabled rejects the mode outright.
 	path, _ := writeLogFile(t)
@@ -35,7 +30,8 @@ func TestPropagateApproxParamValidation(t *testing.T) {
 // TestLandmarkApproxMatchesFacade pins the serving contract of
 // `?approx=landmark`: the response is exactly the ranked head of the
 // model facade's ComposeLandmarks over the state's own sketch, the body
-// names the mode, and repeats are cache hits.
+// names the mode, an unknown parameter such as exact=1 changes nothing,
+// and repeats are cache hits.
 func TestLandmarkApproxMatchesFacade(t *testing.T) {
 	srv, _, d := openServer(t)
 	h := srv.Handler()
@@ -52,6 +48,9 @@ func TestLandmarkApproxMatchesFacade(t *testing.T) {
 		rec := get(t, h, "/v1/propagate?algo="+tc.algoName+"&user=3&k=8&approx=landmark")
 		if rec.Code != 200 {
 			t.Fatalf("%s: %d %s", tc.algoName, rec.Code, rec.Body.String())
+		}
+		if ex := get(t, h, "/v1/propagate?algo="+tc.algoName+"&user=3&k=8&approx=landmark&exact=1"); ex.Code != 200 || ex.Body.String() != rec.Body.String() {
+			t.Errorf("%s with exact=1: %d %s, want the landmark body", tc.algoName, ex.Code, ex.Body.String())
 		}
 		resp := decode[PropagateResponse](t, rec)
 		if resp.Approx != "landmark" {
@@ -74,9 +73,8 @@ func TestLandmarkApproxMatchesFacade(t *testing.T) {
 	}
 	// The landmark selection is the deterministic rule over the state's
 	// rank vector.
-	vec, _ := st.rank.get()
-	want := weboftrust.SelectLandmarkIDs(vec, DefaultLandmarks)
-	got := st.landmarks.landmarkIDs()
+	want := weboftrust.SelectLandmarkIDs(st.rank.get().vec, DefaultLandmarks)
+	got := st.landmarks.ids.get()
 	if len(got) != len(want) {
 		t.Fatalf("selection %v, want %v", got, want)
 	}
@@ -161,7 +159,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	}
 	// The refreshed sketch agrees with a from-scratch build on the new
 	// model under the new selection — the taint carry changed nothing.
-	fresh, err := newModel.BuildLandmarkSketch(weboftrust.PropagateAppleseed, st.landmarks.landmarkIDs())
+	fresh, err := newModel.BuildLandmarkSketch(weboftrust.PropagateAppleseed, st.landmarks.ids.get())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,9 @@ const (
 
 // heatTracker accumulates per-key query counts between swaps (window)
 // and folds them into a decaying average (ewma) at every swap. record is
-// on the query path, so it does one map increment under a mutex.
+// on the query path, so it does one map increment under a mutex. A
+// server without a precompute budget has no tracker: record and fold on
+// a nil tracker do nothing.
 type heatTracker struct {
 	mu     sync.Mutex
 	window map[heatKey]float64
@@ -64,6 +66,9 @@ func newHeatTracker() *heatTracker {
 }
 
 func (h *heatTracker) record(key heatKey) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	h.window[key]++
 	h.mu.Unlock()
@@ -73,6 +78,9 @@ func (h *heatTracker) record(key heatKey) {
 // that have cooled below the floor and trimming the coldest keys over
 // the size bound.
 func (h *heatTracker) fold() {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for k, old := range h.ewma {

@@ -42,6 +42,48 @@ func TestHeatTrackerFoldAndPrune(t *testing.T) {
 	}
 }
 
+// heatKeys counts the keys a server's heat tracker holds, windowed or
+// folded.
+func heatKeys(s *Server) int {
+	if s.heat == nil {
+		return 0
+	}
+	s.heat.mu.Lock()
+	defer s.heat.mu.Unlock()
+	return len(s.heat.window) + len(s.heat.ewma)
+}
+
+// TestHeatTrackedOnlyWithBudget pins that query heat is tracked only when
+// swap-time precompute can use it: a default server (no budget) holds no
+// heat keys after propagate traffic and a swap, a budgeted one does.
+func TestHeatTrackedOnlyWithBudget(t *testing.T) {
+	for _, budget := range []time.Duration{0, time.Second} {
+		path, d := writeLogFile(t)
+		srv, tailer, err := Open(path, time.Hour, Options{PrecomputeBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		query := func() {
+			t.Helper()
+			for u := 0; u < 4; u++ {
+				if rec := get(t, h, fmt.Sprintf("/v1/propagate?algo=moletrust&user=%d&k=5", u)); rec.Code != 200 {
+					t.Fatalf("budget %v: propagate: %d %s", budget, rec.Code, rec.Body.String())
+				}
+			}
+		}
+		query()
+		appendEvents(t, tailer.path, growBatch(d, 0))
+		if n, err := tailer.Poll(); err != nil || n == 0 {
+			t.Fatalf("budget %v: poll: n=%d err=%v", budget, n, err)
+		}
+		query()
+		if got := heatKeys(srv); (got > 0) != (budget > 0) {
+			t.Errorf("budget %v: tracker holds %d heat keys after traffic and a swap", budget, got)
+		}
+	}
+}
+
 func TestHeatTrackerDeterministicOrderAndCap(t *testing.T) {
 	h := newHeatTracker()
 	// Equal heat everywhere: order must fall back to key fields.

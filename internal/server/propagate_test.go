@@ -207,13 +207,13 @@ func TestPropagateBadRequests(t *testing.T) {
 	srv, _, d := openServer(t)
 	h := srv.Handler()
 	for _, url := range []string{
-		"/v1/propagate?user=1",                        // missing algo
-		"/v1/propagate?algo=pagerank&user=1",          // unknown algo
-		"/v1/propagate?algo=appleseed",                // missing user
-		"/v1/propagate?algo=appleseed&user=abc",       // bad user
-		"/v1/propagate?algo=appleseed&user=1&k=0",     // bad k
-		"/v1/propagate?algo=appleseed&user=1&k=x",     // bad k
-		"/v1/neighbors",                               // missing user
+		"/v1/propagate?user=1",                    // missing algo
+		"/v1/propagate?algo=pagerank&user=1",      // unknown algo
+		"/v1/propagate?algo=appleseed",            // missing user
+		"/v1/propagate?algo=appleseed&user=abc",   // bad user
+		"/v1/propagate?algo=appleseed&user=1&k=0", // bad k
+		"/v1/propagate?algo=appleseed&user=1&k=x", // bad k
+		"/v1/neighbors",                           // missing user
 	} {
 		if rec := get(t, h, url); rec.Code != 400 {
 			t.Errorf("%s: code %d, want 400", url, rec.Code)
@@ -345,29 +345,21 @@ func TestPropagateKindAlgoMapping(t *testing.T) {
 		kindTidalTrust: "tidaltrust",
 	}
 	for kind, name := range want {
-		algo, exact := propagateAlgo(kind)
-		if algo.String() != name || exact {
-			t.Errorf("kind %d maps to algo %q exact=%v, want %q exact=false", kind, algo, exact, name)
+		if algo := weboftrust.PropagationAlgo(kind - kindAppleseed); algo.String() != name {
+			t.Errorf("kind %d maps to algo %q, want %q", kind, algo, name)
 		}
 		parsed, err := weboftrust.ParsePropagationAlgo(name)
 		if err != nil || kindAppleseed+resultKind(parsed) != kind {
 			t.Errorf("round trip for %q: parsed %v err %v", name, parsed, err)
 		}
-		// The exact-mode kinds mirror the plain ones in the same order.
-		exKind := kindAppleseedExact + (kind - kindAppleseed)
-		algo, exact = propagateAlgo(exKind)
-		if algo.String() != name || !exact {
-			t.Errorf("kind %d maps to algo %q exact=%v, want %q exact=true", exKind, algo, exact, name)
-		}
-		// So do the landmark kinds (handled by fillScore directly, never
-		// by propagateAlgo's arithmetic — but the offset math in
-		// handlePropagate and fillScore relies on the same order).
+		// The landmark kinds mirror the traversal ones in the same order
+		// (the offset math in handlePropagate and fillScore relies on it).
 		lmKind := kindAppleseedLandmark + (kind - kindAppleseed)
 		if lmAlgo := weboftrust.PropagationAlgo(lmKind - kindAppleseedLandmark); lmAlgo.String() != name {
 			t.Errorf("landmark kind %d maps to algo %q, want %q", lmKind, lmAlgo, name)
 		}
-		if !isPropagateKind(kind) || !isPropagateKind(exKind) || !isPropagateKind(lmKind) {
-			t.Errorf("propagate-family kinds %d/%d/%d not recognised by isPropagateKind", kind, exKind, lmKind)
+		if !isPropagateKind(kind) || !isPropagateKind(lmKind) {
+			t.Errorf("propagate-family kinds %d/%d not recognised by isPropagateKind", kind, lmKind)
 		}
 	}
 	if isPropagateKind(kindTopK) || isPropagateKind(kindAnomalyTop) {

@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
 	"weboftrust"
 	"weboftrust/internal/core"
@@ -24,60 +22,28 @@ import (
 // (same log, same swaps) serves byte-identical rank vectors.
 const rankRefreshIters = 3
 
-// rankState is a state's global EigenTrust vector. Root states (boot,
-// restore, non-incremental swaps) compute lazily on first use — keeping
-// the cold solve off the boot path preserves the warm-restart win —
-// while parent-matched swaps install an eagerly refreshed vector (see
-// Server.newState). vec and iters are immutable once done reports true.
-type rankState struct {
-	once    sync.Once
-	done    atomic.Bool
-	compute func() ([]float64, int)
-	vec     []float64
-	iters   int
+// rankVec is a state's global EigenTrust vector and the power
+// iterations spent producing it. Root states solve it lazily on first
+// use — keeping the cold solve off the boot path preserves the
+// warm-restart win — while parent-matched swaps install an eagerly
+// refreshed vector (see Server.newState).
+type rankVec struct {
+	vec   []float64
+	iters int
 }
 
-// lazyRank defers the cold converged solve until the first /v1/rank (or
+// lazyRank defers the cold converged solve until the first /v1/rank (a
 // metrics peek never forces it).
-func lazyRank(model *weboftrust.TrustModel) *rankState {
-	return &rankState{compute: func() ([]float64, int) {
+func lazyRank(model *weboftrust.TrustModel) *lazy[rankVec] {
+	return newLazy(func() rankVec {
 		vec, iters, err := model.GlobalRanks()
 		if err != nil {
 			// DefaultEigenTrust is statically valid and the graph is the
 			// model's own; an error here is a broken invariant.
 			panic(fmt.Sprintf("server: global ranks: %v", err))
 		}
-		return vec, iters
-	}}
-}
-
-// eagerRank wraps an already-computed vector (the warm-refresh path).
-func eagerRank(vec []float64, iters int) *rankState {
-	r := &rankState{vec: vec, iters: iters}
-	r.done.Store(true)
-	return r
-}
-
-// get returns the vector and the iterations spent producing it, computing
-// once on first use. Concurrent callers coalesce on the sync.Once.
-func (r *rankState) get() ([]float64, int) {
-	r.once.Do(func() {
-		if r.compute != nil {
-			r.vec, r.iters = r.compute()
-			r.compute = nil
-		}
-		r.done.Store(true)
+		return rankVec{vec: vec, iters: iters}
 	})
-	return r.vec, r.iters
-}
-
-// peek returns the vector only if it has already been computed — the
-// metrics scrape must never force a solve.
-func (r *rankState) peek() ([]float64, int, bool) {
-	if !r.done.Load() {
-		return nil, 0, false
-	}
-	return r.vec, r.iters, true
 }
 
 // taintedUsers marks every user whose propagation result may have changed
@@ -85,9 +51,7 @@ func (r *rankState) peek() ([]float64, int, bool) {
 // the rows of nodes it can reach, so a result is stale only if the source
 // reaches a dirty row. Reverse BFS over the predecessor graph's in-edges
 // from the dirty seeds marks exactly the sources that can; everyone else
-// provably reaches only unchanged rows (the pruned companion's edges are
-// a subset of the full graph's, so the full-graph taint is conservative
-// for pruned traversals too).
+// provably reaches only unchanged rows.
 func taintedUsers(g *graph.Graph, dirty []bool) []bool {
 	n := g.NumNodes()
 	tainted := make([]bool, n)
@@ -198,7 +162,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	vec, iters := st.rank.get()
+	rv := st.rank.get()
+	vec, iters := rv.vec, rv.iters
 	if raw := r.URL.Query().Get("user"); raw != "" {
 		u, ok := s.userParam(w, r, st, "user")
 		if !ok {

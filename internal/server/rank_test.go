@@ -83,7 +83,8 @@ func TestRankWarmChainAcrossSwaps(t *testing.T) {
 
 	// Force the root state's lazy cold solve through the endpoint.
 	get(t, h, "/v1/rank?k=3")
-	prevVec, prevIters, ok := srv.cur.Load().rank.peek()
+	prev, ok := srv.cur.Load().rank.peek()
+	prevVec, prevIters := prev.vec, prev.iters
 	if !ok {
 		t.Fatal("root rank not computed after /v1/rank")
 	}
@@ -96,7 +97,8 @@ func TestRankWarmChainAcrossSwaps(t *testing.T) {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
 	st := srv.cur.Load()
-	vec, iters, ok := st.rank.peek()
+	rv, ok := st.rank.peek()
+	vec, iters := rv.vec, rv.iters
 	if !ok {
 		t.Fatal("incremental swap did not install an eager rank vector")
 	}
@@ -129,12 +131,12 @@ func TestRankWarmChainAcrossSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Swap(cold, 0)
-	if _, _, ok := srv.cur.Load().rank.peek(); ok {
+	if _, ok := srv.cur.Load().rank.peek(); ok {
 		t.Fatal("non-incremental swap should leave the rank solve lazy")
 	}
 	get(t, h, "/v1/rank?k=3")
-	if _, iters, ok := srv.cur.Load().rank.peek(); !ok || iters <= rankRefreshIters {
-		t.Fatalf("cold re-solve after root swap: ok=%v iters=%d", ok, iters)
+	if rv, ok := srv.cur.Load().rank.peek(); !ok || rv.iters <= rankRefreshIters {
+		t.Fatalf("cold re-solve after root swap: ok=%v iters=%d", ok, rv.iters)
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"weboftrust"
+	"weboftrust/internal/anomaly"
 	"weboftrust/internal/core"
 	"weboftrust/internal/ratings"
 )
@@ -53,10 +54,10 @@ type state struct {
 	flights *flightGroup
 	// rank is the state's global EigenTrust vector: lazy cold solve for
 	// root states, eagerly warm-refreshed across parent-matched swaps.
-	rank *rankState
+	rank *lazy[rankVec]
 	// anomaly is the state's per-user suspicion scores, with the same
 	// lazy-cold / eager-incremental lifecycle as rank.
-	anomaly *anomalyState
+	anomaly *lazy[*anomaly.Scores]
 	// landmarks is the state's landmark sketches for the
 	// `?approx=landmark` propagation mode, with the same lazy-cold /
 	// eager-incremental lifecycle.
@@ -132,7 +133,8 @@ type Server struct {
 	inflight atomic.Int64
 	// heat tracks per-key propagation query heat across swaps for the
 	// precompute engine; it outlives individual states deliberately (the
-	// working set is a property of the traffic, not of one model).
+	// working set is a property of the traffic, not of one model). nil
+	// when Options.PrecomputeBudget is not positive: nothing reads it.
 	heat *heatTracker
 	// computeGate, when non-nil, runs on the leader goroutine right
 	// before a row computation. Test hook: the singleflight test parks
@@ -172,7 +174,7 @@ type metrics struct {
 	// minus coalesced flights), cumulative wall-clock spent in the
 	// propagate handler (nanoseconds; rate() gives mean latency), and
 	// the latency of the most recent request.
-	propagateRequests  [3]atomic.Int64 // indexed by PropagationAlgo (exact and pruned share)
+	propagateRequests  [3]atomic.Int64 // indexed by PropagationAlgo (traversal and landmark share)
 	propagateComputes  atomic.Int64
 	propagateNanos     atomic.Int64
 	propagateLastNanos atomic.Int64
@@ -232,13 +234,7 @@ var endpointNames = [numEndpoints]string{
 // New wraps a derived model for serving. offset is the event-log position
 // the model reflects (0 when serving a snapshot with no log).
 func New(model *weboftrust.TrustModel, offset int64, opts Options) *Server {
-	if opts.CacheResults == 0 {
-		opts.CacheResults = DefaultCacheResults
-	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = DefaultCacheBytes
-	}
-	s := &Server{opts: opts, start: time.Now(), heat: newHeatTracker()}
+	s := NewPending(opts)
 	s.cur.Store(s.newState(model, offset, 1, nil))
 	return s
 }
@@ -255,7 +251,11 @@ func NewPending(opts Options) *Server {
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	}
-	return &Server{opts: opts, start: time.Now(), heat: newHeatTracker()}
+	s := &Server{opts: opts, start: time.Now()}
+	if opts.PrecomputeBudget > 0 {
+		s.heat = newHeatTracker()
+	}
+	return s
 }
 
 // SetReadyTarget sets the event-log offset the served state must reach
@@ -305,13 +305,12 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 	// pays it). Forcing prev's rank here starts the chain: the first
 	// incremental tick pays one cold solve, every later tick pays
 	// rankRefreshIters.
-	prevVec, _ := prev.rank.get()
-	if vec, iters, err := model.GlobalRanksFrom(prevVec, rankRefreshIters); err == nil {
-		st.rank = eagerRank(vec, iters)
+	if vec, iters, err := model.GlobalRanksFrom(prev.rank.get().vec, rankRefreshIters); err == nil {
+		st.rank.ready(rankVec{vec: vec, iters: iters})
 	}
 	// Same chain for anomaly scores: force the predecessor's, advance
 	// them over the delta (bit-identical to a cold pass).
-	st.anomaly = s.refreshAnomaly(model, prev, dirty)
+	st.anomaly.ready(s.refreshAnomaly(model, prev, dirty))
 	// The taint set — every source whose propagation result may have
 	// changed — drives the cache carry-over, the landmark refresh AND the
 	// precompute pass below, so compute it once. landmarks is created
@@ -419,27 +418,11 @@ func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []f
 		// return is an impossible one; panic like any other broken
 		// invariant (the flight protocol below recovers followers either
 		// way).
-		algo, exact := propagateAlgo(kind)
-		var err error
-		if exact {
-			err = st.model.PropagateExactInto(algo, u, dst)
-		} else {
-			err = st.model.PropagateInto(algo, u, dst)
-		}
-		if err != nil {
+		if err := st.model.PropagateInto(weboftrust.PropagationAlgo(kind-kindAppleseed), u, dst); err != nil {
 			panic(fmt.Sprintf("server: propagate %v for user %d: %v", kind, u, err))
 		}
 		s.metrics.propagateComputes.Add(1)
 	}
-}
-
-// propagateAlgo maps a propagate result kind to its facade algorithm and
-// whether it is an exact-mode (complete-graph) variant.
-func propagateAlgo(kind resultKind) (weboftrust.PropagationAlgo, bool) {
-	if kind >= kindAppleseedExact {
-		return weboftrust.PropagationAlgo(kind - kindAppleseedExact), true
-	}
-	return weboftrust.PropagationAlgo(kind - kindAppleseed), false
 }
 
 // ranked returns user u's top-k result for one result family from the
@@ -833,23 +816,10 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad \"algo\" parameter: %v", err)
 		return
 	}
-	exact := false
-	switch raw := r.URL.Query().Get("exact"); raw {
-	case "", "0", "false":
-	case "1", "true":
-		exact = true
-	default:
-		s.fail(w, http.StatusBadRequest, "bad \"exact\" parameter %q", raw)
-		return
-	}
 	approx := r.URL.Query().Get("approx")
 	switch approx {
 	case "":
 	case "landmark":
-		if exact {
-			s.fail(w, http.StatusBadRequest, "\"approx\" and \"exact\" are mutually exclusive")
-			return
-		}
 		if s.landmarkCount() == 0 {
 			s.fail(w, http.StatusBadRequest, "landmark approximation is disabled on this server")
 			return
@@ -868,10 +838,7 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	kind := kindAppleseed + resultKind(algo)
-	switch {
-	case exact:
-		kind = kindAppleseedExact + resultKind(algo)
-	case approx == "landmark":
+	if approx == "landmark" {
 		kind = kindAppleseedLandmark + resultKind(algo)
 	}
 	s.metrics.propagateRequests[algo].Add(1)
@@ -902,11 +869,6 @@ type GraphStatsResponse struct {
 	MeanOutDegree  float64 `json:"mean_out_degree"`
 	Isolated       int     `json:"isolated"`
 	MeanGenerosity float64 `json:"mean_generosity"`
-	// PrunedEdges and PruneTau describe the percolation-pruned companion
-	// graph the propagation endpoints traverse; absent when the server
-	// runs without pruning (tau 0), keeping the historical body unchanged.
-	PrunedEdges *int    `json:"pruned_edges,omitempty"`
-	PruneTau    float64 `json:"prune_tau,omitempty"`
 }
 
 func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
@@ -925,7 +887,7 @@ func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 	if web.NumUsers() > 0 {
 		meanK = kSum / float64(web.NumUsers())
 	}
-	resp := GraphStatsResponse{
+	writeJSON(w, http.StatusOK, GraphStatsResponse{
 		Version:        st.version,
 		Policy:         web.Policy().String(),
 		Nodes:          deg.Nodes,
@@ -935,13 +897,7 @@ func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 		MeanOutDegree:  deg.MeanOutDegree,
 		Isolated:       deg.Isolated,
 		MeanGenerosity: meanK,
-	}
-	if pg := web.PrunedGraph(); pg != nil {
-		e := pg.NumEdges()
-		resp.PrunedEdges = &e
-		resp.PruneTau = web.Policy().PruneTau
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // StatsResponse is the /v1/stats body: dataset shape plus serving state.
@@ -1038,7 +994,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Shard = shardStats(st.model)
 	if s.opts.PrecomputeBudget > 0 || s.landmarkCount() > 0 {
 		landmarks := s.landmarkCount()
-		if ids, ok := st.landmarks.peekIDs(); ok {
+		if ids, ok := st.landmarks.ids.peek(); ok {
 			landmarks = len(ids)
 		}
 		resp.Precompute = &PrecomputeStats{
@@ -1167,14 +1123,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if web, ok := st.model.WebOfTrustBuilt(); ok {
 			gauge("trustd_web_nodes", "Nodes in the served web of trust.", int64(web.NumUsers()))
 			gauge("trustd_web_edges", "Directed trust edges in the served web of trust.", int64(web.NumEdges()))
-			if pg := web.PrunedGraph(); pg != nil {
-				gauge("trustd_web_pruned_edges", "Edges surviving percolation pruning in the propagation graph.", int64(pg.NumEdges()))
-			}
 		}
 		// Peek only: the scrape must not force the cold rank solve of a
 		// state nobody has queried /v1/rank on.
-		if _, iters, ok := st.rank.peek(); ok {
-			gauge("trustd_rank_iterations", "Power iterations behind the served global rank vector.", int64(iters))
+		if rv, ok := st.rank.peek(); ok {
+			gauge("trustd_rank_iterations", "Power iterations behind the served global rank vector.", int64(rv.iters))
 		}
 		// Peek only, same reason, for the anomaly scoring pass.
 		if sc, ok := st.anomaly.peek(); ok && sc != nil {
@@ -1202,7 +1155,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Peek only: the scrape must not force the landmark selection
 		// (which would force the rank solve).
 		landmarks := int64(st.landmarks.count)
-		if ids, ok := st.landmarks.peekIDs(); ok {
+		if ids, ok := st.landmarks.ids.peek(); ok {
 			landmarks = int64(len(ids))
 		}
 		gauge("trustd_landmark_count", "Landmark hubs configured (selected count once derived).", landmarks)

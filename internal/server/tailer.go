@@ -59,7 +59,9 @@ const maxTailBackoff = 30 * time.Second
 // failures after the builder mutated), which stay fatal.
 type TransientPollError struct{ Err error }
 
-func (e *TransientPollError) Error() string { return "server: transient poll failure: " + e.Err.Error() }
+func (e *TransientPollError) Error() string {
+	return "server: transient poll failure: " + e.Err.Error()
+}
 func (e *TransientPollError) Unwrap() error { return e.Err }
 
 // NewTailer resumes tailing path from offset. builder must hold exactly

@@ -39,9 +39,9 @@ func SelectLandmarkIDs(rank []float64, l int) []int32 {
 }
 
 // BuildLandmarkSketch computes the sketch from scratch: one full
-// propagation run per landmark, over the same graph and truncation the
-// model's PropagateInto serves, so a landmark's sketched vector is
-// bitwise-identical to querying it directly.
+// propagation run per landmark through the model's PropagateInto, so a
+// landmark's sketched vector is bitwise-identical to querying it
+// directly.
 func (m *TrustModel) BuildLandmarkSketch(algo PropagationAlgo, ids []int32) (*LandmarkSketch, error) {
 	return m.RefreshLandmarkSketch(nil, algo, ids, nil)
 }
@@ -109,5 +109,5 @@ func (m *TrustModel) ComposeLandmarks(sk *LandmarkSketch, source UserID, dst []f
 	default:
 		return fmt.Errorf("weboftrust: unknown propagation algorithm %d", int(sk.Algo))
 	}
-	return sk.sk.Compose(m.WebOfTrust().PropagationGraph(), int(source), frontier, dst)
+	return sk.sk.Compose(m.WebOfTrust().Graph(), int(source), frontier, dst)
 }

@@ -8,15 +8,14 @@ import (
 
 // landmarkRelL1 composes the landmark approximation for every 7th user
 // and returns mean and max relative L1 distance from the exact
-// traversal, normalised by the exact vector's mass — the same envelope
-// measure the pruning and truncation contracts pin.
+// traversal, normalised by the exact vector's mass.
 func landmarkRelL1(t *testing.T, m *TrustModel, sk *LandmarkSketch, n int) (mean, max float64) {
 	t.Helper()
 	exact := make([]float64, n)
 	approx := make([]float64, n)
 	samples := 0
 	for u := 0; u < n; u += 7 {
-		if err := m.PropagateExactInto(sk.Algo, UserID(u), exact); err != nil {
+		if err := m.PropagateInto(sk.Algo, UserID(u), exact); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.ComposeLandmarks(sk, UserID(u), approx); err != nil {
