@@ -998,13 +998,60 @@ func growInCategory(b *testing.B, d *ratings.Dataset, cat ratings.CategoryID) *r
 	return bld.Build()
 }
 
+// growMixedBatch extends d the way one ingest-mixed batch of the
+// perfbench load does: a new user writing one review, twelve ratings by
+// existing users on reviews spread over four categories, and one new
+// trust edge between existing users.
+func growMixedBatch(b *testing.B, d *ratings.Dataset) *ratings.Dataset {
+	b.Helper()
+	bld := rebuildBuilder(b, d)
+	writer := bld.AddUser("bench-writer")
+	oid, err := bld.AddObject(0, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rid, err := bld.AddReview(writer, oid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The new review plus the first review of each of four categories.
+	targets := []ratings.ReviewID{rid}
+	seen := map[ratings.CategoryID]bool{}
+	for r, rev := range d.Reviews() {
+		if rev.Category < 4 && !seen[rev.Category] {
+			seen[rev.Category] = true
+			targets = append(targets, ratings.ReviewID(r))
+		}
+	}
+	numU := d.NumUsers()
+	for n, i := 0, 0; n < 12; i++ {
+		if i > 100*numU {
+			b.Fatal("no free (rater, review) pairs")
+		}
+		rater := ratings.UserID(i * 131 % numU)
+		if bld.AddRating(rater, targets[n%len(targets)], ratings.QuantizeRating(0.2+0.15*float64(n%5))) == nil {
+			n++
+		}
+	}
+	for u := 0; ; u++ {
+		if u+1 >= numU {
+			b.Fatal("no free trust edge")
+		}
+		if bld.AddTrust(ratings.UserID(u), ratings.UserID(u+1)) == nil {
+			break
+		}
+	}
+	return bld.Build()
+}
+
 // BenchmarkSwapDelta compares the two ways to build the post-ingest CSR
-// graph after a one-category tick on the Medium community: the delta
+// graph after an ingest tick on the Medium community: the delta
 // constructor (graph.UpdateRows — per-edge work only on dirty rows and
 // their targets' in-lists) against a full rebuild (graph.FromRows —
 // O(U+E) validation and scatter). The delta's advantage tracks the dirty
-// fraction, so the tick lands in the heaviest category (~37% of users
-// dirty) and the lightest (~8%).
+// fraction, so the one-rating tick lands in the heaviest category (~37%
+// of users dirty) and the lightest (~8%); batch is a multi-category
+// tick shaped like the perfbench ingest-mixed load (growMixedBatch).
 func BenchmarkSwapDelta(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)
@@ -1014,18 +1061,27 @@ func BenchmarkSwapDelta(b *testing.B) {
 	prev := model.WebOfTrust().Graph()
 	for _, tc := range []struct {
 		name string
-		cat  ratings.CategoryID
+		grow func() *ratings.Dataset
 	}{
-		{"heavy", 0},
-		{"light", ratings.CategoryID(e.Dataset.NumCategories() - 1)},
+		{"heavy", func() *ratings.Dataset { return growInCategory(b, e.Dataset, 0) }},
+		{"light", func() *ratings.Dataset {
+			return growInCategory(b, e.Dataset, ratings.CategoryID(e.Dataset.NumCategories()-1))
+		}},
+		{"batch", func() *ratings.Dataset { return growMixedBatch(b, e.Dataset) }},
 	} {
-		upd, err := model.Update(growInCategory(b, e.Dataset, tc.cat))
+		upd, err := model.Update(tc.grow())
 		if err != nil {
 			b.Fatal(err)
 		}
 		dirty := upd.DirtyUsers()
 		if dirty == nil {
 			b.Fatal("update produced no dirty set")
+		}
+		numDirty := 0
+		for _, d := range dirty {
+			if d {
+				numDirty++
+			}
 		}
 		n, to, wt := webRows(upd.WebOfTrust())
 		b.Run(tc.name+"/delta", func(b *testing.B) {
@@ -1035,6 +1091,7 @@ func BenchmarkSwapDelta(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(numDirty), "dirty-users")
 		})
 		b.Run(tc.name+"/rebuild", func(b *testing.B) {
 			b.ResetTimer()
