@@ -451,14 +451,24 @@ func (s *Server) ranked(st *state, kind resultKind, u ratings.UserID, k int) []c
 			// it and rank the shared buffer with our own k.
 			f.wg.Wait()
 			if f.scratch == nil {
-				// The leader died before publishing a vector (its panic
-				// is its own request's failure); yield until its
-				// unwinding unpublishes the dead flight, then retry — and
-				// likely lead — instead of dereferencing nothing.
+				// The leader published no vector: it died (its panic is
+				// its own request's failure) or found the answer already
+				// cached. Yield until the flight is unpublished, then
+				// retry — into the cache hit, or leading the recompute —
+				// instead of dereferencing nothing.
 				runtime.Gosched()
 				continue
 			}
 		} else {
+			// A leader that finished between this request's cache miss and
+			// its join has already cached the answer: serve it instead of
+			// computing it twice. Followers that joined meanwhile see a
+			// flight with no scratch and retry into the same hit.
+			if r, _, ok := st.results.get(key); ok {
+				st.flights.unpublish(fkey)
+				f.wg.Done()
+				return trimRanked(r, k)
+			}
 			// The flight stays published until this function returns —
 			// after the result reaches the cache — so misses arriving
 			// while the leader ranks coalesce instead of re-leading; the
