@@ -165,8 +165,9 @@ type TrustModel struct {
 	// id is a process-unique identity for this model; parentID links an
 	// Update result to the model it was incrementally derived from (0 for
 	// models built or restored from scratch). Serving layers use the pair
-	// to decide whether delta-aware state (cache carry-over, warm-started
-	// rank vectors) may migrate across an atomic swap.
+	// to decide whether per-state artifacts (the rank vector, anomaly
+	// scores) may be refreshed from the predecessor's across an atomic
+	// swap instead of computed cold.
 	id       uint64
 	parentID uint64
 	// scratch carries the reusable Update buffers down the chain of

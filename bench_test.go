@@ -25,7 +25,6 @@ import (
 	"weboftrust/internal/checkpoint"
 	"weboftrust/internal/core"
 	"weboftrust/internal/experiments"
-	"weboftrust/internal/graph"
 	"weboftrust/internal/mat"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/router"
@@ -964,145 +963,6 @@ func BenchmarkUpdateCategoryScaling(b *testing.B) {
 }
 
 // --- Incremental serving benchmarks (PR 7) --------------------------------
-
-// webRows materialises a web's adjacency as the row-slices the graph
-// constructors take, outside any benchmark timer.
-func webRows(w *core.Web) (n int, to [][]int32, wt [][]float64) {
-	n = w.NumUsers()
-	to = make([][]int32, n)
-	wt = make([][]float64, n)
-	for u := 0; u < n; u++ {
-		to[u], wt[u] = w.Neighbors(ratings.UserID(u))
-	}
-	return n, to, wt
-}
-
-// growInCategory extends d with one new user writing one rated review in
-// the single given category.
-func growInCategory(b *testing.B, d *ratings.Dataset, cat ratings.CategoryID) *ratings.Dataset {
-	b.Helper()
-	bld := rebuildBuilder(b, d)
-	writer := bld.AddUser("bench-writer")
-	rater := bld.AddUser("bench-rater")
-	oid, err := bld.AddObject(cat, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rid, err := bld.AddReview(writer, oid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := bld.AddRating(rater, rid, ratings.QuantizeRating(0.7)); err != nil {
-		b.Fatal(err)
-	}
-	return bld.Build()
-}
-
-// growMixedBatch extends d the way one ingest-mixed batch of the
-// perfbench load does: a new user writing one review, twelve ratings by
-// existing users on reviews spread over four categories, and one new
-// trust edge between existing users.
-func growMixedBatch(b *testing.B, d *ratings.Dataset) *ratings.Dataset {
-	b.Helper()
-	bld := rebuildBuilder(b, d)
-	writer := bld.AddUser("bench-writer")
-	oid, err := bld.AddObject(0, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rid, err := bld.AddReview(writer, oid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The new review plus the first review of each of four categories.
-	targets := []ratings.ReviewID{rid}
-	seen := map[ratings.CategoryID]bool{}
-	for r, rev := range d.Reviews() {
-		if rev.Category < 4 && !seen[rev.Category] {
-			seen[rev.Category] = true
-			targets = append(targets, ratings.ReviewID(r))
-		}
-	}
-	numU := d.NumUsers()
-	for n, i := 0, 0; n < 12; i++ {
-		if i > 100*numU {
-			b.Fatal("no free (rater, review) pairs")
-		}
-		rater := ratings.UserID(i * 131 % numU)
-		if bld.AddRating(rater, targets[n%len(targets)], ratings.QuantizeRating(0.2+0.15*float64(n%5))) == nil {
-			n++
-		}
-	}
-	for u := 0; ; u++ {
-		if u+1 >= numU {
-			b.Fatal("no free trust edge")
-		}
-		if bld.AddTrust(ratings.UserID(u), ratings.UserID(u+1)) == nil {
-			break
-		}
-	}
-	return bld.Build()
-}
-
-// BenchmarkSwapDelta compares the two ways to build the post-ingest CSR
-// graph after an ingest tick on the Medium community: the delta
-// constructor (graph.UpdateRows — per-edge work only on dirty rows and
-// their targets' in-lists) against a full rebuild (graph.FromRows —
-// O(U+E) validation and scatter). The delta's advantage tracks the dirty
-// fraction, so the one-rating tick lands in the heaviest category (~37%
-// of users dirty) and the lightest (~8%); batch is a multi-category
-// tick shaped like the perfbench ingest-mixed load (growMixedBatch).
-func BenchmarkSwapDelta(b *testing.B) {
-	e := env(b)
-	model, err := weboftrust.Derive(e.Dataset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev := model.WebOfTrust().Graph()
-	for _, tc := range []struct {
-		name string
-		grow func() *ratings.Dataset
-	}{
-		{"heavy", func() *ratings.Dataset { return growInCategory(b, e.Dataset, 0) }},
-		{"light", func() *ratings.Dataset {
-			return growInCategory(b, e.Dataset, ratings.CategoryID(e.Dataset.NumCategories()-1))
-		}},
-		{"batch", func() *ratings.Dataset { return growMixedBatch(b, e.Dataset) }},
-	} {
-		upd, err := model.Update(tc.grow())
-		if err != nil {
-			b.Fatal(err)
-		}
-		dirty := upd.DirtyUsers()
-		if dirty == nil {
-			b.Fatal("update produced no dirty set")
-		}
-		numDirty := 0
-		for _, d := range dirty {
-			if d {
-				numDirty++
-			}
-		}
-		n, to, wt := webRows(upd.WebOfTrust())
-		b.Run(tc.name+"/delta", func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.UpdateRows(prev, n, dirty, to, wt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(numDirty), "dirty-users")
-		})
-		b.Run(tc.name+"/rebuild", func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := graph.FromRows(n, to, wt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkPropagateExact measures a propagation cache miss on the
 // Medium community: one exact traversal per op, per algorithm, cycling

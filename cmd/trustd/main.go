@@ -65,7 +65,7 @@
 // serves the global EigenTrust leaderboard (warm-refreshed across ingest
 // swaps), and /v1/graph/stats reports the graph's shape. With
 // -propagate-precompute-budget set, each incremental swap spends up to
-// that wall-clock pre-warming the result cache with hot tainted sources'
+// that wall-clock pre-warming the result cache with hot sources'
 // propagation vectors — bitwise-identical to on-demand compute.
 //
 // Endpoints: /v1/topk?user=U&k=K, /v1/trust?from=I&to=J,
@@ -137,7 +137,7 @@ func cmdServe(args []string) error {
 	ckptKeep := fs.Int("checkpoint-keep", server.DefaultCheckpointKeep, "recent checkpoints to retain")
 	webTau := fs.Float64("web-tau", -1, "binarise the web of trust with a global score threshold instead of per-user top-k generosity (-1 = per-user top-k)")
 	webColdK := fs.Float64("web-cold-generosity", 0, "generosity fallback for users whose history cannot calibrate one (per-user top-k policy; 0 = paper protocol)")
-	precomputeBudget := fs.Duration("propagate-precompute-budget", 0, "wall-clock budget per incremental swap for pre-warming hot tainted sources' propagation results (0 = disabled)")
+	precomputeBudget := fs.Duration("propagate-precompute-budget", 0, "wall-clock budget per incremental swap for pre-warming hot sources' propagation results (0 = disabled)")
 	landmarks := fs.Int("landmarks", 0, "landmark hubs for the ?approx=landmark propagation mode (0 = default 16; negative disables)")
 	shardFlag := fs.String("shard", "", "serve shard i/N of a source-partitioned cluster (e.g. 1/3; empty = unsharded)")
 	maxInFlight := fs.Int("max-inflight", 0, "bound concurrently served compute queries; excess is shed with 429 + Retry-After (0 = unbounded)")

@@ -231,24 +231,18 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 		w.rows[u] = policyRowInto(dt, ratings.UserID(u), policy, k, bufs[wk], true)
 	})
 
-	// The CSR graph: a full build packs the rows wholesale — one O(E)
-	// validate-and-copy pass over rows that are already sorted and unique
-	// (graph.FromRows). The incremental path instead splices only the
-	// dirty rows into the predecessor's packed arrays (graph.UpdateRows),
-	// so all per-edge swap work tracks the delta, not the graph.
+	// The CSR graph: every build, incremental or not, packs the rows
+	// wholesale — one O(E) validate-and-copy pass over rows that are
+	// already sorted and unique (graph.FromRows). A typical ingest tick
+	// dirties most users, so splicing dirty rows into the predecessor's
+	// arrays costs more than this rebuild (EXPERIMENTS.md measures both).
 	to := make([][]int32, numU)
 	weights := make([][]float64, numU)
 	for u, r := range w.rows {
 		to[u] = r.To
 		weights[u] = r.W
 	}
-	var g *graph.Graph
-	var err error
-	if dirty != nil && old.g != nil {
-		g, err = graph.UpdateRows(old.g, numU, dirty, to, weights)
-	} else {
-		g, err = graph.FromRows(numU, to, weights)
-	}
+	g, err := graph.FromRows(numU, to, weights)
 	if err != nil {
 		// policyRowInto emits ascending in-range unique ids; reaching
 		// here means the selection invariant broke.

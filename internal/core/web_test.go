@@ -170,11 +170,11 @@ func TestWebColdGenerosity(t *testing.T) {
 	}
 }
 
-// TestGraphUpdateEqualsFreshDerive is the PR's acceptance property: after
-// random dataset growth, the incrementally maintained web is bitwise
-// identical to a from-scratch derive at every worker-count combination,
-// and every untouched user's edge row is shared with the old web by
-// reference (not merely equal).
+// TestGraphUpdateEqualsFreshDerive: after random dataset growth, the
+// incrementally maintained web — dirty rows recomputed, every other row
+// shared — is bitwise identical to a from-scratch derive at every
+// worker-count combination, and every untouched user's edge row is
+// shared with the old web by reference (not merely equal).
 func TestGraphUpdateEqualsFreshDerive(t *testing.T) {
 	property := func(seed uint64) bool {
 		oldD := randomGrowableDataset(seed)

@@ -7,7 +7,8 @@ import (
 
 // TestFromRowsMatchesNew: for random already-sorted adjacency, FromRows
 // builds exactly the graph New builds from the equivalent edge list —
-// out and in lists, weights, offsets.
+// out and in lists, weights, offsets. FromRows is the one constructor the
+// web artifact uses, on full builds and incremental updates alike.
 func TestFromRowsMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {

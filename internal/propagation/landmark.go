@@ -26,16 +26,6 @@ type Sketch struct {
 	Vecs [][]float64
 }
 
-// Landmark returns the position of node id in the sketch, or -1.
-func (sk Sketch) Landmark(id int32) int {
-	for i, l := range sk.IDs {
-		if l == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // SelectLandmarks picks the L highest-ranked nodes as landmarks —
 // score descending, id ascending on ties, so selection is deterministic
 // for a given rank vector. Zero-rank nodes are never selected (a node

@@ -23,10 +23,8 @@ const (
 	// the suspicion vector is global, not per-source).
 	kindAnomalyTop
 	// The landmark propagate kinds answer ?approx=landmark: the O(L·U)
-	// sketch composition instead of a traversal. Keep them contiguous, in
-	// the same algorithm order as the traversal kinds, and last:
-	// migrateCache always drops them (the landmark selection itself moves
-	// with the rank vector, so no taint argument proves them stable).
+	// sketch composition instead of a traversal. Keep them contiguous and
+	// in the same algorithm order as the traversal kinds.
 	kindAppleseedLandmark
 	kindMoleTrustLandmark
 	kindTidalTrustLandmark
@@ -166,19 +164,6 @@ func (c *resultCache) evictOver(keep *list.Element) {
 		delete(c.m, e.key)
 		c.bytes -= entryBytes(e.ranked)
 	}
-}
-
-// snapshot returns the cache's entries from least to most recently used.
-// Entries are shared (immutable once inserted); the caller may re-insert
-// them into another cache in this order to preserve recency.
-func (c *resultCache) snapshot() []resultEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]resultEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		out = append(out, *el.Value.(*resultEntry))
-	}
-	return out
 }
 
 // len returns the number of cached results.

@@ -18,13 +18,12 @@ const DefaultLandmarks = 16
 // full propagation vectors, one set per algorithm, backing the
 // `?approx=landmark` serving mode. Like the rank vector and anomaly
 // scores, root states build lazily on first use — the L full traversals
-// stay off the boot path — while parent-matched swaps eagerly refresh any
-// sketch the predecessor had built, carrying every landmark vector the
-// taint invariant proves unchanged (see Server.refreshLandmarks). The
-// landmark selection re-derives from the new state's warm rank vector at
-// every swap, so it — and therefore every served sketch — is a pure
-// function of the swap history, byte-identical across replicas with the
-// same cadence.
+// stay off the boot path — while parent-matched swaps eagerly rebuild
+// any sketch the predecessor had built (see Server.refreshLandmarks).
+// The landmark selection re-derives from the new state's warm rank
+// vector at every swap, so it — and therefore every served sketch — is a
+// pure function of the swap history, byte-identical across replicas with
+// the same cadence.
 type landmarkState struct {
 	// count is the configured landmark count; 0 disables the mode (the
 	// `?approx=landmark` queries answer 400) and leaves ids and algos nil.
@@ -78,25 +77,23 @@ func (s *Server) lazyLandmarks(st *state) *landmarkState {
 	return ls
 }
 
-// refreshLandmarks eagerly advances the predecessor's built sketches
-// into st across a parent-matched swap, on the ingest goroutine: the
-// selection re-derives from st's (already warm-refreshed) rank vector,
-// untainted still-selected landmark vectors carry over by reference, and
-// only the rest recompute. Sketches the predecessor never built stay
-// lazy — a swap must not force traversals nobody asked for. A refresh
-// failure just leaves that sketch lazy (the query path rebuilds cold).
-func (s *Server) refreshLandmarks(st, prev *state, tainted []bool) {
+// refreshLandmarks eagerly rebuilds, on the ingest goroutine, every
+// sketch the predecessor had built, under st's selection (derived from
+// st's already warm-refreshed rank vector). Sketches the predecessor
+// never built stay lazy — a swap must not force traversals nobody asked
+// for. A build failure just leaves that sketch lazy (the query path
+// rebuilds cold).
+func (s *Server) refreshLandmarks(st, prev *state) {
 	ls := st.landmarks
-	if ls.count == 0 || prev.landmarks == nil {
+	if ls.count == 0 {
 		return
 	}
 	for a := range ls.algos {
-		prevSk, ok := prev.landmarks.algos[a].peek()
-		if !ok || prevSk == nil {
+		if _, ok := prev.landmarks.algos[a].peek(); !ok {
 			continue
 		}
 		start := time.Now()
-		sk, err := st.model.RefreshLandmarkSketch(prevSk, weboftrust.PropagationAlgo(a), ls.ids.get(), tainted)
+		sk, err := st.model.BuildLandmarkSketch(weboftrust.PropagationAlgo(a), ls.ids.get())
 		if err != nil {
 			continue
 		}

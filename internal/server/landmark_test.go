@@ -94,9 +94,9 @@ func TestLandmarkApproxMatchesFacade(t *testing.T) {
 }
 
 // TestLandmarkRefreshAcrossSwap pins the sketch lifecycle: a sketch the
-// predecessor built is eagerly refreshed at an incremental swap (no
+// predecessor built is eagerly rebuilt at an incremental swap (no
 // query-path rebuild), sketches nobody asked for stay lazy, cached
-// landmark answers are dropped, and the refreshed sketch serves exactly
+// landmark answers are dropped, and the rebuilt sketch serves exactly
 // what a fresh facade composition over the new model produces.
 func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	path, d := writeLogFile(t)
@@ -113,7 +113,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 		t.Fatalf("landmark builds = %d, want 1", got)
 	}
 
-	appendEvents(t, path, taintBatch(d, 0))
+	appendEvents(t, path, trustBatch(d, 0))
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
@@ -129,9 +129,8 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 			t.Errorf("swap force-built the %v sketch nobody queried", algo)
 		}
 	}
-	// Landmark cache entries never carry across a swap: the selection
-	// moved with the rank vector, so the post-swap query recomputes the
-	// composition (one compute, not a traversalful).
+	// The swap starts an empty cache, so the post-swap query recomputes
+	// the composition (one compute, not a traversal).
 	numU := srv.cur.Load().model.Dataset().NumUsers()
 	if _, _, ok := st.results.get(resultKey{kind: kindAppleseedLandmark, user: 3, k: cacheK(8, numU)}); ok {
 		t.Error("landmark cache entry survived the swap")
@@ -157,8 +156,8 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 			t.Errorf("post-swap[%d] = %+v, want {%d %v}", i, resp.Results[i], rk.User, rk.Score)
 		}
 	}
-	// The refreshed sketch agrees with a from-scratch build on the new
-	// model under the new selection — the taint carry changed nothing.
+	// The rebuilt sketch agrees with a from-scratch build on the new
+	// model under the new selection.
 	fresh, err := newModel.BuildLandmarkSketch(weboftrust.PropagateAppleseed, st.landmarks.ids.get())
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 		}
 		for v := range fv {
 			if fv[v] != rv[v] {
-				t.Fatalf("landmark %d vec[%d]: refreshed %v, fresh %v — carry broke bitwise identity",
+				t.Fatalf("landmark %d vec[%d]: rebuilt %v, fresh %v",
 					i, v, rv[v], fv[v])
 			}
 		}

@@ -10,13 +10,11 @@ import (
 )
 
 // The propagation precompute engine turns swap-time knowledge into
-// served latency. Every incremental swap deliberately drops the
-// result-cache entries of tainted sources — exactly the sources whose
-// neighborhoods just changed, the ones traffic is most likely to
-// re-query. The server therefore tracks per-key query heat (an EWMA of
-// hit counts, folded through swaps), and right after the cache
-// carry-over it recomputes the hottest propagate results that did NOT
-// survive the migration — the hot∩tainted set — on the ingest
+// served latency. Every swap starts an empty result cache, so the
+// sources traffic re-queries most would each pay a cold traversal on
+// their next request. The server therefore tracks per-key query heat (an
+// EWMA of hit counts, folded through swaps), and at each incremental
+// swap it recomputes the hottest propagate results on the ingest
 // goroutine, under a wall-clock budget, inserting them pre-warmed. The
 // vectors come from the exact same fillScore + RankRowScratch path a
 // served miss takes, so a pre-warmed answer is bitwise-identical to the
@@ -140,12 +138,10 @@ func (h *heatTracker) sortedLocked() []heatEntry {
 }
 
 // precompute re-materialises the hot propagation results the swap
-// dropped, hottest first, until the budget runs out. Entries that
-// survived the carry-over (untainted sources) are skipped — the hot set
-// is implicitly intersected with the taint set through the cache lookup
-// — so every vector computed here is one a hot query would have paid a
-// full traversal for. Runs on the ingest goroutine before the state is
-// published; the query path never pays any of it.
+// dropped, hottest first, until the budget runs out, so every vector
+// computed here is one a hot query would have paid a full traversal for.
+// Runs on the ingest goroutine before the state is published; the query
+// path never pays any of it.
 func (s *Server) precompute(st *state, budget time.Duration) {
 	s.metrics.precomputeRuns.Add(1)
 	deadline := time.Now().Add(budget)
@@ -163,7 +159,7 @@ func (s *Server) precompute(st *state, budget time.Duration) {
 		kc := cacheK(e.key.k, numU)
 		key := resultKey{kind: e.key.kind, user: e.key.user, k: kc}
 		if _, _, ok := st.results.get(key); ok {
-			continue // carried over untainted — already warm
+			continue // two heat keys re-bucketed onto one — already warm
 		}
 		if time.Now().After(deadline) {
 			// Hot work remains (this very key) but the budget is spent.

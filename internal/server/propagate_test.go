@@ -121,28 +121,21 @@ func TestPropagateCachedAndInvalidatedOnSwap(t *testing.T) {
 		t.Fatalf("computes after algo change = %d, want 2", got)
 	}
 
-	// Swap: a propagate entry carries over only when its source provably
-	// cannot reach a dirty row in the predecessor graph; otherwise the
-	// same query recomputes against the fresh graph. Either way the
-	// answer must equal a fresh propagation on the new model.
-	prevModel := srv.cur.Load().model
-	appendEvents(t, path, growBatch(prevModel.Dataset(), 0))
+	// Swap: the fresh state starts with an empty cache, so the same query
+	// recomputes against the fresh graph and must equal a fresh
+	// propagation on the new model.
+	appendEvents(t, path, growBatch(srv.cur.Load().model.Dataset(), 0))
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
 	newModel, _, _ := srv.Current()
-	tainted := taintedUsers(prevModel.WebOfTrust().Graph(), newModel.DirtyUsers())
 	before := srv.metrics.propagateComputes.Load()
 	rec := get(t, h, url)
 	if rec.Code != 200 {
 		t.Fatalf("post-swap: %d", rec.Code)
 	}
-	got := srv.metrics.propagateComputes.Load()
-	if tainted[3] && got != before+1 {
-		t.Fatalf("computes after swap = %d, want %d (tainted source must recompute)", got, before+1)
-	}
-	if !tainted[3] && got != before {
-		t.Fatalf("computes after swap = %d, want %d (untainted source must carry over)", got, before)
+	if got := srv.metrics.propagateComputes.Load(); got != before+1 {
+		t.Fatalf("computes after swap = %d, want %d (a swap must start an empty cache)", got, before+1)
 	}
 	resp := decode[PropagateResponse](t, rec)
 	want, err := newModel.Propagate(weboftrust.PropagateAppleseed, 3, 5)
@@ -288,15 +281,7 @@ func TestConcurrentPropagateDuringIngest(t *testing.T) {
 
 	// Cold rebuild over the grown log must agree exactly on every
 	// propagation family.
-	events := readAllEvents(t, path)
-	b := ratings.NewBuilder()
-	if err := store.Replay(events, b); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := weboftrust.Derive(b.Build())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, _ := coldDerive(t, path)
 	for _, algo := range allAlgos {
 		for u := 0; u < cold.Dataset().NumUsers(); u += 7 {
 			rec := get(t, h, "/v1/propagate?algo="+algo.String()+"&user="+itoa(u)+"&k=10")
@@ -318,19 +303,29 @@ func TestConcurrentPropagateDuringIngest(t *testing.T) {
 	}
 }
 
-// readAllEvents reads the complete event log.
-func readAllEvents(t *testing.T, path string) []store.Event {
+// coldDerive replays the complete event log and derives a model from
+// scratch — the reference an incrementally swapped server must match —
+// returning it with the log's end offset.
+func coldDerive(t *testing.T, path string) (*weboftrust.TrustModel, int64) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, _, err := store.ReadLogFrom(f, 0)
+	events, end, err := store.ReadLogFrom(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events
+	b := ratings.NewBuilder()
+	if err := store.Replay(events, b); err != nil {
+		t.Fatal(err)
+	}
+	model, err := weboftrust.Derive(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model, end
 }
 
 // TestPropagateKindAlgoMapping pins the correspondence between the

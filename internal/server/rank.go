@@ -6,7 +6,6 @@ import (
 
 	"weboftrust"
 	"weboftrust/internal/core"
-	"weboftrust/internal/graph"
 	"weboftrust/internal/ratings"
 )
 
@@ -44,82 +43,6 @@ func lazyRank(model *weboftrust.TrustModel) *lazy[rankVec] {
 		}
 		return rankVec{vec: vec, iters: iters}
 	})
-}
-
-// taintedUsers marks every user whose propagation result may have changed
-// across an incremental swap: a source's multi-hop view depends only on
-// the rows of nodes it can reach, so a result is stale only if the source
-// reaches a dirty row. Reverse BFS over the predecessor graph's in-edges
-// from the dirty seeds marks exactly the sources that can; everyone else
-// provably reaches only unchanged rows.
-func taintedUsers(g *graph.Graph, dirty []bool) []bool {
-	n := g.NumNodes()
-	tainted := make([]bool, n)
-	queue := make([]int32, 0, 64)
-	for u := 0; u < n && u < len(dirty); u++ {
-		if dirty[u] {
-			tainted[u] = true
-			queue = append(queue, int32(u))
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		from, _ := g.In(int(v))
-		for _, u := range from {
-			if !tainted[u] {
-				tainted[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	return tainted
-}
-
-// migrateCache carries result-cache entries whose answers provably cannot
-// have changed from the predecessor state into the fresh one. A top-k
-// entry survives when its source row is clean (non-dirty rows are shared
-// with the parent by reference, and new users only ever append
-// zero-valued cells a ranking truncates anyway); a traversal-computed
-// propagate entry survives when its source is untainted under the
-// caller-supplied taint set (taintedUsers over the predecessor graph; nil
-// when that graph was never built, dropping them all). Entries are
-// re-inserted oldest-first so the new cache preserves the old recency
-// order, and the migrated slices are shared — both caches treat entries
-// as immutable.
-func (s *Server) migrateCache(st, prev *state, dirty, tainted []bool) {
-	entries := prev.results.snapshot()
-	if len(entries) == 0 {
-		return
-	}
-	kept := 0
-	for _, e := range entries {
-		u := int(e.key.user)
-		var keep bool
-		switch {
-		case e.key.kind == kindTopK:
-			keep = u < len(dirty) && !dirty[u]
-		case e.key.kind == kindAnomalyTop:
-			// Anomaly scores move with any delta (new ratings shift category
-			// means community-wide); the leaderboard is recut from the eagerly
-			// refreshed vector on the next query instead of proven stable.
-			keep = false
-		case e.key.kind >= kindAppleseedLandmark:
-			// Landmark answers depend on the landmark SELECTION (which moves
-			// with the rank vector every swap), not just the source's
-			// neighborhood, so no taint argument proves them stable; the
-			// composition is cheap enough to recompute on the next query.
-			keep = false
-		default:
-			keep = tainted != nil && u < len(tainted) && !tainted[u]
-		}
-		if keep {
-			st.results.put(e.key, e.ranked)
-			kept++
-		}
-	}
-	s.metrics.cacheCarryover.Add(int64(kept))
-	s.metrics.cacheCarryoverDropped.Add(int64(len(entries) - kept))
 }
 
 // RankEntry is one /v1/rank leaderboard row.

@@ -162,110 +162,6 @@ func tick(t *testing.T, d *ratings.Dataset) *ratings.Dataset {
 	return b.Snapshot()
 }
 
-// TestCacheCarryoverRetention: across a one-category ingest tick, the
-// fresh state inherits the result-cache entries the dirty set proves
-// unchanged — more than half of a cache seeded across the whole
-// community — and every inherited entry is bitwise what the new model
-// computes fresh. Pinned at several worker counts and shard specs, since
-// the carry-over proof leans on the pipeline's bitwise-equivalence
-// discipline.
-func TestCacheCarryoverRetention(t *testing.T) {
-	cfg := synth.Small()
-	d, _, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown := tick(t, d)
-
-	cases := []struct {
-		name string
-		opts []weboftrust.Option
-	}{
-		{"serial", []weboftrust.Option{weboftrust.WithWorkers(1)}},
-		{"workers2", []weboftrust.Option{weboftrust.WithWorkers(2)}},
-		{"parallel", nil},
-		{"shard0of2", []weboftrust.Option{weboftrust.WithShard(0, 2)}},
-		{"shard1of3", []weboftrust.Option{weboftrust.WithShard(1, 3)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			model, err := weboftrust.Derive(d, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := New(model, 0, Options{CacheResults: 4 * d.NumUsers()})
-			st := srv.cur.Load()
-			var seededTopk, seededProp int
-			for u := 0; u < d.NumUsers(); u++ {
-				uid := ratings.UserID(u)
-				if !model.Owns(uid) {
-					continue
-				}
-				srv.ranked(st, kindTopK, uid, 10)
-				seededTopk++
-				if u%7 == 0 {
-					srv.ranked(st, kindAppleseed, uid, 10)
-					seededProp++
-				}
-			}
-			if got := st.results.len(); got != seededTopk+seededProp {
-				t.Fatalf("seeded %d entries, cache holds %d", seededTopk+seededProp, got)
-			}
-
-			upd, err := model.Update(grown)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Swap(upd, 1)
-			newSt := srv.cur.Load()
-			kept := newSt.results.len()
-			if kept*2 <= seededTopk+seededProp {
-				t.Fatalf("carry-over kept %d of %d entries; want more than half for a one-category tick",
-					kept, seededTopk+seededProp)
-			}
-			if got := srv.metrics.cacheCarryover.Load(); got != int64(kept) {
-				t.Errorf("carryover counter %d, cache holds %d", got, kept)
-			}
-
-			// Every inherited entry must be bitwise what the new model
-			// computes fresh — the whole point of the safety proof.
-			for _, e := range newSt.results.snapshot() {
-				var want []weboftrust.Ranked
-				switch e.key.kind {
-				case kindTopK:
-					want = upd.TopTrusted(e.key.user, e.key.k)
-				case kindAppleseed:
-					want, err = upd.Propagate(weboftrust.PropagateAppleseed, e.key.user, e.key.k)
-					if err != nil {
-						t.Fatal(err)
-					}
-				default:
-					t.Fatalf("unexpected kind %d in carried cache", e.key.kind)
-				}
-				if len(e.ranked) != len(want) {
-					t.Fatalf("user %d kind %d: carried %d rows, fresh %d", e.key.user, e.key.kind, len(e.ranked), len(want))
-				}
-				for i := range want {
-					if e.ranked[i].User != want[i].User || e.ranked[i].Score != want[i].Score {
-						t.Fatalf("user %d kind %d row %d: carried (%d,%v), fresh (%d,%v)",
-							e.key.user, e.key.kind, i, e.ranked[i].User, e.ranked[i].Score, want[i].User, want[i].Score)
-					}
-				}
-			}
-			// Dropped entries correspond to dirty/tainted sources only.
-			dirty := upd.DirtyUsers()
-			if dirty == nil {
-				t.Fatal("update produced no dirty set")
-			}
-			for _, e := range newSt.results.snapshot() {
-				if e.key.kind == kindTopK && dirty[e.key.user] {
-					t.Fatalf("dirty user %d's topk entry survived the swap", e.key.user)
-				}
-			}
-		})
-	}
-}
-
 // TestRankDeterministicAcrossWorkerCounts: the cold rank vector and the
 // warm chain are bitwise-identical regardless of pipeline parallelism —
 // the property the cluster harness's byte-comparison leans on.

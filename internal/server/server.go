@@ -83,10 +83,10 @@ type Options struct {
 	// shed, so operators can see INTO an overloaded server.
 	MaxInFlight int
 	// PrecomputeBudget is the wall-clock the ingest goroutine may spend
-	// per incremental swap recomputing hot tainted sources' propagation
-	// vectors into the result cache pre-warmed (the propagation
-	// precompute engine; see precompute.go). 0 (the default) disables
-	// swap-time precompute.
+	// per incremental swap recomputing hot sources' propagation vectors
+	// into the result cache pre-warmed (the propagation precompute
+	// engine; see precompute.go). 0 (the default) disables swap-time
+	// precompute.
 	PrecomputeBudget time.Duration
 	// Landmarks is the landmark-hub count for the `?approx=landmark`
 	// propagation mode: the top-Landmarks warm-rank nodes' full
@@ -178,13 +178,11 @@ type metrics struct {
 	propagateComputes  atomic.Int64
 	propagateNanos     atomic.Int64
 	propagateLastNanos atomic.Int64
-	// Incremental-swap instrumentation: result-cache entries migrated
-	// across swaps (and the ones dropped as possibly stale), the dirty-row
-	// count of the last swap (-1 when the swap was a full rebuild), and
-	// the power iterations behind the served rank vector.
-	cacheCarryover        atomic.Int64
-	cacheCarryoverDropped atomic.Int64
-	graphDeltaRows        atomic.Int64
+	// Swap instrumentation: result-cache entries the swaps discarded, and
+	// the web rows the last swap recomputed (-1 when the swap was a full
+	// rebuild).
+	cacheDropped   atomic.Int64
+	graphDeltaRows atomic.Int64
 	// Anomaly-scoring instrumentation: full cold scoring passes vs
 	// incremental swap-time refreshes.
 	anomalyComputes  atomic.Int64
@@ -263,13 +261,14 @@ func NewPending(opts Options) *Server {
 // before serving; 0 means any loaded state is ready.
 func (s *Server) SetReadyTarget(offset int64) { s.readyTarget.Store(offset) }
 
-// newState builds the immutable serving state for a model. When prev is
-// the state being replaced AND the model was produced by core.Update
-// FROM prev's model (parent id match), the swap is incremental: the new
-// state inherits every result-cache entry the dirty set proves unchanged
-// (see migrateCache) and an eagerly warm-refreshed rank vector instead
-// of a lazy cold solve. Root states (boot, restore, full rebuilds) start
-// empty and solve ranks lazily.
+// newState builds the immutable serving state for a model. Every state
+// starts with an empty result cache: the swap discards the
+// predecessor's answers wholesale. When prev is the state being replaced
+// AND the model was produced by core.Update FROM prev's model (parent id
+// match), the swap is incremental: the new state installs an eagerly
+// warm-refreshed rank vector and anomaly scores, rebuilds the landmark
+// sketches prev had built, and runs the precompute pass. Root states
+// (boot, restore, full rebuilds) compute all of it lazily.
 func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version uint64, prev *state) *state {
 	st := &state{
 		model:   model,
@@ -281,13 +280,13 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		rank:    lazyRank(model),
 	}
 	st.anomaly = s.lazyAnomaly(model)
-	if prev == nil || prev.model == nil ||
-		model.ParentID() == 0 || model.ParentID() != prev.model.ID() {
-		st.landmarks = s.lazyLandmarks(st)
-		s.metrics.graphDeltaRows.Store(-1)
-		return st
+	var dirty []bool
+	if prev != nil {
+		s.metrics.cacheDropped.Add(int64(prev.results.len()))
+		if model.ParentID() != 0 && model.ParentID() == prev.model.ID() {
+			dirty = model.DirtyUsers()
+		}
 	}
-	dirty := model.DirtyUsers()
 	if dirty == nil {
 		st.landmarks = s.lazyLandmarks(st)
 		s.metrics.graphDeltaRows.Store(-1)
@@ -311,20 +310,11 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 	// Same chain for anomaly scores: force the predecessor's, advance
 	// them over the delta (bit-identical to a cold pass).
 	st.anomaly.ready(s.refreshAnomaly(model, prev, dirty))
-	// The taint set — every source whose propagation result may have
-	// changed — drives the cache carry-over, the landmark refresh AND the
-	// precompute pass below, so compute it once. landmarks is created
-	// after rank is finalised: its lazy selection reads st.rank at call
-	// time, which on this path is the already-warm vector.
+	// landmarks is created after rank is finalised: its lazy selection
+	// reads st.rank at call time, which on this path is the already-warm
+	// vector.
 	st.landmarks = s.lazyLandmarks(st)
-	var tainted []bool
-	if prevWeb, ok := prev.model.WebOfTrustBuilt(); ok {
-		tainted = taintedUsers(prevWeb.Graph(), dirty)
-	}
-	s.refreshLandmarks(st, prev, tainted)
-	s.migrateCache(st, prev, dirty, tainted)
-	// Precompute last: it must see the carried-over entries so it spends
-	// its budget only on hot sources the taint drop actually evicted.
+	s.refreshLandmarks(st, prev)
 	if s.opts.PrecomputeBudget > 0 {
 		s.precompute(st, s.opts.PrecomputeBudget)
 	}
@@ -332,13 +322,12 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 }
 
 // Swap atomically replaces the served model. Readers in flight keep the
-// state they loaded; new requests see the new model with a result cache
-// holding the predecessor entries the update provably left unchanged
-// (empty on non-incremental swaps) and a pool sized to the new user
-// count. Safe for one writer; queries never block on it. The first Swap
-// into a pending server publishes version 1 — the same version New
-// stamps — so a boot-then-swap daemon and a New-constructed one number
-// their states identically.
+// state they loaded; new requests see the new model with an empty result
+// cache (plus whatever the precompute pass pre-warmed) and a pool sized
+// to the new user count. Safe for one writer; queries never block on
+// it. The first Swap into a pending server publishes version 1 — the
+// same version New stamps — so a boot-then-swap daemon and a
+// New-constructed one number their states identically.
 func (s *Server) Swap(model *weboftrust.TrustModel, offset int64) {
 	var version uint64 = 1
 	prev := s.cur.Load()
@@ -1100,9 +1089,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("trustd_result_cache_misses_total", "Ranked-result cache misses.", s.metrics.cacheMisses.Load())
 	counter("trustd_row_computes_total", "Trust rows actually evaluated (misses minus coalesced flights).", s.metrics.rowComputes.Load())
 	counter("trustd_swaps_total", "Model swaps performed by ingest.", s.metrics.swaps.Load())
-	counter("trustd_cache_carryover_total", "Result-cache entries migrated across incremental swaps (provably unchanged).", s.metrics.cacheCarryover.Load())
-	counter("trustd_cache_carryover_dropped_total", "Result-cache entries dropped at swaps as possibly stale.", s.metrics.cacheCarryoverDropped.Load())
-	gauge("trustd_graph_delta_rows", "Dirty rows rebuilt by the last swap's delta graph update; -1 when the last swap was a full rebuild.", s.metrics.graphDeltaRows.Load())
+	counter("trustd_cache_carryover_dropped_total", "Result-cache entries discarded at swaps (every swap starts an empty cache).", s.metrics.cacheDropped.Load())
+	gauge("trustd_graph_delta_rows", "Web rows the last swap recomputed; -1 when the last swap was a full rebuild.", s.metrics.graphDeltaRows.Load())
 	counter("trustd_events_ingested_total", "Event-log records ingested since start.", s.metrics.eventsIngested.Load())
 	counter("trustd_log_truncated_reads_total", "Tail reads that hit a torn final record.", s.metrics.truncatedReads.Load())
 	// State-derived gauges are absent while a pending server awaits its

@@ -229,10 +229,9 @@ func TestResultCacheHitsAndSwapInvalidation(t *testing.T) {
 		}
 	}
 
-	// Append one event and swap. The swap is incremental, so cached
-	// results for users the update provably left unchanged carry over into
-	// the fresh state; entries for dirty users are dropped. Either way the
-	// served answer must match a fresh compute against the NEW model.
+	// Append one batch and swap. The fresh state starts with an empty
+	// cache, so the same query misses and matches a fresh compute against
+	// the NEW model.
 	appendEvents(t, tailer.path, growBatch(d, 0))
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
@@ -241,18 +240,10 @@ func TestResultCacheHitsAndSwapInvalidation(t *testing.T) {
 		t.Fatalf("version = %d after swap", version)
 	}
 	newModel, _, _ := srv.Current()
-	dirty := newModel.DirtyUsers()
-	if dirty == nil {
-		t.Fatal("incremental swap reported no dirty set")
-	}
 	missesBefore := srv.metrics.cacheMisses.Load()
 	resp = decode[TopKResponse](t, get(t, h, "/v1/topk?user=5"))
-	misses := srv.metrics.cacheMisses.Load()
-	if dirty[5] && misses != missesBefore+1 {
-		t.Errorf("post-swap misses = %d, want %d (dirty user must be dropped at swap)", misses, missesBefore+1)
-	}
-	if !dirty[5] && misses != missesBefore {
-		t.Errorf("post-swap misses = %d, want %d (clean user's entry must carry over)", misses, missesBefore)
+	if misses := srv.metrics.cacheMisses.Load(); misses != missesBefore+1 {
+		t.Errorf("post-swap misses = %d, want %d (a swap must start an empty cache)", misses, missesBefore+1)
 	}
 	want = newModel.TopTrusted(5, 10)
 	if len(resp.Results) != len(want) {
@@ -647,25 +638,9 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	}
 
 	// Cold rebuild over the grown log must agree exactly.
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, endOff, err := store.ReadLogFrom(f, 0)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, endOff := coldDerive(t, path)
 	if offset != endOff {
 		t.Errorf("served offset = %d, log end = %d", offset, endOff)
-	}
-	b := ratings.NewBuilder()
-	if err := store.Replay(events, b); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := weboftrust.Derive(b.Build())
-	if err != nil {
-		t.Fatal(err)
 	}
 	coldD := cold.Dataset()
 	if model.Dataset().NumUsers() != coldD.NumUsers() {

@@ -14,8 +14,7 @@ import (
 // view can be assembled from its direct-neighbour frontier plus its
 // best paths into each landmark (ComposeLandmarks) at O(L·U) instead of
 // a traversal. A sketch is immutable once built and safe for concurrent
-// use; swaps produce a successor with RefreshLandmarkSketch, carrying
-// every landmark vector the taint invariant proves unchanged.
+// use.
 type LandmarkSketch struct {
 	// Algo is the propagation algorithm the vectors were computed under.
 	Algo PropagationAlgo
@@ -38,23 +37,10 @@ func SelectLandmarkIDs(rank []float64, l int) []int32 {
 	return propagation.SelectLandmarks(rank, l)
 }
 
-// BuildLandmarkSketch computes the sketch from scratch: one full
-// propagation run per landmark through the model's PropagateInto, so a
-// landmark's sketched vector is bitwise-identical to querying it
-// directly.
+// BuildLandmarkSketch computes the sketch: one full propagation run per
+// landmark through the model's PropagateInto, so a landmark's sketched
+// vector is bitwise-identical to querying it directly.
 func (m *TrustModel) BuildLandmarkSketch(algo PropagationAlgo, ids []int32) (*LandmarkSketch, error) {
-	return m.RefreshLandmarkSketch(nil, algo, ids, nil)
-}
-
-// RefreshLandmarkSketch builds the sketch for ids, carrying vectors
-// from prev wherever the taint invariant proves them unchanged: a
-// landmark absent from tainted has no dirty user reachable from it, so
-// its propagation vector is byte-identical to a fresh compute (new
-// users — always dirty — stay zero in it, so a shorter carried vector
-// is zero-padded). Landmarks that are tainted, new to the selection, or
-// lack a usable prev vector are recomputed. prev == nil or tainted ==
-// nil (no predecessor / a full swap) recomputes everything.
-func (m *TrustModel) RefreshLandmarkSketch(prev *LandmarkSketch, algo PropagationAlgo, ids []int32, tainted []bool) (*LandmarkSketch, error) {
 	numU := m.dataset.NumUsers()
 	out := &LandmarkSketch{Algo: algo, sk: propagation.Sketch{
 		IDs:  ids,
@@ -63,19 +49,6 @@ func (m *TrustModel) RefreshLandmarkSketch(prev *LandmarkSketch, algo Propagatio
 	for i, id := range ids {
 		if int(id) < 0 || int(id) >= numU {
 			return nil, fmt.Errorf("weboftrust: landmark %d out of range (%d users)", id, numU)
-		}
-		if prev != nil && prev.Algo == algo && tainted != nil &&
-			(int(id) >= len(tainted) || !tainted[id]) {
-			if j := prev.sk.Landmark(id); j >= 0 && len(prev.sk.Vecs[j]) <= numU {
-				vec := prev.sk.Vecs[j]
-				if len(vec) < numU {
-					padded := make([]float64, numU)
-					copy(padded, vec)
-					vec = padded
-				}
-				out.sk.Vecs[i] = vec
-				continue
-			}
 		}
 		vec := make([]float64, numU)
 		if err := m.PropagateInto(algo, ratings.UserID(id), vec); err != nil {

@@ -96,7 +96,8 @@ func TestLandmarkComposeErrorEnvelope(t *testing.T) {
 
 // TestLandmarkSketchSelfVectors pins the sketch build contract: a
 // landmark's sketched vector is bitwise-identical to propagating from it
-// directly, and selection order follows the rank vector.
+// directly, selection order follows the rank vector, and out-of-range
+// landmark ids are rejected.
 func TestLandmarkSketchSelfVectors(t *testing.T) {
 	d, _, err := synth.Generate(synth.Small())
 	if err != nil {
@@ -133,78 +134,6 @@ func TestLandmarkSketchSelfVectors(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRefreshLandmarkSketchCarry pins the refresh rules: untainted
-// still-selected landmarks carry their vector by reference, tainted ones
-// recompute, and a nil taint set (or an algorithm change) recomputes
-// everything.
-func TestRefreshLandmarkSketchCarry(t *testing.T) {
-	d, _, err := synth.Generate(synth.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Derive(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rank, _, err := m.GlobalRanks()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := SelectLandmarkIDs(rank, 6)
-	if len(ids) < 2 {
-		t.Fatal("need at least two landmarks")
-	}
-	prev, err := m.BuildLandmarkSketch(PropagateMoleTrust, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tainted := make([]bool, d.NumUsers())
-	tainted[ids[0]] = true
-	ref, err := m.RefreshLandmarkSketch(prev, PropagateMoleTrust, ids, tainted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		pv, rv := prev.Vector(i), ref.Vector(i)
-		shared := len(pv) > 0 && len(rv) > 0 && &pv[0] == &rv[0]
-		if i == 0 && shared {
-			t.Error("tainted landmark carried by reference instead of recomputing")
-		}
-		if i > 0 && !shared {
-			t.Errorf("untainted landmark %d recomputed instead of carrying", ids[i])
-		}
-		// Same model either way, so values agree exactly.
-		for v := range pv {
-			if pv[v] != rv[v] {
-				t.Fatalf("landmark %d vec[%d] changed across refresh: %v -> %v", ids[i], v, pv[v], rv[v])
-			}
-		}
-	}
-	// nil tainted recomputes everything.
-	full, err := m.RefreshLandmarkSketch(prev, PropagateMoleTrust, ids, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		pv, fv := prev.Vector(i), full.Vector(i)
-		if len(pv) > 0 && len(fv) > 0 && &pv[0] == &fv[0] {
-			t.Errorf("nil taint set carried landmark %d by reference", ids[i])
-		}
-	}
-	// Algorithm mismatch never carries.
-	cross, err := m.RefreshLandmarkSketch(prev, PropagateTidalTrust, ids, make([]bool, d.NumUsers()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		pv, cv := prev.Vector(i), cross.Vector(i)
-		if len(pv) > 0 && len(cv) > 0 && &pv[0] == &cv[0] {
-			t.Errorf("algo change carried landmark %d by reference", ids[i])
-		}
-	}
-	// Out-of-range landmark ids are rejected.
 	if _, err := m.BuildLandmarkSketch(PropagateMoleTrust, []int32{int32(d.NumUsers())}); err == nil {
 		t.Error("out-of-range landmark accepted")
 	}

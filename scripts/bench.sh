@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 out="${1:-${BENCH_OUT:-BENCH_pr10.json}}"
 suite="${BENCH_SUITE:-$(basename "$out" .json)}"
 count="${BENCH_COUNT:-5}"
-filter="${BENCH_FILTER:-PipelineRun|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|SwapDelta|PropagateExact|RankWarm|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox}"
+filter="${BENCH_FILTER:-PipelineRun|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|PropagateExact|RankWarm|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
