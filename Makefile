@@ -2,6 +2,9 @@ GO ?= go
 BENCH_OUT ?= BENCH_pr10.json
 BENCH_COUNT ?= 5
 FUZZTIME ?= 10s
+# BENCH_FILTER is the benchmark list bench records and bench-smoke runs;
+# scripts/bench_filter.txt holds it for both (and for scripts/bench.sh).
+BENCH_FILTER ?= $(shell cat scripts/bench_filter.txt)
 
 .PHONY: build test race bench bench-smoke bench-guard attack-smoke cluster-smoke chaos-smoke fuzz-smoke
 
@@ -18,12 +21,12 @@ race: build
 # -benchmem -count=$(BENCH_COUNT) and records the parsed results in
 # $(BENCH_OUT) alongside the machine's shape.
 bench:
-	BENCH_COUNT=$(BENCH_COUNT) ./scripts/bench.sh $(BENCH_OUT)
+	BENCH_COUNT=$(BENCH_COUNT) BENCH_FILTER='$(BENCH_FILTER)' ./scripts/bench.sh $(BENCH_OUT)
 
-# bench-smoke is the CI guard: every benchmark must still compile and
-# complete one iteration.
+# bench-smoke is the CI guard: every benchmark bench records must still
+# compile and complete one iteration.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PipelineRun$$|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox|PropagateExact' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(BENCH_FILTER)' -benchtime 1x .
 
 # bench-guard fails if the serving hot paths' allocs/op regress above
 # their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached

@@ -165,9 +165,9 @@ type TrustModel struct {
 	// id is a process-unique identity for this model; parentID links an
 	// Update result to the model it was incrementally derived from (0 for
 	// models built or restored from scratch). Serving layers use the pair
-	// to decide whether per-state artifacts (the rank vector, anomaly
-	// scores) may be refreshed from the predecessor's across an atomic
-	// swap instead of computed cold.
+	// to decide whether per-state artifacts (the anomaly scores, the
+	// landmark sketches) may be refreshed eagerly across an atomic swap
+	// instead of computed lazily.
 	id       uint64
 	parentID uint64
 	// scratch carries the reusable Update buffers down the chain of
@@ -565,28 +565,11 @@ func (m *TrustModel) Propagate(algo PropagationAlgo, source UserID, k int) ([]Ra
 }
 
 // GlobalRanks computes the EigenTrust global trust vector over the web
-// graph, run to convergence — the cold path a serving layer takes when it
-// has no predecessor vector. It reports the power iterations used. The
-// vector is a probability distribution: scores sum to 1.
+// graph, run to convergence from the uniform prior, so it is a function
+// of the model alone. It reports the power iterations used. The vector
+// is a probability distribution: scores sum to 1.
 func (m *TrustModel) GlobalRanks() ([]float64, int, error) {
-	ranks, iters, err := propagation.DefaultEigenTrust().RanksFrom(m.WebOfTrust().Graph(), nil)
-	if err != nil {
-		return nil, 0, fmt.Errorf("weboftrust: global ranks: %w", err)
-	}
-	return ranks, iters, nil
-}
-
-// GlobalRanksFrom refreshes the EigenTrust vector across an incremental
-// update: prev is the parent model's vector (new users pad with the
-// uniform prior), and maxIter caps the refresh — the swap delta is small,
-// so a handful of warm iterations recovers the ranking where a cold solve
-// needs dozens (GlobalRanks). maxIter <= 0 runs to full convergence.
-func (m *TrustModel) GlobalRanksFrom(prev []float64, maxIter int) ([]float64, int, error) {
-	et := propagation.DefaultEigenTrust()
-	if maxIter > 0 {
-		et.MaxIter = maxIter
-	}
-	ranks, iters, err := et.RanksFrom(m.WebOfTrust().Graph(), prev)
+	ranks, iters, err := propagation.DefaultEigenTrust().Ranks(m.WebOfTrust().Graph())
 	if err != nil {
 		return nil, 0, fmt.Errorf("weboftrust: global ranks: %w", err)
 	}

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"weboftrust"
 	"weboftrust/internal/anomaly"
@@ -988,47 +987,10 @@ func BenchmarkPropagateExact(b *testing.B) {
 	}
 }
 
-// BenchmarkRankWarm compares the /v1/rank maintenance strategies after a
-// one-category tick on the Medium community: the budgeted warm refresh
-// an incremental swap runs (GlobalRanksFrom with the parent's vector)
-// against a cold converged solve.
-func BenchmarkRankWarm(b *testing.B) {
-	e := env(b)
-	model, err := weboftrust.Derive(e.Dataset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev, _, err := model.GlobalRanks()
-	if err != nil {
-		b.Fatal(err)
-	}
-	upd, err := model.Update(growTouching(b, e.Dataset, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("warm", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := upd.GlobalRanksFrom(prev, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := upd.GlobalRanks(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAnomalySwap measures the incremental suspicion-score refresh
 // a parent-matched swap pays (anomaly.Update over a one-category ingest
 // tick, O(dirty closure)) against the cold full pass (anomaly.Compute,
-// O(users)) the refresh replaces — the same warm-vs-cold split as
-// BenchmarkRankWarm, for the anomaly vector.
+// O(users)) the refresh replaces.
 func BenchmarkAnomalySwap(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)
@@ -1086,74 +1048,6 @@ func BenchmarkServerAnomaly(b *testing.B) {
 			b.Fatalf("anomaly: %d %s", rec.Code, rec.Body.String())
 		}
 	}
-}
-
-// benchTaintSource extends d with one explicit trust edge out of source
-// (to the first user the pair is new for), marking exactly that row
-// dirty — the smallest growth that taints a hot source across a swap.
-func benchTaintSource(b *testing.B, d *ratings.Dataset, source ratings.UserID) *ratings.Dataset {
-	b.Helper()
-	bld := rebuildBuilder(b, d)
-	for to := 0; to < d.NumUsers(); to++ {
-		if ratings.UserID(to) == source {
-			continue
-		}
-		if err := bld.AddTrust(source, ratings.UserID(to)); err == nil {
-			return bld.Build()
-		}
-	}
-	b.Fatal("no free trust edge out of the source")
-	return nil
-}
-
-// BenchmarkPropagatePrecompute measures the propagation precompute
-// engine's serving win at Medium: after an incremental swap taints a hot
-// source, PrewarmedHit serves /v1/propagate from the cache entry the
-// swap-time engine inserted, while ColdMiss (caching disabled) pays the
-// full traversal the engine saved. The PR 10 acceptance bar is
-// PrewarmedHit at least 3x faster than ColdMiss.
-func BenchmarkPropagatePrecompute(b *testing.B) {
-	e := env(b)
-	const path = "/v1/propagate?algo=appleseed&user=17&k=10"
-	setup := func(b *testing.B, opts server.Options) http.Handler {
-		b.Helper()
-		model, err := weboftrust.Derive(e.Dataset)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := server.New(model, 0, opts)
-		h := srv.Handler()
-		// Heat the source, then taint it and swap: with a budget the
-		// engine re-warms the dropped entry on the ingest path.
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("warm: %d %s", rec.Code, rec.Body.String())
-		}
-		m2, err := model.Update(benchTaintSource(b, e.Dataset, 17))
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.Swap(m2, 1)
-		return h
-	}
-	bench := func(b *testing.B, h http.Handler) {
-		b.Helper()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-			if rec.Code != http.StatusOK {
-				b.Fatalf("propagate: %d %s", rec.Code, rec.Body.String())
-			}
-		}
-	}
-	b.Run("PrewarmedHit", func(b *testing.B) {
-		bench(b, setup(b, server.Options{PrecomputeBudget: 10 * time.Second}))
-	})
-	b.Run("ColdMiss", func(b *testing.B) {
-		bench(b, setup(b, server.Options{CacheResults: -1}))
-	})
 }
 
 // BenchmarkLandmarkApprox measures the `?approx=landmark` serving mode

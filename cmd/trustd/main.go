@@ -6,7 +6,7 @@
 //	trustd serve   -log events.log [-addr :8080] [-shard i/N] [-poll 500ms] [-cache-results 512]
 //	               [-workers N] [-checkpoint-dir DIR] [-checkpoint-interval 5m] [-checkpoint-keep 2]
 //	               [-web-tau T] [-web-cold-generosity K] [-max-inflight N]
-//	               [-propagate-precompute-budget D] [-landmarks L] [-pprof-addr :6060]
+//	               [-landmarks L] [-pprof-addr :6060]
 //	trustd serve   -snapshot data.wot [-addr :8080]            (static serving)
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
 //	               [-retry-backoff 25ms] [-breaker-threshold 5] [-breaker-cooldown 1s]
@@ -62,11 +62,9 @@
 // user's predicted-trust edges, /v1/propagate ranks transitive trust over
 // the graph with an exact traversal (?approx=landmark answers from the
 // landmark-hub sketches instead, labelled as approximate), /v1/rank
-// serves the global EigenTrust leaderboard (warm-refreshed across ingest
-// swaps), and /v1/graph/stats reports the graph's shape. With
-// -propagate-precompute-budget set, each incremental swap spends up to
-// that wall-clock pre-warming the result cache with hot sources'
-// propagation vectors — bitwise-identical to on-demand compute.
+// serves the global EigenTrust leaderboard (solved cold over each served
+// model, so every replica at one log offset serves the same bytes), and
+// /v1/graph/stats reports the graph's shape.
 //
 // Endpoints: /v1/topk?user=U&k=K, /v1/trust?from=I&to=J,
 // /v1/expertise?user=U, /v1/neighbors?user=U,
@@ -137,7 +135,6 @@ func cmdServe(args []string) error {
 	ckptKeep := fs.Int("checkpoint-keep", server.DefaultCheckpointKeep, "recent checkpoints to retain")
 	webTau := fs.Float64("web-tau", -1, "binarise the web of trust with a global score threshold instead of per-user top-k generosity (-1 = per-user top-k)")
 	webColdK := fs.Float64("web-cold-generosity", 0, "generosity fallback for users whose history cannot calibrate one (per-user top-k policy; 0 = paper protocol)")
-	precomputeBudget := fs.Duration("propagate-precompute-budget", 0, "wall-clock budget per incremental swap for pre-warming hot sources' propagation results (0 = disabled)")
 	landmarks := fs.Int("landmarks", 0, "landmark hubs for the ?approx=landmark propagation mode (0 = default 16; negative disables)")
 	shardFlag := fs.String("shard", "", "serve shard i/N of a source-partitioned cluster (e.g. 1/3; empty = unsharded)")
 	maxInFlight := fs.Int("max-inflight", 0, "bound concurrently served compute queries; excess is shed with 429 + Retry-After (0 = unbounded)")
@@ -165,7 +162,7 @@ func cmdServe(args []string) error {
 	}
 	opts := server.Options{
 		CacheResults: *cacheResults, CacheBytes: *cacheBytes, MaxInFlight: *maxInFlight,
-		PrecomputeBudget: *precomputeBudget, Landmarks: *landmarks,
+		Landmarks: *landmarks,
 	}
 	derive := []weboftrust.Option{weboftrust.WithWorkers(*workers)}
 	if *webTau >= 0 {
@@ -189,8 +186,8 @@ func cmdServe(args []string) error {
 	// gated behind -pprof-addr: the serving mux must never expose
 	// /debug/pprof (heap dumps and CPU profiles are not for the query
 	// port), and the default off keeps production surfaces minimal. With
-	// it on, swap-time precompute cost can be profiled in situ
-	// (`go tool pprof http://host:port/debug/pprof/profile`).
+	// it on, the swap's anomaly refresh and landmark rebuilds can be
+	// profiled in situ (`go tool pprof http://host:port/debug/pprof/profile`).
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {

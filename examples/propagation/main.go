@@ -70,11 +70,11 @@ func main() {
 
 	// Global view: EigenTrust over both webs, top-5 each.
 	et := propagation.DefaultEigenTrust()
-	rankE, err := et.Ranks(explicit)
+	rankE, _, err := et.Ranks(explicit)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rankD, err := et.Ranks(derived)
+	rankD, _, err := et.Ranks(derived)
 	if err != nil {
 		log.Fatal(err)
 	}

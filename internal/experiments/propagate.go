@@ -183,11 +183,11 @@ func RunPropagation(env *Env, params PropagationParams) (*PropagationResult, err
 	}
 
 	et := propagation.DefaultEigenTrust()
-	rankE, err := et.Ranks(explicit)
+	rankE, _, err := et.Ranks(explicit)
 	if err != nil {
 		return nil, err
 	}
-	rankD, err := et.Ranks(derived)
+	rankD, _, err := et.Ranks(derived)
 	if err != nil {
 		return nil, err
 	}

@@ -29,36 +29,11 @@ func DefaultEigenTrust() EigenTrust {
 	return EigenTrust{Alpha: 0.15, MaxIter: 100, Tol: 1e-10}
 }
 
-// Ranks computes the global trust vector. It returns an error for invalid
-// parameters; an empty graph yields an empty vector.
-func (et EigenTrust) Ranks(g *graph.Graph) ([]float64, error) {
-	t, _, err := et.RanksFrom(g, nil)
-	return t, err
-}
-
-// RanksFrom computes the global trust vector warm-started from prev, a
-// rank vector for an earlier revision of the graph. New nodes (indices
-// past len(prev)) start at the uniform prior and the vector is
-// renormalised before iterating, so a converged prev over a slightly
-// changed graph re-converges in a handful of iterations where a cold
-// start needs dozens. A nil prev is a cold start and reproduces Ranks
-// bit for bit. It also reports the number of power iterations executed.
-func (et EigenTrust) RanksFrom(g *graph.Graph, prev []float64) ([]float64, int, error) {
-	return et.RanksFromScratch(g, prev, nil)
-}
-
-// RankScratch carries the power-iteration buffers for repeated solves, in
-// the same spirit as core's RankRowScratch: pass the same scratch to
-// consecutive calls to avoid per-call allocation. The zero value is ready
-// to use; buffers grow on demand.
-type RankScratch struct {
-	outSum, vec, next []float64
-}
-
-// RanksFromScratch is RanksFrom with caller-owned buffers. The returned
-// vector aliases the scratch, so callers that retain it across calls must
-// copy it out (or pass a nil scratch, which allocates fresh buffers).
-func (et EigenTrust) RanksFromScratch(g *graph.Graph, prev []float64, s *RankScratch) ([]float64, int, error) {
+// Ranks computes the global trust vector by power iteration from the
+// uniform prior, and reports the number of iterations executed. It
+// returns an error for invalid parameters; an empty graph yields an
+// empty vector.
+func (et EigenTrust) Ranks(g *graph.Graph) ([]float64, int, error) {
 	if et.Alpha <= 0 || et.Alpha >= 1 {
 		return nil, 0, fmt.Errorf("%w: alpha %v outside (0,1)", ErrBadConfig, et.Alpha)
 	}
@@ -69,44 +44,17 @@ func (et EigenTrust) RanksFromScratch(g *graph.Graph, prev []float64, s *RankScr
 	if n == 0 {
 		return nil, 0, nil
 	}
-	if len(prev) > n {
-		return nil, 0, fmt.Errorf("%w: warm-start vector has %d entries for %d nodes", ErrBadConfig, len(prev), n)
-	}
-	if s == nil {
-		s = &RankScratch{}
-	}
 	// Precompute out-weight sums for row normalisation; dangling nodes
 	// (no outgoing trust) redistribute to the uniform prior.
-	outSum := growFloats(&s.outSum, n)
+	outSum := make([]float64, n)
 	for v := 0; v < n; v++ {
 		outSum[v] = g.OutWeightSum(v)
 	}
-	t := growFloats(&s.vec, n)
-	next := growFloats(&s.next, n)
+	t := make([]float64, n)
+	next := make([]float64, n)
 	uniform := 1 / float64(n)
-	if len(prev) == 0 {
-		for i := range t {
-			t[i] = uniform
-		}
-	} else {
-		copy(t, prev)
-		var sum float64
-		for i := len(prev); i < n; i++ {
-			t[i] = uniform
-		}
-		for _, x := range t {
-			sum += x
-		}
-		if sum > 0 {
-			inv := 1 / sum
-			for i := range t {
-				t[i] *= inv
-			}
-		} else {
-			for i := range t {
-				t[i] = uniform
-			}
-		}
+	for i := range t {
+		t[i] = uniform
 	}
 	iters := 0
 	for iter := 0; iter < et.MaxIter; iter++ {
@@ -137,16 +85,5 @@ func (et EigenTrust) RanksFromScratch(g *graph.Graph, prev []float64, s *RankScr
 			break
 		}
 	}
-	s.vec, s.next = t, next
 	return t, iters, nil
-}
-
-// growFloats resizes *buf to exactly n entries, reallocating only when
-// capacity is short, and returns the resized slice.
-func growFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }

@@ -128,7 +128,7 @@ func TestEigenTrustUniformOnSymmetric(t *testing.T) {
 	g := mustGraph(t, 3, []graph.Edge{
 		{From: 0, To: 1, Weight: 1}, {From: 1, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 1},
 	})
-	ranks, err := DefaultEigenTrust().Ranks(g)
+	ranks, _, err := DefaultEigenTrust().Ranks(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,15 @@ func TestEigenTrustFavorsTrusted(t *testing.T) {
 	g := mustGraph(t, 3, []graph.Edge{
 		{From: 0, To: 2, Weight: 1}, {From: 1, To: 2, Weight: 1}, {From: 2, To: 0, Weight: 0.2},
 	})
-	ranks, err := DefaultEigenTrust().Ranks(g)
+	et := DefaultEigenTrust()
+	ranks, iters, err := et.Ranks(g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The uniform start is not the fixed point here, so the solve takes
+	// more than one power iteration and stops within its cap.
+	if iters < 2 || iters > et.MaxIter {
+		t.Errorf("iterations = %d, want 2..%d", iters, et.MaxIter)
 	}
 	if !(ranks[2] > ranks[0] && ranks[2] > ranks[1]) {
 		t.Errorf("node 2 should rank highest: %v", ranks)
@@ -171,14 +177,14 @@ func TestEigenTrustBadConfig(t *testing.T) {
 		{Alpha: 0.15, MaxIter: 0, Tol: 1e-9},
 		{Alpha: 0.15, MaxIter: 10, Tol: 0},
 	} {
-		if _, err := et.Ranks(g); !errors.Is(err, ErrBadConfig) {
+		if _, _, err := et.Ranks(g); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("%+v: error = %v, want ErrBadConfig", et, err)
 		}
 	}
 	empty := mustGraph(t, 0, nil)
-	ranks, err := DefaultEigenTrust().Ranks(empty)
-	if err != nil || ranks != nil {
-		t.Errorf("empty graph: %v, %v", ranks, err)
+	ranks, iters, err := DefaultEigenTrust().Ranks(empty)
+	if err != nil || ranks != nil || iters != 0 {
+		t.Errorf("empty graph: %v, %d iterations, %v", ranks, iters, err)
 	}
 }
 
@@ -311,7 +317,7 @@ func TestEigenTrustStochasticQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ranks, err := DefaultEigenTrust().Ranks(g)
+		ranks, _, err := DefaultEigenTrust().Ranks(g)
 		if err != nil {
 			return false
 		}

@@ -177,8 +177,8 @@ func TestClusterMatchesUnsharded(t *testing.T) {
 						fmt.Sprintf("/v1/propagate?algo=%s&user=%d&k=5", algos[(u/101)%3], u),
 						// The landmark approximation must route byte-identically
 						// too: the selection derives from the replicated rank
-						// chain and the sketches from the shared global graph, so
-						// shard and reference compose the same answer.
+						// vector and the sketches from the shared global graph,
+						// so shard and reference compose the same answer.
 						fmt.Sprintf("/v1/propagate?algo=%s&user=%d&k=5&approx=landmark", algos[(u/101+1)%3], u),
 						fmt.Sprintf("/v1/rank?user=%d", u),
 						fmt.Sprintf("/v1/anomaly?user=%d", u),
@@ -187,9 +187,9 @@ func TestClusterMatchesUnsharded(t *testing.T) {
 				paths = append(paths,
 					"/v1/graph/stats",
 					// The global EigenTrust ranking is replicated state: any
-					// shard at the served version answers it, and its
-					// deterministic warm chain must match the unsharded
-					// reference byte for byte — before and after ingest.
+					// shard at the served version answers it, and its cold
+					// solve must match the unsharded reference byte for
+					// byte — before and after ingest.
 					"/v1/rank?k=5",
 					// The anomaly leaderboard is replicated the same way: the
 					// suspicion vector is a pure function of (dataset, web),

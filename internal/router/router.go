@@ -753,11 +753,11 @@ func (rt *Router) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRank serves the global EigenTrust ranking the same way: the rank
-// vector is derived from the replicated graph through a deterministic
-// warm chain, so every shard at a given version serves byte-identical
-// bodies and the freshest one is the cluster answer. The query string
-// (k= or user=) rides along on the fan-out; first non-OK freshest body
-// (e.g. a 404 for an out-of-range user) is relayed verbatim.
+// vector is solved cold over the replicated graph, so every shard at a
+// given version serves byte-identical bodies and the freshest one is the
+// cluster answer. The query string (k= or user=) rides along on the
+// fan-out; first non-OK freshest body (e.g. a 404 for an out-of-range
+// user) is relayed verbatim.
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	rt.proxyFreshest(w, r, "/v1/rank")
 }

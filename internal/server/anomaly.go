@@ -10,14 +10,14 @@ import (
 )
 
 // lazyAnomaly defers the full scoring pass (internal/anomaly) until the
-// first anomaly query. Like the rank vector, root states compute the
-// per-user suspicion scores lazily — the full Compute pass stays off the
-// boot path — while parent-matched swaps install incrementally refreshed
-// scores on the ingest goroutine (refreshAnomaly). Scores are a pure
-// function of (dataset, web graph) and the incremental Update is
-// bit-identical to a cold Compute, so every replica serves identical
-// scores regardless of its swap cadence — the property that lets the
-// router fan /v1/anomaly out to any shard.
+// first anomaly query. Root states compute the per-user suspicion scores
+// lazily — the full Compute pass stays off the boot path — while
+// parent-matched swaps install incrementally refreshed scores on the
+// ingest goroutine (refreshAnomaly). Scores are a pure function of
+// (dataset, web graph) and the incremental Update is bit-identical to a
+// cold Compute, so every replica serves identical scores regardless of
+// its swap cadence — the property that lets the router fan /v1/anomaly
+// out to any shard.
 func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *lazy[*anomaly.Scores] {
 	return newLazy(func() *anomaly.Scores {
 		s.metrics.anomalyComputes.Add(1)
@@ -27,8 +27,8 @@ func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *lazy[*anomaly.Scores
 
 // refreshAnomaly computes the new state's anomaly scores across a
 // parent-matched swap: it forces the predecessor's scores (starting the
-// chain, like the rank refresh above it) and advances them incrementally
-// over the ingest delta — paying O(dirty closure), not O(users).
+// chain) and advances them incrementally over the ingest delta — paying
+// O(dirty closure), not O(users).
 func (s *Server) refreshAnomaly(model *weboftrust.TrustModel, prev *state, dirty []bool) *anomaly.Scores {
 	prevScores := prev.anomaly.get()
 	var prevG *graph.Graph

@@ -30,14 +30,6 @@ const (
 	kindTidalTrustLandmark
 )
 
-// isPropagateKind reports whether the kind is a propagation family —
-// traversal or landmark — the families heat tracking and swap-time
-// precompute apply to.
-func isPropagateKind(k resultKind) bool {
-	return (k >= kindAppleseed && k <= kindTidalTrust) ||
-		(k >= kindAppleseedLandmark && k <= kindTidalTrustLandmark)
-}
-
 // resultKey identifies one ranked answer: the result family, the source
 // user and the k it was ranked at.
 type resultKey struct {
@@ -67,10 +59,6 @@ type resultCache struct {
 type resultEntry struct {
 	key    resultKey
 	ranked []core.Ranked
-	// prewarmed marks an entry inserted by the swap-time precompute
-	// engine rather than a served miss; the first hit on one is a query
-	// that skipped a traversal it would otherwise have paid.
-	prewarmed bool
 }
 
 // rankedSize is the in-memory size of one core.Ranked (a 4-byte UserID
@@ -96,21 +84,16 @@ func newResultCache(capacity int, maxBytes int64) *resultCache {
 }
 
 // get returns the cached ranked result for key, marking it most recently
-// used. prewarmed reports that this hit is the FIRST on an entry the
-// swap-time precompute engine inserted — a traversal the query skipped —
-// and is consumed: later hits on the same entry are ordinary cache hits.
-func (c *resultCache) get(key resultKey) (ranked []core.Ranked, prewarmed, ok bool) {
+// used.
+func (c *resultCache) get(key resultKey) ([]core.Ranked, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.m[key]
 	if !found {
-		return nil, false, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*resultEntry)
-	prewarmed = e.prewarmed
-	e.prewarmed = false
-	return e.ranked, prewarmed, true
+	return el.Value.(*resultEntry).ranked, true
 }
 
 // put inserts a ranked result for key, evicting least recently used
@@ -120,16 +103,6 @@ func (c *resultCache) get(key resultKey) (ranked []core.Ranked, prewarmed, ok bo
 // the result cache exists to remove. The caller must not modify ranked
 // afterwards.
 func (c *resultCache) put(key resultKey, ranked []core.Ranked) {
-	c.insert(key, ranked, false)
-}
-
-// putPrewarmed is put for the swap-time precompute engine: the entry is
-// marked so its first hit can be attributed to pre-warming.
-func (c *resultCache) putPrewarmed(key resultKey, ranked []core.Ranked) {
-	c.insert(key, ranked, true)
-}
-
-func (c *resultCache) insert(key resultKey, ranked []core.Ranked, prewarmed bool) {
 	if c.cap <= 0 {
 		return
 	}
@@ -140,11 +113,10 @@ func (c *resultCache) insert(key resultKey, ranked []core.Ranked, prewarmed bool
 		e := el.Value.(*resultEntry)
 		c.bytes += entryBytes(ranked) - entryBytes(e.ranked)
 		e.ranked = ranked
-		e.prewarmed = prewarmed
 		c.evictOver(el)
 		return
 	}
-	el := c.ll.PushFront(&resultEntry{key: key, ranked: ranked, prewarmed: prewarmed})
+	el := c.ll.PushFront(&resultEntry{key: key, ranked: ranked})
 	c.m[key] = el
 	c.bytes += entryBytes(ranked)
 	c.evictOver(el)

@@ -10,20 +10,19 @@ import (
 // DefaultLandmarks is the landmark-hub count when Options.Landmarks is 0.
 // Sketches cost one full propagation per landmark per algorithm to build
 // and O(L·U) memory to hold, so the default stays small; selection takes
-// the top warm-rank hubs, which carry most propagation mass (Pavlovic),
+// the top EigenTrust hubs, which carry most propagation mass (Pavlovic),
 // so returns diminish quickly beyond a handful.
 const DefaultLandmarks = 16
 
 // landmarkState is a state's landmark sketches: the L top-ranked hubs'
 // full propagation vectors, one set per algorithm, backing the
-// `?approx=landmark` serving mode. Like the rank vector and anomaly
-// scores, root states build lazily on first use — the L full traversals
-// stay off the boot path — while parent-matched swaps eagerly rebuild
-// any sketch the predecessor had built (see Server.refreshLandmarks).
-// The landmark selection re-derives from the new state's warm rank
-// vector at every swap, so it — and therefore every served sketch — is a
-// pure function of the swap history, byte-identical across replicas with
-// the same cadence.
+// `?approx=landmark` serving mode. Like the anomaly scores, root states
+// build lazily on first use — the L full traversals stay off the boot
+// path — while parent-matched swaps eagerly rebuild any sketch the
+// predecessor had built (see Server.refreshLandmarks). The landmark
+// selection derives from the state's own cold rank vector, so it — and
+// therefore every served sketch — is a function of the model alone,
+// whether it was built eagerly or lazily.
 type landmarkState struct {
 	// count is the configured landmark count; 0 disables the mode (the
 	// `?approx=landmark` queries answer 400) and leaves ids and algos nil.
@@ -32,6 +31,17 @@ type landmarkState struct {
 	ids *lazy[[]int32]
 	// algos holds one sketch per PropagationAlgo.
 	algos [3]*lazy[*weboftrust.LandmarkSketch]
+}
+
+// size is the landmark count /v1/stats and /metrics report: the
+// configured count until the selection is derived, its length after. It
+// only peeks, so a scrape never forces the selection (and with it the
+// rank solve).
+func (ls *landmarkState) size() int {
+	if ids, ok := ls.ids.peek(); ok {
+		return len(ids)
+	}
+	return ls.count
 }
 
 // landmarkCount resolves Options.Landmarks: 0 means the default,
@@ -78,11 +88,10 @@ func (s *Server) lazyLandmarks(st *state) *landmarkState {
 }
 
 // refreshLandmarks eagerly rebuilds, on the ingest goroutine, every
-// sketch the predecessor had built, under st's selection (derived from
-// st's already warm-refreshed rank vector). Sketches the predecessor
-// never built stay lazy — a swap must not force traversals nobody asked
-// for. A build failure just leaves that sketch lazy (the query path
-// rebuilds cold).
+// sketch the predecessor had built, under st's selection (which forces
+// st's cold rank solve). Sketches the predecessor never built stay lazy
+// — a swap must not force traversals nobody asked for. A build failure
+// just leaves that sketch lazy (the query path rebuilds cold).
 func (s *Server) refreshLandmarks(st, prev *state) {
 	ls := st.landmarks
 	if ls.count == 0 {

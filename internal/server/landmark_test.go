@@ -132,7 +132,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	// The swap starts an empty cache, so the post-swap query recomputes
 	// the composition (one compute, not a traversal).
 	numU := srv.cur.Load().model.Dataset().NumUsers()
-	if _, _, ok := st.results.get(resultKey{kind: kindAppleseedLandmark, user: 3, k: cacheK(8, numU)}); ok {
+	if _, ok := st.results.get(resultKey{kind: kindAppleseedLandmark, user: 3, k: cacheK(8, numU)}); ok {
 		t.Error("landmark cache entry survived the swap")
 	}
 	builds := srv.metrics.landmarkBuilds.Load()
@@ -188,7 +188,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 		}
 	}
 	stats := decode[StatsResponse](t, get(t, h, "/v1/stats"))
-	if stats.Precompute == nil || stats.Precompute.Landmarks == 0 {
-		t.Errorf("stats landmark block = %+v", stats.Precompute)
+	if want := len(st.landmarks.ids.get()); stats.Landmarks != want {
+		t.Errorf("stats landmarks = %d, want the selection size %d", stats.Landmarks, want)
 	}
 }

@@ -7,12 +7,12 @@ import (
 
 // lazy holds one per-state artifact — the rank vector, the anomaly
 // scores, the landmark selection, a landmark sketch — through the
-// lifecycle they all share. Root states compute on first use, keeping
-// the work off the boot path; parent-matched swaps install an eagerly
-// refreshed value with ready before the state is published. get computes
-// at most once and coalesces concurrent callers; peek reports the value
-// only if it already exists, so a metrics scrape never forces work. The
-// value is immutable once present.
+// lifecycle they all share. Each computes on first use, keeping the work
+// off the boot path; a parent-matched swap installs an eagerly refreshed
+// anomaly vector or landmark sketch with ready before the state is
+// published. get computes at most once and coalesces concurrent callers;
+// peek reports the value only if it already exists, so a metrics scrape
+// never forces work. The value is immutable once present.
 type lazy[T any] struct {
 	once    sync.Once
 	done    atomic.Bool

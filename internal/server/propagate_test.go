@@ -353,11 +353,5 @@ func TestPropagateKindAlgoMapping(t *testing.T) {
 		if lmAlgo := weboftrust.PropagationAlgo(lmKind - kindAppleseedLandmark); lmAlgo.String() != name {
 			t.Errorf("landmark kind %d maps to algo %q, want %q", lmKind, lmAlgo, name)
 		}
-		if !isPropagateKind(kind) || !isPropagateKind(lmKind) {
-			t.Errorf("propagate-family kinds %d/%d not recognised by isPropagateKind", kind, lmKind)
-		}
-	}
-	if isPropagateKind(kindTopK) || isPropagateKind(kindAnomalyTop) {
-		t.Error("isPropagateKind claims a non-propagate kind")
 	}
 }

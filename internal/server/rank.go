@@ -9,30 +9,18 @@ import (
 	"weboftrust/internal/ratings"
 )
 
-// rankRefreshIters is the power-iteration budget a parent-matched swap
-// spends refreshing the global EigenTrust vector from its predecessor.
-// One ingest tick shifts the fixed point by a small s (the dirty rows are
-// a sliver of the graph), and power iteration contracts L1 error by
-// rho = (1 - alpha) per step, so a B-iteration refresh leaves steady-state
-// drift bounded by s·rho^B/(1 - rho^B) — at B = 3 about 3% of the
-// per-tick shift, invisible at ranking granularity — while costing ~3
-// iterations per swap where a cold solve pays dozens. The chain is
-// deterministic given the swap history, so every replica of a cluster
-// (same log, same swaps) serves byte-identical rank vectors.
-const rankRefreshIters = 3
-
 // rankVec is a state's global EigenTrust vector and the power
-// iterations spent producing it. Root states solve it lazily on first
-// use — keeping the cold solve off the boot path preserves the
-// warm-restart win — while parent-matched swaps install an eagerly
-// refreshed vector (see Server.newState).
+// iterations spent producing it.
 type rankVec struct {
 	vec   []float64
 	iters int
 }
 
-// lazyRank defers the cold converged solve until the first /v1/rank (a
-// metrics peek never forces it).
+// lazyRank defers the cold converged solve until the first /v1/rank or
+// landmark selection (a metrics peek never forces it). Every state
+// solves from scratch, so the served vector is a function of the model
+// alone: a swapped server, a restored replica and a cold boot over the
+// same log serve the same bytes.
 func lazyRank(model *weboftrust.TrustModel) *lazy[rankVec] {
 	return newLazy(func() rankVec {
 		vec, iters, err := model.GlobalRanks()
@@ -76,9 +64,9 @@ type RankUserResponse struct {
 }
 
 // handleRank serves the global EigenTrust ranking. The vector is global,
-// replicated state — every shard computes it over the same complete
-// graph through the same deterministic warm chain — so any replica can
-// answer for any user; there is no ownership check.
+// replicated state — every shard solves it cold over the same complete
+// graph — so any replica can answer for any user; there is no ownership
+// check.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epRank].Add(1)
 	st, ok := s.loadState(w)

@@ -52,15 +52,15 @@ type state struct {
 	results *resultCache
 	rows    *rowPool
 	flights *flightGroup
-	// rank is the state's global EigenTrust vector: lazy cold solve for
-	// root states, eagerly warm-refreshed across parent-matched swaps.
+	// rank is the state's global EigenTrust vector, solved cold on first
+	// use.
 	rank *lazy[rankVec]
-	// anomaly is the state's per-user suspicion scores, with the same
-	// lazy-cold / eager-incremental lifecycle as rank.
+	// anomaly is the state's per-user suspicion scores: lazy cold for
+	// root states, eagerly refreshed across parent-matched swaps.
 	anomaly *lazy[*anomaly.Scores]
 	// landmarks is the state's landmark sketches for the
 	// `?approx=landmark` propagation mode, with the same lazy-cold /
-	// eager-incremental lifecycle.
+	// eager-rebuild lifecycle as anomaly.
 	landmarks *landmarkState
 }
 
@@ -82,14 +82,8 @@ type Options struct {
 	// (/v1/stats, /v1/graph/stats, /healthz, /readyz, /metrics) are never
 	// shed, so operators can see INTO an overloaded server.
 	MaxInFlight int
-	// PrecomputeBudget is the wall-clock the ingest goroutine may spend
-	// per incremental swap recomputing hot sources' propagation vectors
-	// into the result cache pre-warmed (the propagation precompute
-	// engine; see precompute.go). 0 (the default) disables swap-time
-	// precompute.
-	PrecomputeBudget time.Duration
 	// Landmarks is the landmark-hub count for the `?approx=landmark`
-	// propagation mode: the top-Landmarks warm-rank nodes' full
+	// propagation mode: the top-Landmarks EigenTrust nodes' full
 	// propagation vectors are sketched (lazily) and composed per query.
 	// 0 means DefaultLandmarks; negative disables the mode.
 	Landmarks int
@@ -131,11 +125,6 @@ type Server struct {
 	// inflight tracks admitted compute queries for the MaxInFlight bound
 	// (and the trustd_inflight gauge).
 	inflight atomic.Int64
-	// heat tracks per-key propagation query heat across swaps for the
-	// precompute engine; it outlives individual states deliberately (the
-	// working set is a property of the traffic, not of one model). nil
-	// when Options.PrecomputeBudget is not positive: nothing reads it.
-	heat *heatTracker
 	// computeGate, when non-nil, runs on the leader goroutine right
 	// before a row computation. Test hook: the singleflight test parks
 	// the leader here until every concurrent request has registered.
@@ -187,14 +176,6 @@ type metrics struct {
 	// incremental swap-time refreshes.
 	anomalyComputes  atomic.Int64
 	anomalyRefreshes atomic.Int64
-	// Propagation precompute engine: swaps that ran a precompute pass,
-	// vectors pre-warmed into the cache, passes that ran out of budget
-	// with hot work remaining, and cache hits served off a pre-warmed
-	// entry (first hit per entry — traversals actually skipped).
-	precomputeRuns            atomic.Int64
-	precomputeVectors         atomic.Int64
-	precomputeBudgetExhausted atomic.Int64
-	prewarmHits               atomic.Int64
 	// Landmark sketches: cold builds, eager swap-time refreshes, and the
 	// cumulative wall-clock both spend.
 	landmarkBuilds       atomic.Int64
@@ -249,11 +230,7 @@ func NewPending(opts Options) *Server {
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	}
-	s := &Server{opts: opts, start: time.Now()}
-	if opts.PrecomputeBudget > 0 {
-		s.heat = newHeatTracker()
-	}
-	return s
+	return &Server{opts: opts, start: time.Now()}
 }
 
 // SetReadyTarget sets the event-log offset the served state must reach
@@ -265,10 +242,11 @@ func (s *Server) SetReadyTarget(offset int64) { s.readyTarget.Store(offset) }
 // starts with an empty result cache: the swap discards the
 // predecessor's answers wholesale. When prev is the state being replaced
 // AND the model was produced by core.Update FROM prev's model (parent id
-// match), the swap is incremental: the new state installs an eagerly
-// warm-refreshed rank vector and anomaly scores, rebuilds the landmark
-// sketches prev had built, and runs the precompute pass. Root states
-// (boot, restore, full rebuilds) compute all of it lazily.
+// match), the swap is incremental: the new state installs eagerly
+// refreshed anomaly scores and rebuilds the landmark sketches prev had
+// built. Root states (boot, restore, full rebuilds) compute both lazily,
+// and every state solves its rank vector cold on first use, so each
+// artifact is a function of the state's model alone.
 func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version uint64, prev *state) *state {
 	st := &state{
 		model:   model,
@@ -278,8 +256,9 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		rows:    newRowPool(model.Dataset().NumUsers()),
 		flights: newFlightGroup(),
 		rank:    lazyRank(model),
+		anomaly: s.lazyAnomaly(model),
 	}
-	st.anomaly = s.lazyAnomaly(model)
+	st.landmarks = s.lazyLandmarks(st)
 	var dirty []bool
 	if prev != nil {
 		s.metrics.cacheDropped.Add(int64(prev.results.len()))
@@ -288,7 +267,6 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		}
 	}
 	if dirty == nil {
-		st.landmarks = s.lazyLandmarks(st)
 		s.metrics.graphDeltaRows.Store(-1)
 		return st
 	}
@@ -299,45 +277,26 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		}
 	}
 	s.metrics.graphDeltaRows.Store(deltaRows)
-	// Warm rank refresh: a bounded number of power iterations from the
-	// predecessor's vector, on the ingest goroutine (the query path never
-	// pays it). Forcing prev's rank here starts the chain: the first
-	// incremental tick pays one cold solve, every later tick pays
-	// rankRefreshIters.
-	if vec, iters, err := model.GlobalRanksFrom(prev.rank.get().vec, rankRefreshIters); err == nil {
-		st.rank.ready(rankVec{vec: vec, iters: iters})
-	}
-	// Same chain for anomaly scores: force the predecessor's, advance
-	// them over the delta (bit-identical to a cold pass).
+	// Anomaly scores: force the predecessor's and advance them over the
+	// delta on the ingest goroutine (bit-identical to a cold pass).
 	st.anomaly.ready(s.refreshAnomaly(model, prev, dirty))
-	// landmarks is created after rank is finalised: its lazy selection
-	// reads st.rank at call time, which on this path is the already-warm
-	// vector.
-	st.landmarks = s.lazyLandmarks(st)
 	s.refreshLandmarks(st, prev)
-	if s.opts.PrecomputeBudget > 0 {
-		s.precompute(st, s.opts.PrecomputeBudget)
-	}
 	return st
 }
 
 // Swap atomically replaces the served model. Readers in flight keep the
 // state they loaded; new requests see the new model with an empty result
-// cache (plus whatever the precompute pass pre-warmed) and a pool sized
-// to the new user count. Safe for one writer; queries never block on
-// it. The first Swap into a pending server publishes version 1 — the
-// same version New stamps — so a boot-then-swap daemon and a
-// New-constructed one number their states identically.
+// cache and a pool sized to the new user count. Safe for one writer;
+// queries never block on it. The first Swap into a pending server
+// publishes version 1 — the same version New stamps — so a
+// boot-then-swap daemon and a New-constructed one number their states
+// identically.
 func (s *Server) Swap(model *weboftrust.TrustModel, offset int64) {
 	var version uint64 = 1
 	prev := s.cur.Load()
 	if prev != nil {
 		version = prev.version + 1
 	}
-	// Fold the since-last-swap query counts into the heat EWMA before
-	// building the state, so the precompute pass ranks sources by the
-	// freshest traffic.
-	s.heat.fold()
 	s.cur.Store(s.newState(model, offset, version, prev))
 	s.metrics.swaps.Add(1)
 	s.metrics.lastSwapNanos.Store(time.Now().UnixNano())
@@ -426,11 +385,8 @@ func (s *Server) ranked(st *state, kind resultKind, u ratings.UserID, k int) []c
 	key := resultKey{kind: kind, user: u, k: kc}
 	fkey := flightKey{kind: kind, user: u}
 	for {
-		if r, prewarmed, ok := st.results.get(key); ok {
+		if r, ok := st.results.get(key); ok {
 			s.metrics.cacheHits.Add(1)
-			if prewarmed {
-				s.metrics.prewarmHits.Add(1)
-			}
 			return trimRanked(r, k)
 		}
 		s.metrics.cacheMisses.Add(1)
@@ -453,7 +409,7 @@ func (s *Server) ranked(st *state, kind resultKind, u ratings.UserID, k int) []c
 			// its join has already cached the answer: serve it instead of
 			// computing it twice. Followers that joined meanwhile see a
 			// flight with no scratch and retry into the same hit.
-			if r, _, ok := st.results.get(key); ok {
+			if r, ok := st.results.get(key); ok {
 				st.flights.unpublish(fkey)
 				f.wg.Done()
 				return trimRanked(r, k)
@@ -841,7 +797,6 @@ func (s *Server) handlePropagate(w http.ResponseWriter, r *http.Request) {
 		kind = kindAppleseedLandmark + resultKind(algo)
 	}
 	s.metrics.propagateRequests[algo].Add(1)
-	s.heat.record(heatKey{kind: kind, user: u, k: cacheK(k, st.model.Dataset().NumUsers())})
 	ranked := s.ranked(st, kind, u, k)
 	elapsed := time.Since(start).Nanoseconds()
 	s.metrics.propagateNanos.Add(elapsed)
@@ -922,22 +877,10 @@ type StatsResponse struct {
 	// when unsharded, so single-process deployments see the historical
 	// body unchanged.
 	Shard *ShardStats `json:"shard,omitempty"`
-	// Precompute reports the propagation precompute engine and the
-	// landmark sketches; absent only when both are disabled.
-	Precompute *PrecomputeStats `json:"precompute,omitempty"`
-}
-
-// PrecomputeStats is the propagation-precompute block of /v1/stats:
-// swap-time pre-warm activity, the hits it saved, and the landmark
-// configuration. PrewarmHits counts first hits on pre-warmed entries —
-// full traversals queries did not pay.
-type PrecomputeStats struct {
-	BudgetMillis    int64 `json:"budget_millis"`
-	Runs            int64 `json:"runs"`
-	Vectors         int64 `json:"vectors"`
-	BudgetExhausted int64 `json:"budget_exhausted"`
-	PrewarmHits     int64 `json:"prewarm_hits"`
-	Landmarks       int   `json:"landmarks"`
+	// Landmarks is the `?approx=landmark` hub count: the configured count
+	// until the state's selection is derived, its size after. Absent when
+	// the landmark mode is off.
+	Landmarks int `json:"landmarks,omitempty"`
 }
 
 // ShardStats is the partition block of /v1/stats: the spec this process
@@ -991,20 +934,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		TailTransientErrors: s.metrics.tailTransient.Load(),
 	}
 	resp.Shard = shardStats(st.model)
-	if s.opts.PrecomputeBudget > 0 || s.landmarkCount() > 0 {
-		landmarks := s.landmarkCount()
-		if ids, ok := st.landmarks.ids.peek(); ok {
-			landmarks = len(ids)
-		}
-		resp.Precompute = &PrecomputeStats{
-			BudgetMillis:    s.opts.PrecomputeBudget.Milliseconds(),
-			Runs:            s.metrics.precomputeRuns.Load(),
-			Vectors:         s.metrics.precomputeVectors.Load(),
-			BudgetExhausted: s.metrics.precomputeBudgetExhausted.Load(),
-			PrewarmHits:     s.metrics.prewarmHits.Load(),
-			Landmarks:       landmarks,
-		}
-	}
+	resp.Landmarks = st.landmarks.size()
 	if ck := s.checkpointStatus(); ck != nil {
 		resp.Checkpoint = &CheckpointStats{
 			Path:       ck.Path,
@@ -1141,22 +1071,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "trustd_propagate_requests_total{algo=%q} %d\n", algo, s.metrics.propagateRequests[i].Load())
 	}
 	counter("trustd_propagate_computes_total", "Propagation rank vectors actually computed (cache misses minus coalesced flights).", s.metrics.propagateComputes.Load())
-	counter("trustd_propagate_precompute_runs_total", "Swap-time propagation precompute passes run.", s.metrics.precomputeRuns.Load())
-	counter("trustd_propagate_precompute_vectors_total", "Propagation vectors pre-warmed into the result cache at swap time.", s.metrics.precomputeVectors.Load())
-	counter("trustd_propagate_precompute_budget_exhausted_total", "Precompute passes that ran out of budget with hot work remaining.", s.metrics.precomputeBudgetExhausted.Load())
-	counter("trustd_result_cache_prewarm_hits_total", "First hits on pre-warmed cache entries (traversals queries skipped).", s.metrics.prewarmHits.Load())
 	counter("trustd_landmark_builds_total", "Landmark sketches built cold (first landmark query of a state).", s.metrics.landmarkBuilds.Load())
 	counter("trustd_landmark_refreshes_total", "Landmark sketches eagerly refreshed across incremental swaps.", s.metrics.landmarkRefreshes.Load())
 	fmt.Fprintf(w, "# HELP trustd_landmark_refresh_seconds Cumulative wall-clock spent building and refreshing landmark sketches.\n# TYPE trustd_landmark_refresh_seconds counter\ntrustd_landmark_refresh_seconds %g\n",
 		float64(s.metrics.landmarkRefreshNanos.Load())/1e9)
-	if st != nil && st.landmarks != nil {
-		// Peek only: the scrape must not force the landmark selection
-		// (which would force the rank solve).
-		landmarks := int64(st.landmarks.count)
-		if ids, ok := st.landmarks.ids.peek(); ok {
-			landmarks = int64(len(ids))
-		}
-		gauge("trustd_landmark_count", "Landmark hubs configured (selected count once derived).", landmarks)
+	if st != nil {
+		gauge("trustd_landmark_count", "Landmark hubs configured (selected count once derived).", int64(st.landmarks.size()))
 	}
 	fmt.Fprintf(w, "# HELP trustd_propagate_seconds_total Wall-clock spent serving propagation queries.\n# TYPE trustd_propagate_seconds_total counter\ntrustd_propagate_seconds_total %g\n",
 		float64(s.metrics.propagateNanos.Load())/1e9)

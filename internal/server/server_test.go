@@ -270,14 +270,14 @@ func TestResultCacheEvictionAndBytes(t *testing.T) {
 	if want := 2 * entryBytes(ranked(5)); c.approxBytes() != want {
 		t.Errorf("approxBytes = %d, want %d", c.approxBytes(), want)
 	}
-	if _, _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
+	if _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
 		t.Fatal("entry (1,5) missing")
 	}
 	c.put(resultKey{user: 3, k: 5}, ranked(3)) // evicts (2,5); (1,5) was just used
-	if _, _, ok := c.get(resultKey{user: 2, k: 5}); ok {
+	if _, ok := c.get(resultKey{user: 2, k: 5}); ok {
 		t.Error("LRU entry (2,5) not evicted")
 	}
-	if _, _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
+	if _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
 		t.Error("recently used entry (1,5) evicted")
 	}
 	if c.len() != 2 {
@@ -304,7 +304,7 @@ func TestResultCacheEvictionAndBytes(t *testing.T) {
 	budget.put(resultKey{user: 1, k: 5}, ranked(5))
 	budget.put(resultKey{user: 2, k: 5}, ranked(5))
 	budget.put(resultKey{user: 3, k: 5}, ranked(5)) // over budget: evicts (1,5)
-	if _, _, ok := budget.get(resultKey{user: 1, k: 5}); ok {
+	if _, ok := budget.get(resultKey{user: 1, k: 5}); ok {
 		t.Error("byte budget did not evict the LRU entry")
 	}
 	if budget.len() != 2 || budget.approxBytes() > 2*entryBytes(ranked(5)) {
@@ -561,6 +561,13 @@ func (c *counts) batch(newCat bool) []store.Event {
 
 func growBatch(d *ratings.Dataset, i int) []store.Event {
 	return newCounts(d).batch(i%2 == 0)
+}
+
+// trustBatch grows the log like growBatch and additionally adds a trust
+// edge between two long-existing users, guaranteeing the dirty set
+// reaches into the original community (user 2's row).
+func trustBatch(d *ratings.Dataset, i int) []store.Event {
+	return append(growBatch(d, i), store.Event{Kind: store.EvAddTrust, User: 2, To: 9})
 }
 
 func appendEvents(t *testing.T, path string, evs []store.Event) {

@@ -114,14 +114,15 @@ func withoutVersion(t *testing.T, body []byte) string {
 }
 
 // TestSwapChainMatchesColdServer drives eight swaps through Tailer.Poll,
-// alternating multi-category batches with one-rating ticks, and warms
-// the result cache and every landmark sketch between swaps. After each
-// swap, every answer that does not depend on the swap history must be
-// byte-identical (ignoring "version") to a server built from a cold
-// Derive of the same log prefix: /v1/topk, /v1/neighbors, /v1/anomaly
-// and exact /v1/propagate for every 13th user, plus /v1/graph/stats and
-// /v1/anomaly/top. Rank and landmark answers follow the warm rank chain
-// instead, so they are warmed here but not compared.
+// alternating multi-category batches with one-rating ticks, and queries
+// every model-derived read endpoint between swaps, so the result cache,
+// the rank vector, the anomaly scores and all three landmark sketches
+// are warm when the next swap lands. After each swap, every answer must
+// be byte-identical (ignoring "version") to a server built from a cold
+// Derive of the same log prefix: /v1/graph/stats, /v1/rank?k=20 and
+// /v1/anomaly/top, plus /v1/topk, /v1/trust, /v1/expertise,
+// /v1/neighbors, /v1/anomaly, /v1/rank, and /v1/propagate for all three
+// algorithms, exact and approx=landmark, for every 13th user.
 func TestSwapChainMatchesColdServer(t *testing.T) {
 	path, d := writeLogFile(t)
 	srv, tailer, err := Open(path, time.Hour, Options{})
@@ -129,24 +130,23 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	perUser := func(u int) []string {
-		q := itoa(u)
-		urls := []string{"/v1/topk?user=" + q, "/v1/neighbors?user=" + q, "/v1/anomaly?user=" + q}
-		for _, algo := range allAlgos {
-			urls = append(urls, "/v1/propagate?algo="+algo.String()+"&user="+q)
+	urls := func() []string {
+		model, _, _ := srv.Current()
+		numU := model.Dataset().NumUsers()
+		urls := []string{"/v1/graph/stats", "/v1/rank?k=20", "/v1/anomaly/top?k=20"}
+		for u := 0; u < numU; u += 13 {
+			q := itoa(u)
+			urls = append(urls, "/v1/topk?user="+q, "/v1/trust?from="+q+"&to="+itoa((u+1)%numU),
+				"/v1/expertise?user="+q, "/v1/neighbors?user="+q, "/v1/anomaly?user="+q, "/v1/rank?user="+q)
+			for _, algo := range allAlgos {
+				p := "/v1/propagate?algo=" + algo.String() + "&user=" + q
+				urls = append(urls, p, p+"&approx=landmark")
+			}
 		}
 		return urls
 	}
 	warm := func() {
-		model, _, _ := srv.Current()
-		urls := []string{"/v1/rank?k=20", "/v1/anomaly/top?k=20"}
-		for u := 0; u < model.Dataset().NumUsers(); u += 13 {
-			urls = append(urls, perUser(u)...)
-			for _, algo := range allAlgos {
-				urls = append(urls, "/v1/propagate?algo="+algo.String()+"&user="+itoa(u)+"&approx=landmark")
-			}
-		}
-		for _, url := range urls {
+		for _, url := range urls() {
 			if rec := get(t, h, url); rec.Code != 200 {
 				t.Fatalf("warm %s: %d %s", url, rec.Code, rec.Body.String())
 			}
@@ -172,11 +172,7 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 		}
 		coldModel, offset := coldDerive(t, path)
 		cold := New(coldModel, offset, Options{}).Handler()
-		urls := []string{"/v1/graph/stats", "/v1/anomaly/top?k=20"}
-		for u := 0; u < model.Dataset().NumUsers(); u += 13 {
-			urls = append(urls, perUser(u)...)
-		}
-		for _, url := range urls {
+		for _, url := range urls() {
 			got, want := get(t, h, url), get(t, cold, url)
 			if got.Code != want.Code {
 				t.Fatalf("swap %d %s: status %d, cold server %d", swap, url, got.Code, want.Code)
@@ -185,6 +181,5 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 				t.Fatalf("swap %d %s:\nserved %s\ncold   %s", swap, url, g, w)
 			}
 		}
-		warm()
 	}
 }

@@ -32,7 +32,7 @@ func (sk *LandmarkSketch) Vector(i int) []float64 { return sk.sk.Vecs[i] }
 // SelectLandmarkIDs picks the l highest-scoring nodes of the rank
 // vector as landmarks — score descending, id ascending on ties, zero
 // scores never selected — the deterministic selection rule the serving
-// layer applies to its warm EigenTrust vector at every swap.
+// layer applies to each state's cold EigenTrust vector (GlobalRanks).
 func SelectLandmarkIDs(rank []float64, l int) []int32 {
 	return propagation.SelectLandmarks(rank, l)
 }

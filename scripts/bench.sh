@@ -8,14 +8,15 @@
 #   BENCH_OUT     output path when no argument is given (default BENCH_pr10.json)
 #   BENCH_SUITE   suite label recorded in the JSON (default: output basename)
 #   BENCH_COUNT   repetitions per benchmark (default 5)
-#   BENCH_FILTER  benchmark regexp (default: the boot + read-path + pipeline perf surface)
+#   BENCH_FILTER  benchmark regexp (default: scripts/bench_filter.txt, the list
+#                 make bench-smoke also runs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-${BENCH_OUT:-BENCH_pr10.json}}"
 suite="${BENCH_SUITE:-$(basename "$out" .json)}"
 count="${BENCH_COUNT:-5}"
-filter="${BENCH_FILTER:-PipelineRun|UpdateTouchedFraction|UpdateCategoryScaling|ServerTopK|ServerPropagate|GraphBuild|IngestSwap|DerivedTrustRowSparse|TopKHeap|TopKQuickselect|ColdStart|WarmRestart|RouterTopK|PropagateExact|RankWarm|AnomalySwap|ServerAnomaly|PropagatePrecompute|LandmarkApprox}"
+filter="${BENCH_FILTER:-$(cat scripts/bench_filter.txt)}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -6,7 +6,7 @@
 #   BenchmarkServerTopK      vs BENCH_pr3.json  (34 allocs/op — pooled
 #                            scratch + heap selection)
 #   BenchmarkServerPropagate vs BENCH_pr10.json (cached propagate hit —
-#                            the path swap-time precompute pre-warms)
+#                            the path every repeated propagate query takes)
 #
 # Usage: scripts/check_allocs.sh
 #   ALLOC_BASELINE_FILE            BenchmarkServerTopK baseline JSON (default BENCH_pr3.json)
