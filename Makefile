@@ -1,5 +1,4 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
 BENCH_COUNT ?= 5
 FUZZTIME ?= 10s
 # BENCH_FILTER is the benchmark list bench records and bench-smoke runs;
@@ -19,8 +18,10 @@ race: build
 
 # bench runs the pipeline, incremental-update and serving benchmarks with
 # -benchmem -count=$(BENCH_COUNT) and records the parsed results in
-# $(BENCH_OUT) alongside the machine's shape.
+# $(BENCH_OUT) alongside the machine's shape. BENCH_OUT has no default:
+# name the file per change, e.g. make bench BENCH_OUT=BENCH_pr16.json.
 bench:
+	@test -n "$(BENCH_OUT)" || { echo "usage: make bench BENCH_OUT=BENCH_prN.json" >&2; exit 2; }
 	BENCH_COUNT=$(BENCH_COUNT) BENCH_FILTER='$(BENCH_FILTER)' ./scripts/bench.sh $(BENCH_OUT)
 
 # bench-smoke is the CI guard: every benchmark bench records must still
@@ -30,7 +31,9 @@ bench-smoke:
 
 # bench-guard fails if the serving hot paths' allocs/op regress above
 # their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached
-# /v1/propagate hit vs BENCH_pr10.json).
+# /v1/propagate hit vs BENCH_pr10.json), or if BenchmarkIngestSwap's time
+# as a multiple of BenchmarkPipelineRun/workers=1 grows over 1.25× the
+# multiple in BENCH_pr16.json.
 bench-guard:
 	./scripts/check_allocs.sh
 
@@ -50,8 +53,8 @@ attack-smoke:
 
 # cluster-smoke boots a real 3-shard cluster behind the consistent-hash
 # router next to an unsharded reference, checks routed responses are
-# byte-identical, runs a loadgen burst through the router, and tears the
-# cluster down.
+# byte-identical, sends a burst of routed /v1/topk requests none of which
+# may answer an error status, and tears the cluster down.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

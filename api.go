@@ -162,14 +162,6 @@ type TrustModel struct {
 	cfg       core.Config
 	dataset   *ratings.Dataset
 	artifacts *core.Artifacts
-	// id is a process-unique identity for this model; parentID links an
-	// Update result to the model it was incrementally derived from (0 for
-	// models built or restored from scratch). Serving layers use the pair
-	// to decide whether per-state artifacts (the anomaly scores, the
-	// landmark sketches) may be refreshed eagerly across an atomic swap
-	// instead of computed lazily.
-	id       uint64
-	parentID uint64
 	// scratch carries the reusable Update buffers down the chain of
 	// models an ingest loop produces; core.Scratch serialises concurrent
 	// use internally.
@@ -196,14 +188,8 @@ func Derive(d *Dataset, opts ...Option) (*TrustModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch), id: nextModelID()}, nil
+	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch)}, nil
 }
-
-// modelIDs hands out process-unique model identities; 0 is reserved for
-// "no parent".
-var modelIDs atomic.Uint64
-
-func nextModelID() uint64 { return modelIDs.Add(1) }
 
 func resolveConfig(opts []Option) (core.Config, error) {
 	cfg := core.DefaultConfig()
@@ -276,7 +262,7 @@ func Restore(d *Dataset, art *core.Artifacts, opts ...Option) (*TrustModel, erro
 	} else if got, want := art.Trust.ShardSpec(), cfg.Shard.Canon(); got != want {
 		return nil, fmt.Errorf("weboftrust: Restore: artifacts are shard %v, configuration says %v", got, want)
 	}
-	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch), id: nextModelID()}, nil
+	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch)}, nil
 }
 
 // Update derives a new model for a dataset that extends this model's —
@@ -304,22 +290,15 @@ func (m *TrustModel) Update(newD *Dataset) (*TrustModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrustModel{cfg: m.cfg, dataset: newD, artifacts: art, scratch: m.scratch, id: nextModelID(), parentID: m.id}, nil
+	return &TrustModel{cfg: m.cfg, dataset: newD, artifacts: art, scratch: m.scratch}, nil
 }
-
-// ID returns this model's process-unique identity.
-func (m *TrustModel) ID() uint64 { return m.id }
-
-// ParentID returns the identity of the model this one was incrementally
-// updated from, or 0 when it was derived or restored from scratch.
-func (m *TrustModel) ParentID() uint64 { return m.parentID }
 
 // DirtyUsers returns, for a model produced by Update, the conservative
 // set of users whose derived web row (and so any per-source result) may
-// differ from the parent model's; users not marked are provably
-// unchanged — their rows are shared with the parent by reference. It
-// returns nil for models with no parent. The slice is shared; do not
-// modify it.
+// differ from the model Update was called on; users not marked are
+// provably unchanged — their rows are shared with that model by
+// reference. It returns nil for models built by Derive or Restore. The
+// slice is shared; do not modify it.
 func (m *TrustModel) DirtyUsers() []bool {
 	if web, ok := m.WebOfTrustBuilt(); ok {
 		return web.DirtyUsers()

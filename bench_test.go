@@ -611,7 +611,10 @@ func BenchmarkServerPropagateLarge(b *testing.B) {
 // BenchmarkIngestSwap measures one full tailer cycle on a live log:
 // append a small event batch, tail-read past the checkpoint, replay,
 // rebuild artifacts with the incremental update, and swap the new state
-// in. This is the freshness cost a community pays per ingest tick.
+// in. No query reaches the server, so no swap has a forced rank,
+// anomaly or landmark artifact to warm: this is the freshness cost a
+// community pays per ingest tick before any of those is asked for.
+// make bench-guard gates its time against BenchmarkPipelineRun.
 func BenchmarkIngestSwap(b *testing.B) {
 	e := env(b)
 	path := filepath.Join(b.TempDir(), "events.log")
@@ -987,10 +990,12 @@ func BenchmarkPropagateExact(b *testing.B) {
 	}
 }
 
-// BenchmarkAnomalySwap measures the incremental suspicion-score refresh
-// a parent-matched swap pays (anomaly.Update over a one-category ingest
-// tick, O(dirty closure)) against the cold full pass (anomaly.Compute,
-// O(users)) the refresh replaces.
+// BenchmarkAnomalySwap measures the incremental suspicion-score update
+// (anomaly.Update over a one-category ingest tick, O(dirty closure))
+// against the cold full pass (anomaly.Compute, O(users)). trustd scores
+// cold: a swap whose predecessor had scores runs Compute before it
+// publishes, because the tick dirties most users and warm costs about
+// what cold does.
 func BenchmarkAnomalySwap(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)
@@ -1023,8 +1028,8 @@ func BenchmarkAnomalySwap(b *testing.B) {
 // BenchmarkServerAnomaly measures trustd's full /v1/anomaly handler path
 // — routing, parameter validation, the per-user rank scan over the
 // scored vector and JSON encoding — cycling through every user against
-// an already-computed score vector (the steady state after a swap's
-// eager refresh).
+// an already-computed score vector (the steady state once a state has
+// scores, whether its first query or its swap computed them).
 func BenchmarkServerAnomaly(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)

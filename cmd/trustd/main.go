@@ -11,7 +11,6 @@
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
 //	               [-retry-backoff 25ms] [-breaker-threshold 5] [-breaker-cooldown 1s]
 //	               [-hedge-after D] [-stale-entries N]
-//	trustd loadgen -addr http://localhost:8080 [-duration 10s] [-concurrency 8] [-k 10]
 //	trustd chaosproxy -target URL [-addr :8095] [-latency-p P] [-error-p P] [-blackhole-p P] [-reset-p P]
 //
 // With -shard i/N the daemon serves shard i of an N-way source-partitioned
@@ -105,15 +104,13 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: trustd <serve|route|loadgen> [flags]")
+		return fmt.Errorf("usage: trustd <serve|route|chaosproxy> [flags]")
 	}
 	switch args[0] {
 	case "serve":
 		return cmdServe(args[1:])
 	case "route":
 		return cmdRoute(args[1:])
-	case "loadgen":
-		return cmdLoadgen(args[1:])
 	case "chaosproxy":
 		return cmdChaosProxy(args[1:])
 	default:
@@ -186,7 +183,7 @@ func cmdServe(args []string) error {
 	// gated behind -pprof-addr: the serving mux must never expose
 	// /debug/pprof (heap dumps and CPU profiles are not for the query
 	// port), and the default off keeps production surfaces minimal. With
-	// it on, the swap's anomaly refresh and landmark rebuilds can be
+	// it on, the anomaly scoring and landmark builds a swap warms can be
 	// profiled in situ (`go tool pprof http://host:port/debug/pprof/profile`).
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
@@ -393,32 +390,6 @@ func cmdRoute(args []string) error {
 	case err := <-serveErr:
 		return err
 	}
-}
-
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	addr := fs.String("addr", "http://localhost:8080", "base URL of a running trustd")
-	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
-	concurrency := fs.Int("concurrency", 8, "number of concurrent clients")
-	k := fs.Int("k", 10, "top-k size to request")
-	users := fs.Int("users", 0, "user-id space to sample (0 = ask /v1/stats)")
-	seed := fs.Uint64("seed", 1, "sampling seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	report, err := server.RunLoadgen(context.Background(), server.LoadgenConfig{
-		BaseURL:     *addr,
-		Duration:    *duration,
-		Concurrency: *concurrency,
-		K:           *k,
-		Users:       *users,
-		Seed:        *seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	return nil
 }
 
 // cmdChaosProxy runs a fault-injecting reverse proxy in front of one

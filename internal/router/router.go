@@ -764,9 +764,8 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 
 // handleAnomaly and handleAnomalyTop relay the suspicion scores the same
 // way: internal/anomaly is a pure function of the replicated (dataset,
-// web) pair and its incremental refresh is bit-identical to a cold pass,
-// so every shard at a version serves byte-identical bodies and any one
-// of them is the cluster answer.
+// web) pair, so every shard at a version serves byte-identical bodies
+// and any one of them is the cluster answer.
 func (rt *Router) handleAnomaly(w http.ResponseWriter, r *http.Request) {
 	rt.proxyFreshest(w, r, "/v1/anomaly")
 }

@@ -5,43 +5,20 @@ import (
 
 	"weboftrust"
 	"weboftrust/internal/anomaly"
-	"weboftrust/internal/graph"
 	"weboftrust/internal/ratings"
 )
 
 // lazyAnomaly defers the full scoring pass (internal/anomaly) until the
-// first anomaly query. Root states compute the per-user suspicion scores
-// lazily — the full Compute pass stays off the boot path — while
-// parent-matched swaps install incrementally refreshed scores on the
-// ingest goroutine (refreshAnomaly). Scores are a pure function of
-// (dataset, web graph) and the incremental Update is bit-identical to a
-// cold Compute, so every replica serves identical scores regardless of
-// its swap cadence — the property that lets the router fan /v1/anomaly
-// out to any shard.
+// first anomaly query, or until a swap whose predecessor had scored
+// carries that demand over. Scores are a pure function of (dataset, web
+// graph), so every replica serves identical scores regardless of its
+// swap cadence — the property that lets the router fan /v1/anomaly out
+// to any shard.
 func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *lazy[*anomaly.Scores] {
 	return newLazy(func() *anomaly.Scores {
 		s.metrics.anomalyComputes.Add(1)
 		return anomaly.Compute(model.Dataset(), model.WebOfTrust().Graph())
 	})
-}
-
-// refreshAnomaly computes the new state's anomaly scores across a
-// parent-matched swap: it forces the predecessor's scores (starting the
-// chain) and advances them incrementally over the ingest delta — paying
-// O(dirty closure), not O(users).
-func (s *Server) refreshAnomaly(model *weboftrust.TrustModel, prev *state, dirty []bool) *anomaly.Scores {
-	prevScores := prev.anomaly.get()
-	var prevG *graph.Graph
-	// Computing prevScores built prev's web, but a restored-then-swapped
-	// state may have scored against a nil graph; mirror exactly what the
-	// predecessor used.
-	if prevWeb, ok := prev.model.WebOfTrustBuilt(); ok {
-		prevG = prevWeb.Graph()
-	}
-	s.metrics.anomalyRefreshes.Add(1)
-	return anomaly.Update(
-		prevScores, prev.model.Dataset(), model.Dataset(),
-		prevG, model.WebOfTrust().Graph(), dirty)
 }
 
 // AnomalySignals is the per-signal breakdown of one user's suspicion

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"weboftrust"
 	"weboftrust/internal/anomaly"
 	"weboftrust/internal/core"
 	"weboftrust/internal/ratings"
@@ -84,11 +83,11 @@ func TestAnomalyEndpoint(t *testing.T) {
 	}
 }
 
-// TestAnomalyIncrementalSwap: a parent-matched swap installs eagerly,
-// incrementally refreshed scores — bitwise equal to a cold Compute over
-// the new dataset (the replica byte-identity property at single-server
-// scope) — while a non-incremental swap reverts to the lazy cold path.
-// The metrics scrape reports the vector without ever forcing one.
+// TestAnomalyIncrementalSwap: once a state's scores are forced, the
+// swap that replaces it warms the new state's scores before publishing
+// them — bitwise equal to a cold Compute over the new dataset (the
+// replica byte-identity property at single-server scope). The metrics
+// scrape reports the vector without ever forcing one.
 func TestAnomalyIncrementalSwap(t *testing.T) {
 	srv, tailer, d := openServer(t)
 	h := srv.Handler()
@@ -118,27 +117,27 @@ func TestAnomalyIncrementalSwap(t *testing.T) {
 	st := srv.cur.Load()
 	sc, ok := st.anomaly.peek()
 	if !ok {
-		t.Fatal("incremental swap did not install eager anomaly scores")
+		t.Fatal("swap did not warm the anomaly scores its predecessor had forced")
 	}
-	if got := srv.metrics.anomalyRefreshes.Load(); got != 1 {
-		t.Fatalf("refreshes = %d after incremental swap, want 1", got)
+	if got := srv.metrics.anomalyComputes.Load(); got != 2 {
+		t.Fatalf("computes = %d after the warming swap, want 2", got)
 	}
 	newModel, _, _ := srv.Current()
 	cold := anomaly.Compute(newModel.Dataset(), newModel.WebOfTrust().Graph())
 	gotTotals, wantTotals := sc.Total(), cold.Total()
 	if len(gotTotals) != len(wantTotals) {
-		t.Fatalf("refreshed scores cover %d users, want %d", len(gotTotals), len(wantTotals))
+		t.Fatalf("warmed scores cover %d users, want %d", len(gotTotals), len(wantTotals))
 	}
 	for u := range wantTotals {
 		if gotTotals[u] != wantTotals[u] {
-			t.Fatalf("refreshed score[%d] = %v, cold compute %v (must be bit-identical)", u, gotTotals[u], wantTotals[u])
+			t.Fatalf("warmed score[%d] = %v, cold compute %v (must be bit-identical)", u, gotTotals[u], wantTotals[u])
 		}
 	}
-	// Scrape now reports the installed vector, peek-only.
+	// Scrape now reports the warmed vector, peek-only.
 	metrics = get(t, h, "/metrics").Body.String()
 	for _, want := range []string{
 		fmt.Sprintf("trustd_anomaly_scored_users %d", sc.NumUsers()),
-		"trustd_anomaly_refreshes_total 1",
+		"trustd_anomaly_computes_total 2",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -153,15 +152,5 @@ func TestAnomalyIncrementalSwap(t *testing.T) {
 		if row.User != int(wantTop[i].User) || row.Score != wantTop[i].Score {
 			t.Errorf("post-swap top[%d] = %+v, want {%d %v}", i, row, wantTop[i].User, wantTop[i].Score)
 		}
-	}
-
-	// A non-incremental swap (fresh derive, no parent link) is lazy again.
-	fresh, err := weboftrust.Derive(newModel.Dataset())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Swap(fresh, 0)
-	if _, ok := srv.cur.Load().anomaly.peek(); ok {
-		t.Fatal("non-incremental swap should leave the anomaly pass lazy")
 	}
 }

@@ -16,13 +16,12 @@ const DefaultLandmarks = 16
 
 // landmarkState is a state's landmark sketches: the L top-ranked hubs'
 // full propagation vectors, one set per algorithm, backing the
-// `?approx=landmark` serving mode. Like the anomaly scores, root states
-// build lazily on first use — the L full traversals stay off the boot
-// path — while parent-matched swaps eagerly rebuild any sketch the
-// predecessor had built (see Server.refreshLandmarks). The landmark
-// selection derives from the state's own cold rank vector, so it — and
-// therefore every served sketch — is a function of the model alone,
-// whether it was built eagerly or lazily.
+// `?approx=landmark` serving mode. Like the anomaly scores, each builds
+// on first use — the L full traversals stay off the boot path — or
+// before a swap publishes, when the predecessor had built it (see
+// Server.newState). The landmark selection derives from the state's own
+// cold rank vector, so it — and therefore every served sketch — is a
+// function of the model alone.
 type landmarkState struct {
 	// count is the configured landmark count; 0 disables the mode (the
 	// `?approx=landmark` queries answer 400) and leaves ids and algos nil.
@@ -56,10 +55,10 @@ func (s *Server) landmarkCount() int {
 	return s.opts.Landmarks
 }
 
-// lazyLandmarks builds the cold-path landmark state for st: the
-// selection derives from st's rank vector on first use (forcing the
-// cold rank solve if nobody has), and each algorithm's sketch builds on
-// its first `?approx=landmark` query.
+// lazyLandmarks builds the landmark state for st: the selection derives
+// from st's rank vector on first use (forcing the cold rank solve if
+// nobody has), and each algorithm's sketch builds on its first
+// `?approx=landmark` query.
 func (s *Server) lazyLandmarks(st *state) *landmarkState {
 	ls := &landmarkState{count: s.landmarkCount()}
 	if ls.count == 0 {
@@ -80,34 +79,9 @@ func (s *Server) lazyLandmarks(st *state) *landmarkState {
 				panic(fmt.Sprintf("server: landmark sketch %v: %v", algo, err))
 			}
 			s.metrics.landmarkBuilds.Add(1)
-			s.metrics.landmarkRefreshNanos.Add(time.Since(start).Nanoseconds())
+			s.metrics.landmarkBuildNanos.Add(time.Since(start).Nanoseconds())
 			return sk
 		})
 	}
 	return ls
-}
-
-// refreshLandmarks eagerly rebuilds, on the ingest goroutine, every
-// sketch the predecessor had built, under st's selection (which forces
-// st's cold rank solve). Sketches the predecessor never built stay lazy
-// — a swap must not force traversals nobody asked for. A build failure
-// just leaves that sketch lazy (the query path rebuilds cold).
-func (s *Server) refreshLandmarks(st, prev *state) {
-	ls := st.landmarks
-	if ls.count == 0 {
-		return
-	}
-	for a := range ls.algos {
-		if _, ok := prev.landmarks.algos[a].peek(); !ok {
-			continue
-		}
-		start := time.Now()
-		sk, err := st.model.BuildLandmarkSketch(weboftrust.PropagationAlgo(a), ls.ids.get())
-		if err != nil {
-			continue
-		}
-		ls.algos[a].ready(sk)
-		s.metrics.landmarkRefreshes.Add(1)
-		s.metrics.landmarkRefreshNanos.Add(time.Since(start).Nanoseconds())
-	}
 }

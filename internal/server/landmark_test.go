@@ -94,10 +94,10 @@ func TestLandmarkApproxMatchesFacade(t *testing.T) {
 }
 
 // TestLandmarkRefreshAcrossSwap pins the sketch lifecycle: a sketch the
-// predecessor built is eagerly rebuilt at an incremental swap (no
-// query-path rebuild), sketches nobody asked for stay lazy, cached
-// landmark answers are dropped, and the rebuilt sketch serves exactly
-// what a fresh facade composition over the new model produces.
+// predecessor built is warmed before the swap publishes (no query-path
+// rebuild), sketches nobody asked for stay lazy, cached landmark answers
+// are dropped, the warmed sketch equals a cold build over the new model,
+// and trustd_landmark_builds_total counts every build.
 func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	path, d := writeLogFile(t)
 	srv, tailer, err := Open(path, time.Hour, Options{})
@@ -117,12 +117,12 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
-	if got := srv.metrics.landmarkRefreshes.Load(); got != 1 {
-		t.Fatalf("landmark refreshes = %d, want 1 (appleseed was built)", got)
+	if got := srv.metrics.landmarkBuilds.Load(); got != 2 {
+		t.Fatalf("landmark builds = %d after the swap, want 2 (appleseed was built)", got)
 	}
 	st := srv.cur.Load()
 	if _, ok := st.landmarks.algos[weboftrust.PropagateAppleseed].peek(); !ok {
-		t.Fatal("refreshed appleseed sketch not installed eagerly")
+		t.Fatal("swap did not warm the appleseed sketch its predecessor had built")
 	}
 	for _, algo := range []weboftrust.PropagationAlgo{weboftrust.PropagateMoleTrust, weboftrust.PropagateTidalTrust} {
 		if _, ok := st.landmarks.algos[algo].peek(); ok {
@@ -156,7 +156,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 			t.Errorf("post-swap[%d] = %+v, want {%d %v}", i, resp.Results[i], rk.User, rk.Score)
 		}
 	}
-	// The rebuilt sketch agrees with a from-scratch build on the new
+	// The warmed sketch agrees with a from-scratch build on the new
 	// model under the new selection.
 	fresh, err := newModel.BuildLandmarkSketch(weboftrust.PropagateAppleseed, st.landmarks.ids.get())
 	if err != nil {
@@ -165,22 +165,22 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	for i := range fresh.Landmarks() {
 		fv, rv := fresh.Vector(i), sk.Vector(i)
 		if len(fv) != len(rv) {
-			t.Fatalf("landmark %d: refreshed len %d, fresh len %d", i, len(rv), len(fv))
+			t.Fatalf("landmark %d: warmed len %d, fresh len %d", i, len(rv), len(fv))
 		}
 		for v := range fv {
 			if fv[v] != rv[v] {
-				t.Fatalf("landmark %d vec[%d]: rebuilt %v, fresh %v",
+				t.Fatalf("landmark %d vec[%d]: warmed %v, fresh %v",
 					i, v, rv[v], fv[v])
 			}
 		}
 	}
 
-	// Metrics: the gauge reports the derived selection size.
+	// Metrics: both builds are counted and timed, and the gauge reports
+	// the derived selection size.
 	body := get(t, h, "/metrics").Body.String()
 	for _, name := range []string{
-		"trustd_landmark_builds_total",
-		"trustd_landmark_refreshes_total",
-		"trustd_landmark_refresh_seconds",
+		"trustd_landmark_builds_total 2",
+		"trustd_landmark_build_seconds",
 		"trustd_landmark_count",
 	} {
 		if !strings.Contains(body, name) {

@@ -8,11 +8,11 @@ import (
 // lazy holds one per-state artifact — the rank vector, the anomaly
 // scores, the landmark selection, a landmark sketch — through the
 // lifecycle they all share. Each computes on first use, keeping the work
-// off the boot path; a parent-matched swap installs an eagerly refreshed
-// anomaly vector or landmark sketch with ready before the state is
-// published. get computes at most once and coalesces concurrent callers;
-// peek reports the value only if it already exists, so a metrics scrape
-// never forces work. The value is immutable once present.
+// off the boot path; a swap forces, before publishing, the holders its
+// predecessor had forced (Server.newState). get computes at most once
+// and coalesces concurrent callers; peek reports the value only if it
+// already exists, so a metrics scrape never forces work. The value is
+// immutable once present.
 type lazy[T any] struct {
 	once    sync.Once
 	done    atomic.Bool
@@ -27,20 +27,12 @@ func newLazy[T any](compute func() T) *lazy[T] {
 
 // get returns the value, computing it on first use.
 func (l *lazy[T]) get() T {
-	l.once.Do(func() { l.set(l.compute()) })
+	l.once.Do(func() {
+		l.v = l.compute()
+		l.compute = nil
+		l.done.Store(true)
+	})
 	return l.v
-}
-
-// ready installs v without running compute — the eager swap path. It has
-// no effect once the value exists.
-func (l *lazy[T]) ready(v T) {
-	l.once.Do(func() { l.set(v) })
-}
-
-func (l *lazy[T]) set(v T) {
-	l.v = v
-	l.compute = nil
-	l.done.Store(true)
 }
 
 // peek returns the value only if it already exists; it never computes.
@@ -51,4 +43,13 @@ func (l *lazy[T]) peek() (T, bool) {
 		return zero, false
 	}
 	return l.v, true
+}
+
+// warm forces next through get if prev's value exists: the swap rule
+// that carries a predecessor's forced artifacts, and only those, over to
+// the state replacing it.
+func warm[T any](prev, next *lazy[T]) {
+	if _, ok := prev.peek(); ok {
+		next.get()
+	}
 }

@@ -76,27 +76,3 @@ func TestLazyPeekNeverForces(t *testing.T) {
 		t.Fatal("nil holder peeks present")
 	}
 }
-
-// TestLazyReady pins the eager path: ready(v) peeks present at once and
-// get returns v without computing; a ready after the value exists
-// changes nothing.
-func TestLazyReady(t *testing.T) {
-	var calls atomic.Int32
-	l := newLazy(func() int { calls.Add(1); return 7 })
-	l.ready(42)
-	if v, ok := l.peek(); !ok || v != 42 {
-		t.Fatalf("peek after ready = %v, %v; want 42, true", v, ok)
-	}
-	if v := l.get(); v != 42 {
-		t.Fatalf("get after ready = %v, want 42", v)
-	}
-	if c := calls.Load(); c != 0 {
-		t.Fatalf("get after ready ran compute %d times", c)
-	}
-	computed := newLazy(func() int { calls.Add(1); return 7 })
-	computed.get()
-	computed.ready(42)
-	if v := computed.get(); v != 7 {
-		t.Fatalf("ready after get replaced the value: %v", v)
-	}
-}

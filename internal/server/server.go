@@ -55,12 +55,11 @@ type state struct {
 	// rank is the state's global EigenTrust vector, solved cold on first
 	// use.
 	rank *lazy[rankVec]
-	// anomaly is the state's per-user suspicion scores: lazy cold for
-	// root states, eagerly refreshed across parent-matched swaps.
+	// anomaly is the state's per-user suspicion scores, computed cold on
+	// first use.
 	anomaly *lazy[*anomaly.Scores]
-	// landmarks is the state's landmark sketches for the
-	// `?approx=landmark` propagation mode, with the same lazy-cold /
-	// eager-rebuild lifecycle as anomaly.
+	// landmarks is the state's landmark selection and sketches for the
+	// `?approx=landmark` propagation mode, each built cold on first use.
 	landmarks *landmarkState
 }
 
@@ -167,20 +166,13 @@ type metrics struct {
 	propagateComputes  atomic.Int64
 	propagateNanos     atomic.Int64
 	propagateLastNanos atomic.Int64
-	// Swap instrumentation: result-cache entries the swaps discarded, and
-	// the web rows the last swap recomputed (-1 when the swap was a full
-	// rebuild).
-	cacheDropped   atomic.Int64
-	graphDeltaRows atomic.Int64
-	// Anomaly-scoring instrumentation: full cold scoring passes vs
-	// incremental swap-time refreshes.
-	anomalyComputes  atomic.Int64
-	anomalyRefreshes atomic.Int64
-	// Landmark sketches: cold builds, eager swap-time refreshes, and the
-	// cumulative wall-clock both spend.
-	landmarkBuilds       atomic.Int64
-	landmarkRefreshes    atomic.Int64
-	landmarkRefreshNanos atomic.Int64
+	// cacheDropped counts the result-cache entries the swaps discarded.
+	cacheDropped atomic.Int64
+	// anomalyComputes counts anomaly scoring passes.
+	anomalyComputes atomic.Int64
+	// Landmark sketches: builds and the cumulative wall-clock they spend.
+	landmarkBuilds     atomic.Int64
+	landmarkBuildNanos atomic.Int64
 	// Robustness instrumentation: compute queries shed with 429 under the
 	// in-flight bound, and tail polls that failed transiently (log
 	// temporarily unreadable) and were retried with backoff instead of
@@ -240,13 +232,13 @@ func (s *Server) SetReadyTarget(offset int64) { s.readyTarget.Store(offset) }
 
 // newState builds the immutable serving state for a model. Every state
 // starts with an empty result cache: the swap discards the
-// predecessor's answers wholesale. When prev is the state being replaced
-// AND the model was produced by core.Update FROM prev's model (parent id
-// match), the swap is incremental: the new state installs eagerly
-// refreshed anomaly scores and rebuilds the landmark sketches prev had
-// built. Root states (boot, restore, full rebuilds) compute both lazily,
-// and every state solves its rank vector cold on first use, so each
-// artifact is a function of the state's model alone.
+// predecessor's answers wholesale. Its per-state artifacts — the rank
+// vector, the anomaly scores, the landmark selection and each landmark
+// sketch — compute lazily on first use, as a function of the model
+// alone. One warm rule carries demand across a swap: before the state is
+// published, it forces exactly the artifacts prev had forced, through
+// the same get the query path uses, so a swap computes nothing its
+// predecessor's traffic did not ask for.
 func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version uint64, prev *state) *state {
 	st := &state{
 		model:   model,
@@ -259,28 +251,16 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		anomaly: s.lazyAnomaly(model),
 	}
 	st.landmarks = s.lazyLandmarks(st)
-	var dirty []bool
-	if prev != nil {
-		s.metrics.cacheDropped.Add(int64(prev.results.len()))
-		if model.ParentID() != 0 && model.ParentID() == prev.model.ID() {
-			dirty = model.DirtyUsers()
-		}
-	}
-	if dirty == nil {
-		s.metrics.graphDeltaRows.Store(-1)
+	if prev == nil {
 		return st
 	}
-	var deltaRows int64
-	for _, d := range dirty {
-		if d {
-			deltaRows++
-		}
+	s.metrics.cacheDropped.Add(int64(prev.results.len()))
+	warm(prev.rank, st.rank)
+	warm(prev.anomaly, st.anomaly)
+	warm(prev.landmarks.ids, st.landmarks.ids)
+	for a := range st.landmarks.algos {
+		warm(prev.landmarks.algos[a], st.landmarks.algos[a])
 	}
-	s.metrics.graphDeltaRows.Store(deltaRows)
-	// Anomaly scores: force the predecessor's and advance them over the
-	// delta on the ingest goroutine (bit-identical to a cold pass).
-	st.anomaly.ready(s.refreshAnomaly(model, prev, dirty))
-	s.refreshLandmarks(st, prev)
 	return st
 }
 
@@ -352,8 +332,8 @@ func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []f
 		fillAnomaly(st, dst)
 	case kindAppleseedLandmark, kindMoleTrustLandmark, kindTidalTrustLandmark:
 		// Landmark composition instead of a traversal: O(L·U) over the
-		// state's sketch (built lazily on the first landmark query of
-		// this algorithm, eagerly refreshed across incremental swaps).
+		// state's sketch (built on the first landmark query of this
+		// algorithm, or before publish when the predecessor had built it).
 		algo := weboftrust.PropagationAlgo(kind - kindAppleseedLandmark)
 		sk := st.landmarks.algos[algo].get()
 		if err := st.model.ComposeLandmarks(sk, u, dst); err != nil {
@@ -1020,7 +1000,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("trustd_row_computes_total", "Trust rows actually evaluated (misses minus coalesced flights).", s.metrics.rowComputes.Load())
 	counter("trustd_swaps_total", "Model swaps performed by ingest.", s.metrics.swaps.Load())
 	counter("trustd_cache_carryover_dropped_total", "Result-cache entries discarded at swaps (every swap starts an empty cache).", s.metrics.cacheDropped.Load())
-	gauge("trustd_graph_delta_rows", "Web rows the last swap recomputed; -1 when the last swap was a full rebuild.", s.metrics.graphDeltaRows.Load())
 	counter("trustd_events_ingested_total", "Event-log records ingested since start.", s.metrics.eventsIngested.Load())
 	counter("trustd_log_truncated_reads_total", "Tail reads that hit a torn final record.", s.metrics.truncatedReads.Load())
 	// State-derived gauges are absent while a pending server awaits its
@@ -1064,17 +1043,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				sc.MaxScore())
 		}
 	}
-	counter("trustd_anomaly_computes_total", "Full anomaly scoring passes (cold states).", s.metrics.anomalyComputes.Load())
-	counter("trustd_anomaly_refreshes_total", "Incremental anomaly refreshes performed at swap time.", s.metrics.anomalyRefreshes.Load())
+	counter("trustd_anomaly_computes_total", "Anomaly scoring passes.", s.metrics.anomalyComputes.Load())
 	fmt.Fprintf(w, "# HELP trustd_propagate_requests_total Propagation queries served, by algorithm.\n# TYPE trustd_propagate_requests_total counter\n")
 	for i, algo := range []string{"appleseed", "moletrust", "tidaltrust"} {
 		fmt.Fprintf(w, "trustd_propagate_requests_total{algo=%q} %d\n", algo, s.metrics.propagateRequests[i].Load())
 	}
 	counter("trustd_propagate_computes_total", "Propagation rank vectors actually computed (cache misses minus coalesced flights).", s.metrics.propagateComputes.Load())
-	counter("trustd_landmark_builds_total", "Landmark sketches built cold (first landmark query of a state).", s.metrics.landmarkBuilds.Load())
-	counter("trustd_landmark_refreshes_total", "Landmark sketches eagerly refreshed across incremental swaps.", s.metrics.landmarkRefreshes.Load())
-	fmt.Fprintf(w, "# HELP trustd_landmark_refresh_seconds Cumulative wall-clock spent building and refreshing landmark sketches.\n# TYPE trustd_landmark_refresh_seconds counter\ntrustd_landmark_refresh_seconds %g\n",
-		float64(s.metrics.landmarkRefreshNanos.Load())/1e9)
+	counter("trustd_landmark_builds_total", "Landmark sketches built.", s.metrics.landmarkBuilds.Load())
+	fmt.Fprintf(w, "# HELP trustd_landmark_build_seconds Cumulative wall-clock spent building landmark sketches.\n# TYPE trustd_landmark_build_seconds counter\ntrustd_landmark_build_seconds %g\n",
+		float64(s.metrics.landmarkBuildNanos.Load())/1e9)
 	if st != nil {
 		gauge("trustd_landmark_count", "Landmark hubs configured (selected count once derived).", int64(st.landmarks.size()))
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -769,32 +768,6 @@ func TestTailerPoisonedByInvalidEvent(t *testing.T) {
 	}
 	if _, _, version := srv.Current(); version != 1 {
 		t.Errorf("version = %d, want 1 (no swap from a poisoned log)", version)
-	}
-}
-
-func TestLoadgenAgainstLiveServer(t *testing.T) {
-	srv, _, _ := openServer(t)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	report, err := RunLoadgen(context.Background(), LoadgenConfig{
-		BaseURL:     ts.URL,
-		Duration:    300 * time.Millisecond,
-		Concurrency: 3,
-		K:           5,
-		Seed:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Requests == 0 {
-		t.Error("loadgen made no requests")
-	}
-	if report.Errors != 0 {
-		t.Errorf("loadgen saw %d errors", report.Errors)
-	}
-	if report.P50 <= 0 || report.Max < report.P99 {
-		t.Errorf("implausible latency report: %+v", report)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,5 +182,77 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 				t.Fatalf("swap %d %s:\nserved %s\ncold   %s", swap, url, g, w)
 			}
 		}
+	}
+}
+
+// forcedHolders names the per-state artifacts st has computed, peeking
+// only.
+func forcedHolders(st *state) []string {
+	var names []string
+	if _, ok := st.rank.peek(); ok {
+		names = append(names, "rank")
+	}
+	if _, ok := st.anomaly.peek(); ok {
+		names = append(names, "anomaly")
+	}
+	if _, ok := st.landmarks.ids.peek(); ok {
+		names = append(names, "landmark ids")
+	}
+	for _, algo := range allAlgos {
+		if _, ok := st.landmarks.algos[algo].peek(); ok {
+			names = append(names, algo.String()+" sketch")
+		}
+	}
+	return names
+}
+
+// TestSwapWarmsOnlyForcedHolders pins the swap's one warm rule: before
+// publishing, a swap forces exactly the per-state artifacts its
+// predecessor had forced. Three swaps under top-k and exact propagation
+// traffic force nothing and score no anomalies; once rank, anomaly and
+// the appleseed sketch are forced, the next swap publishes a state
+// holding exactly those plus the landmark selection the sketch needs,
+// with the moletrust and tidaltrust sketches still lazy.
+func TestSwapWarmsOnlyForcedHolders(t *testing.T) {
+	path, d := writeLogFile(t)
+	srv, tailer, err := Open(path, time.Hour, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	query := func(urls ...string) {
+		t.Helper()
+		for _, url := range urls {
+			if rec := get(t, h, url); rec.Code != 200 {
+				t.Fatalf("%s: %d %s", url, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	chain := newChainLog(d, 16)
+	poll := func() {
+		t.Helper()
+		evs := chain.batch()
+		appendEvents(t, path, evs)
+		if n, err := tailer.Poll(); err != nil || n != len(evs) {
+			t.Fatalf("poll n=%d err=%v, want %d events", n, err, len(evs))
+		}
+	}
+
+	for range 3 {
+		query("/v1/topk?user=3", "/v1/propagate?algo=appleseed&user=3")
+		poll()
+	}
+	if got := forcedHolders(srv.cur.Load()); len(got) != 0 {
+		t.Errorf("three swaps without rank, anomaly or landmark traffic forced %v", got)
+	}
+	if m := get(t, h, "/metrics").Body.String(); !strings.Contains(m, "\ntrustd_anomaly_computes_total 0\n") {
+		t.Errorf("swaps scored anomalies nobody queried: trustd_anomaly_computes_total %d, want 0", srv.metrics.anomalyComputes.Load())
+	}
+
+	query("/v1/rank?k=5", "/v1/anomaly?user=3", "/v1/propagate?algo=appleseed&user=3&approx=landmark")
+	poll()
+	got, want := forcedHolders(srv.cur.Load()), []string{"rank", "anomaly", "landmark ids", "appleseed sketch"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("swap after forcing rank, anomaly and the appleseed sketch warmed %v, want %v", got, want)
 	}
 }

@@ -4,8 +4,9 @@
 # next to the machine shape they were measured on rather than asserted
 # in prose.
 #
-# Usage: scripts/bench.sh [output.json]
-#   BENCH_OUT     output path when no argument is given (default BENCH_pr10.json)
+# Usage: scripts/bench.sh OUTPUT.json
+#   OUTPUT.json   required: name it per change (BENCH_prN.json), so a run
+#                 never overwrites a baseline scripts/check_allocs.sh reads
 #   BENCH_SUITE   suite label recorded in the JSON (default: output basename)
 #   BENCH_COUNT   repetitions per benchmark (default 5)
 #   BENCH_FILTER  benchmark regexp (default: scripts/bench_filter.txt, the list
@@ -13,7 +14,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-${BENCH_OUT:-BENCH_pr10.json}}"
+if [ $# -ne 1 ]; then
+	echo "usage: scripts/bench.sh OUTPUT.json" >&2
+	exit 2
+fi
+out="$1"
 suite="${BENCH_SUITE:-$(basename "$out" .json)}"
 count="${BENCH_COUNT:-5}"
 filter="${BENCH_FILTER:-$(cat scripts/bench_filter.txt)}"
@@ -29,6 +34,7 @@ awk -v out="$out" -v suite="$suite" -v count="$count" '
 /^cpu:/     { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ && / ns\/op/ {
 	name = $1
+	sub(/-[0-9]+$/, "", name) # drop the GOMAXPROCS suffix
 	entry = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s", name, $2, $3)
 	for (i = 4; i < NF; i++) {
 		if ($(i + 1) == "B/op")      entry = entry sprintf(", \"b_per_op\": %s", $i)

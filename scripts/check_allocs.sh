@@ -1,29 +1,45 @@
 #!/usr/bin/env bash
-# check_allocs.sh is the CI allocation guard for the serving hot path: it
-# runs the cached-hit benchmarks and fails if allocs/op regress above
-# their recorded baselines, so those wins cannot silently erode as the
-# serving surface grows. Guarded:
-#   BenchmarkServerTopK      vs BENCH_pr3.json  (34 allocs/op — pooled
+# check_allocs.sh is the CI bench guard. It fails if the serving hot
+# path's allocs/op regress above their recorded baselines, or if the
+# ingest tick's time regresses against the pipeline, so neither win can
+# silently erode as the serving surface grows. Guarded:
+#   BenchmarkServerTopK      allocs/op vs BENCH_pr3.json  (34 — pooled
 #                            scratch + heap selection)
-#   BenchmarkServerPropagate vs BENCH_pr10.json (cached propagate hit —
-#                            the path every repeated propagate query takes)
+#   BenchmarkServerPropagate allocs/op vs BENCH_pr10.json (cached propagate
+#                            hit — the path every repeated propagate query
+#                            takes)
+#   BenchmarkIngestSwap      ns/op as a multiple of the in-run reference
+#                            BenchmarkPipelineRun/workers=1, vs the multiple
+#                            in BENCH_pr16.json. Both run on one runner in
+#                            adjacent pairs, so the runner's speed cancels.
 #
 # Usage: scripts/check_allocs.sh
 #   ALLOC_BASELINE_FILE            BenchmarkServerTopK baseline JSON (default BENCH_pr3.json)
 #   ALLOC_PROPAGATE_BASELINE_FILE  BenchmarkServerPropagate baseline JSON (default BENCH_pr10.json)
-#   ALLOC_BENCHTIME                iterations for the measurement (default 200x)
+#   ALLOC_BENCHTIME                iterations for the alloc measurement (default 200x)
+#   TIME_BASELINE_FILE             BenchmarkIngestSwap baseline JSON (default BENCH_pr16.json)
+#   TIME_BENCHTIME                 iterations per time measurement (default 20x)
+#   TIME_COUNT                     adjacent measurement pairs; medians compared (default 5)
+#   TIME_SLACK                     allowed growth of the ratio (default 1.25)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${ALLOC_BENCHTIME:-200x}"
 fail=0
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# recorded FILE NAME FIELD prints every FIELD figure (allocs_per_op,
+# ns_per_op) recorded for Benchmark$NAME in a BENCH JSON file.
+recorded() {
+	grep -o "\"name\": \"Benchmark$2\"[^}]*" "$1" | grep -o "\"$3\": [0-9]*" | awk '{print $2}'
+}
 
 # guard NAME BASELINE_FILE — measure Benchmark$NAME (anchored) and compare
 # its allocs/op against the lowest figure recorded for it in the baseline.
 guard() {
 	local name="$1" baseline_file="$2" baseline current
-	baseline="$(grep -o "\"name\": \"Benchmark${name}\"[^}]*" "$baseline_file" |
-		grep -o '"allocs_per_op": [0-9]*' | awk '{print $2}' | sort -n | head -1)"
+	baseline="$(recorded "$baseline_file" "$name" allocs_per_op | sort -n | head -1)"
 	if [ -z "$baseline" ]; then
 		echo "check_allocs: no Benchmark${name} baseline in $baseline_file" >&2
 		return 2
@@ -41,8 +57,57 @@ guard() {
 	fi
 }
 
+# median prints the median of the numbers on stdin, one per line.
+median() {
+	sort -n | awk '{v[NR] = $1} END {if (NR) print v[int((NR + 1) / 2)]}'
+}
+
+# measured_ns BINARY PATTERN prints the ns/op of one run of the benchmarks
+# PATTERN selects (one benchmark) from a compiled test binary.
+measured_ns() {
+	"$1" -test.run '^$' -test.bench "$2" -test.benchtime "${TIME_BENCHTIME:-20x}" -test.timeout 10m |
+		awk '/^Benchmark/ && / ns\/op/ {print $3}'
+}
+
+# time_guard NAME REF BASELINE_FILE — time Benchmark$NAME against the
+# reference Benchmark$REF (TOP/SUB) in TIME_COUNT adjacent pairs from one
+# test binary, and fail if NAME's median ns/op as a multiple of REF's
+# exceeds the multiple recorded in the baseline by more than TIME_SLACK.
+# Both run at the default GOMAXPROCS, as the baseline's did; a runner with
+# more CPUs than the recording host only lowers NAME's multiple.
+time_guard() {
+	local name="$1" ref="$2" baseline_file="$3" slack="${TIME_SLACK:-1.25}"
+	local base bin i an="" rn="" a r cur
+	bin="$tmp/bench.test"
+	base="$(awk -v n="$(recorded "$baseline_file" "$name" ns_per_op | median)" \
+		-v r="$(recorded "$baseline_file" "$ref" ns_per_op | median)" \
+		'BEGIN {if (n > 0 && r > 0) printf "%.3f", n / r}')"
+	if [ -z "$base" ]; then
+		echo "check_allocs: no Benchmark${name} / Benchmark${ref} ns/op baseline in $baseline_file" >&2
+		return 2
+	fi
+	go test -c -o "$bin" .
+	for i in $(seq "${TIME_COUNT:-5}"); do
+		an+="$(measured_ns "$bin" "^Benchmark${name}\$")"$'\n'
+		rn+="$(measured_ns "$bin" "^Benchmark${ref%%/*}\$/^${ref#*/}\$")"$'\n'
+	done
+	a="$(median <<<"$an")"
+	r="$(median <<<"$rn")"
+	if [ -z "$a" ] || [ -z "$r" ]; then
+		echo "check_allocs: Benchmark${name} or Benchmark${ref} produced no ns/op figure" >&2
+		return 2
+	fi
+	cur="$(awk -v a="$a" -v r="$r" 'BEGIN {printf "%.3f", a / r}')"
+	echo "Benchmark${name} ns/op: current=$a = ${cur}x Benchmark${ref} ($r), baseline=${base}x, slack=${slack}"
+	if awk -v c="$cur" -v b="$base" -v s="$slack" 'BEGIN {exit !(c > b * s)}'; then
+		echo "check_allocs: FAIL — Benchmark${name} time regressed: ${cur}x Benchmark${ref} is over ${slack} × the ${base}x in $baseline_file" >&2
+		return 1
+	fi
+}
+
 guard ServerTopK "${ALLOC_BASELINE_FILE:-BENCH_pr3.json}" || fail=$?
 guard ServerPropagate "${ALLOC_PROPAGATE_BASELINE_FILE:-BENCH_pr10.json}" || fail=$?
+time_guard IngestSwap PipelineRun/workers=1 "${TIME_BASELINE_FILE:-BENCH_pr16.json}" || fail=$?
 
 if [ "$fail" -ne 0 ]; then
 	exit "$fail"
