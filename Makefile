@@ -21,7 +21,6 @@ race: build
 # $(BENCH_OUT) alongside the machine's shape. BENCH_OUT has no default:
 # name the file per change, e.g. make bench BENCH_OUT=BENCH_pr16.json.
 bench:
-	@test -n "$(BENCH_OUT)" || { echo "usage: make bench BENCH_OUT=BENCH_prN.json" >&2; exit 2; }
 	BENCH_COUNT=$(BENCH_COUNT) BENCH_FILTER='$(BENCH_FILTER)' ./scripts/bench.sh $(BENCH_OUT)
 
 # bench-smoke is the CI guard: every benchmark bench records must still

@@ -47,7 +47,8 @@ func (l *lazy[T]) peek() (T, bool) {
 
 // warm forces next through get if prev's value exists: the swap rule
 // that carries a predecessor's forced artifacts, and only those, over to
-// the state replacing it.
+// the state replacing it. The rule is sticky: next's value now exists
+// too, so the swap after it warms the artifact again, queried or not.
 func warm[T any](prev, next *lazy[T]) {
 	if _, ok := prev.peek(); ok {
 		next.get()

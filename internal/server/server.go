@@ -237,8 +237,9 @@ func (s *Server) SetReadyTarget(offset int64) { s.readyTarget.Store(offset) }
 // sketch — compute lazily on first use, as a function of the model
 // alone. One warm rule carries demand across a swap: before the state is
 // published, it forces exactly the artifacts prev had forced, through
-// the same get the query path uses, so a swap computes nothing its
-// predecessor's traffic did not ask for.
+// the same get the query path uses. A warmed artifact counts as forced,
+// so once a query forces one, every later swap warms it until restart;
+// a swap computes no artifact that no query has asked for since boot.
 func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version uint64, prev *state) *state {
 	st := &state{
 		model:   model,

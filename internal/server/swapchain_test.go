@@ -212,7 +212,8 @@ func forcedHolders(st *state) []string {
 // traffic force nothing and score no anomalies; once rank, anomaly and
 // the appleseed sketch are forced, the next swap publishes a state
 // holding exactly those plus the landmark selection the sketch needs,
-// with the moletrust and tidaltrust sketches still lazy.
+// with the moletrust and tidaltrust sketches still lazy. The rule is
+// sticky: a swap after no query at all warms the same holders again.
 func TestSwapWarmsOnlyForcedHolders(t *testing.T) {
 	path, d := writeLogFile(t)
 	srv, tailer, err := Open(path, time.Hour, Options{})
@@ -251,8 +252,16 @@ func TestSwapWarmsOnlyForcedHolders(t *testing.T) {
 
 	query("/v1/rank?k=5", "/v1/anomaly?user=3", "/v1/propagate?algo=appleseed&user=3&approx=landmark")
 	poll()
-	got, want := forcedHolders(srv.cur.Load()), []string{"rank", "anomaly", "landmark ids", "appleseed sketch"}
-	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+	want := []string{"rank", "anomaly", "landmark ids", "appleseed sketch"}
+	if got := forcedHolders(srv.cur.Load()); strings.Join(got, ", ") != strings.Join(want, ", ") {
 		t.Errorf("swap after forcing rank, anomaly and the appleseed sketch warmed %v, want %v", got, want)
+	}
+
+	poll()
+	if got := forcedHolders(srv.cur.Load()); strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("unqueried swap after a warmed one warmed %v, want %v", got, want)
+	}
+	if got := srv.metrics.anomalyComputes.Load(); got != 3 {
+		t.Errorf("trustd_anomaly_computes_total %d, want 3: the query, then one warm per swap", got)
 	}
 }

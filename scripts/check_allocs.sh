@@ -11,16 +11,14 @@
 #   BenchmarkIngestSwap      ns/op as a multiple of the in-run reference
 #                            BenchmarkPipelineRun/workers=1, vs the multiple
 #                            in BENCH_pr16.json. Both run on one runner in
-#                            adjacent pairs, so the runner's speed cancels.
+#                            5 adjacent pairs of 20 iterations, so the
+#                            runner's speed cancels; the ratio of medians
+#                            may grow by at most 1.25×.
 #
 # Usage: scripts/check_allocs.sh
 #   ALLOC_BASELINE_FILE            BenchmarkServerTopK baseline JSON (default BENCH_pr3.json)
 #   ALLOC_PROPAGATE_BASELINE_FILE  BenchmarkServerPropagate baseline JSON (default BENCH_pr10.json)
 #   ALLOC_BENCHTIME                iterations for the alloc measurement (default 200x)
-#   TIME_BASELINE_FILE             BenchmarkIngestSwap baseline JSON (default BENCH_pr16.json)
-#   TIME_BENCHTIME                 iterations per time measurement (default 20x)
-#   TIME_COUNT                     adjacent measurement pairs; medians compared (default 5)
-#   TIME_SLACK                     allowed growth of the ratio (default 1.25)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,27 +55,28 @@ guard() {
 	fi
 }
 
-# median prints the median of the numbers on stdin, one per line.
+# median prints the median of the numbers on stdin, one per line; blank
+# lines are skipped.
 median() {
-	sort -n | awk '{v[NR] = $1} END {if (NR) print v[int((NR + 1) / 2)]}'
+	sort -n | awk 'NF {v[++n] = $1} END {if (n) print v[int((n + 1) / 2)]}'
 }
 
 # measured_ns BINARY PATTERN prints the ns/op of one run of the benchmarks
 # PATTERN selects (one benchmark) from a compiled test binary.
 measured_ns() {
-	"$1" -test.run '^$' -test.bench "$2" -test.benchtime "${TIME_BENCHTIME:-20x}" -test.timeout 10m |
+	"$1" -test.run '^$' -test.bench "$2" -test.benchtime 20x -test.timeout 10m |
 		awk '/^Benchmark/ && / ns\/op/ {print $3}'
 }
 
 # time_guard NAME REF BASELINE_FILE — time Benchmark$NAME against the
-# reference Benchmark$REF (TOP/SUB) in TIME_COUNT adjacent pairs from one
-# test binary, and fail if NAME's median ns/op as a multiple of REF's
-# exceeds the multiple recorded in the baseline by more than TIME_SLACK.
-# Both run at the default GOMAXPROCS, as the baseline's did; a runner with
-# more CPUs than the recording host only lowers NAME's multiple.
+# reference Benchmark$REF (TOP/SUB) in 5 adjacent pairs from one test
+# binary, and fail if NAME's median ns/op as a multiple of REF's exceeds
+# the multiple recorded in the baseline by more than 1.25×. Both run at
+# the default GOMAXPROCS, as the baseline's did; a runner with more CPUs
+# than the recording host only lowers NAME's multiple.
 time_guard() {
-	local name="$1" ref="$2" baseline_file="$3" slack="${TIME_SLACK:-1.25}"
-	local base bin i an="" rn="" a r cur
+	local name="$1" ref="$2" baseline_file="$3" slack=1.25
+	local base bin i a r cur
 	bin="$tmp/bench.test"
 	base="$(awk -v n="$(recorded "$baseline_file" "$name" ns_per_op | median)" \
 		-v r="$(recorded "$baseline_file" "$ref" ns_per_op | median)" \
@@ -87,12 +86,12 @@ time_guard() {
 		return 2
 	fi
 	go test -c -o "$bin" .
-	for i in $(seq "${TIME_COUNT:-5}"); do
-		an+="$(measured_ns "$bin" "^Benchmark${name}\$")"$'\n'
-		rn+="$(measured_ns "$bin" "^Benchmark${ref%%/*}\$/^${ref#*/}\$")"$'\n'
+	for i in 1 2 3 4 5; do
+		measured_ns "$bin" "^Benchmark${name}\$" >>"$tmp/name.ns"
+		measured_ns "$bin" "^Benchmark${ref%%/*}\$/^${ref#*/}\$" >>"$tmp/ref.ns"
 	done
-	a="$(median <<<"$an")"
-	r="$(median <<<"$rn")"
+	a="$(median <"$tmp/name.ns")"
+	r="$(median <"$tmp/ref.ns")"
 	if [ -z "$a" ] || [ -z "$r" ]; then
 		echo "check_allocs: Benchmark${name} or Benchmark${ref} produced no ns/op figure" >&2
 		return 2
@@ -107,7 +106,7 @@ time_guard() {
 
 guard ServerTopK "${ALLOC_BASELINE_FILE:-BENCH_pr3.json}" || fail=$?
 guard ServerPropagate "${ALLOC_PROPAGATE_BASELINE_FILE:-BENCH_pr10.json}" || fail=$?
-time_guard IngestSwap PipelineRun/workers=1 "${TIME_BASELINE_FILE:-BENCH_pr16.json}" || fail=$?
+time_guard IngestSwap PipelineRun/workers=1 BENCH_pr16.json || fail=$?
 
 if [ "$fail" -ne 0 ]; then
 	exit "$fail"
