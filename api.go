@@ -26,7 +26,7 @@ type Ranked = core.Ranked
 
 // Web is the binarised web of trust derived from the continuous matrix:
 // the paper's end product, carried as a pipeline artifact (generosity
-// vector, per-user edge rows, CSR graph form) and maintained
+// vector and the CSR graph that stores its edges) and maintained
 // incrementally through Update.
 type Web = core.Web
 
@@ -115,17 +115,15 @@ func WithWebColdStartGenerosity(k float64) Option {
 	}
 }
 
-// WithShard makes the model shard index of count in an N-way
-// shard-by-source deployment: the pipeline still computes the complete
-// model (global artifacts and the replicated web graph need every user's
-// events), but dense per-source state — affinity rows, web edge rows —
-// is retained only for the users the shard owns under the consistent
-// hash, cutting steady-state memory to ~1/count. Owned sources are
-// answered bitwise-identically to an unsharded model; unowned sources
-// panic at the dense accessors, so serving layers must route by
-// ownership (see ShardSpec/Owns and the internal/router package). Like
-// WithWorkers, the spec is excluded from the configuration fingerprint:
-// it changes what is kept, never what is computed.
+// WithShard makes the model answer for shard index of count in an N-way
+// shard-by-source deployment: Owns reports the sources the cluster's
+// consistent hash assigns it (see internal/shard), and serving layers
+// answer only those (trustd replies 421 for the rest; internal/router
+// sends each source to its owner). The option is a serving filter only:
+// the model derives, updates, checkpoints and restores exactly what an
+// unsharded model does, because a query from one source still walks the
+// whole web. Like WithWorkers, the spec is excluded from the
+// configuration fingerprint.
 func WithShard(index, count int) Option {
 	return func(c *core.Config) error {
 		sp := shard.Spec{Index: index, Count: count}
@@ -162,10 +160,6 @@ type TrustModel struct {
 	cfg       core.Config
 	dataset   *ratings.Dataset
 	artifacts *core.Artifacts
-	// scratch carries the reusable Update buffers down the chain of
-	// models an ingest loop produces; core.Scratch serialises concurrent
-	// use internally.
-	scratch *core.Scratch
 	// webOnce/webLazy back WebOfTrust for restored models, whose
 	// artifacts deliberately arrive without the graph (see Restore): the
 	// first graph consumer — a propagation query, or the first
@@ -188,7 +182,7 @@ func Derive(d *Dataset, opts ...Option) (*TrustModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch)}, nil
+	return &TrustModel{cfg: cfg, dataset: d, artifacts: art}, nil
 }
 
 func resolveConfig(opts []Option) (core.Config, error) {
@@ -199,15 +193,6 @@ func resolveConfig(opts []Option) (core.Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// ResolveConfig applies the options to the default configuration and
-// returns the result — how persistence layers learn what a Derive with
-// the same opts would be configured as (the shard spec a checkpoint must
-// match, the web policy a sharded bundle was graphed under) without
-// running the pipeline.
-func ResolveConfig(opts ...Option) (core.Config, error) {
-	return resolveConfig(opts)
 }
 
 // Fingerprint returns the configuration fingerprint Derive(…, opts...)
@@ -248,31 +233,24 @@ func Restore(d *Dataset, art *core.Artifacts, opts ...Option) (*TrustModel, erro
 		return nil, fmt.Errorf("weboftrust: Restore: %w", err)
 	}
 	if art.Trust == nil {
-		if cfg.Shard.IsSharded() {
-			// A sharded model's web graph cannot be rebuilt from its
-			// compact affinity matrix; per-shard checkpoints persist the
-			// graph and hand Restore fully rehydrated artifacts.
-			return nil, fmt.Errorf("weboftrust: Restore: sharded restore requires rehydrated artifacts (see core.RehydrateShardedArtifacts)")
-		}
 		rebuilt, err := core.RehydrateArtifacts(art.RiggsResults, art.Expertise, art.Affinity, cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("weboftrust: Restore: %w", err)
 		}
 		art = rebuilt
-	} else if got, want := art.Trust.ShardSpec(), cfg.Shard.Canon(); got != want {
-		return nil, fmt.Errorf("weboftrust: Restore: artifacts are shard %v, configuration says %v", got, want)
 	}
-	return &TrustModel{cfg: cfg, dataset: d, artifacts: art, scratch: new(core.Scratch)}, nil
+	return &TrustModel{cfg: cfg, dataset: d, artifacts: art}, nil
 }
 
 // Update derives a new model for a dataset that extends this model's —
 // the shape produced by replaying an append-only event log past the
 // position this model was built from. It re-solves the Step 1 fixed point
 // only for categories touched by the new activity and reuses the rest —
-// including the web-of-trust graph, whose edge rows are re-selected only
-// for users whose inputs changed and shared by reference otherwise — so
-// it is much cheaper than Derive on the grown dataset while producing
-// exactly the same model (it keeps the options Derive was called with).
+// including the web-of-trust rows, re-selected only for users whose
+// inputs changed and copied from this model's graph otherwise — so it is
+// much cheaper than Derive on the grown dataset while producing exactly
+// the same model (it keeps the options Derive was called with, shard
+// spec included).
 // The receiver is unchanged and remains valid: readers can keep querying
 // it while the replacement is prepared, then swap atomically.
 func (m *TrustModel) Update(newD *Dataset) (*TrustModel, error) {
@@ -280,25 +258,25 @@ func (m *TrustModel) Update(newD *Dataset) (*TrustModel, error) {
 	if art.Web == nil {
 		// A restored model defers its graph build to here (or to the
 		// first graph query): materialise it so the incremental web
-		// maintenance has a predecessor to share rows with.
+		// maintenance has a predecessor to copy rows from.
 		web := m.WebOfTrust()
 		cp := *art
 		cp.Web = web
 		art = &cp
 	}
-	art, err := m.cfg.UpdateScratch(art, m.dataset, newD, m.scratch)
+	art, err := m.cfg.Update(art, m.dataset, newD)
 	if err != nil {
 		return nil, err
 	}
-	return &TrustModel{cfg: m.cfg, dataset: newD, artifacts: art, scratch: m.scratch}, nil
+	return &TrustModel{cfg: m.cfg, dataset: newD, artifacts: art}, nil
 }
 
 // DirtyUsers returns, for a model produced by Update, the conservative
 // set of users whose derived web row (and so any per-source result) may
 // differ from the model Update was called on; users not marked are
-// provably unchanged — their rows are shared with that model by
-// reference. It returns nil for models built by Derive or Restore. The
-// slice is shared; do not modify it.
+// provably unchanged — Update copied their rows from that model's graph
+// instead of re-selecting them. It returns nil for models built by Derive
+// or Restore. The slice is shared; do not modify it.
 func (m *TrustModel) DirtyUsers() []bool {
 	if web, ok := m.WebOfTrustBuilt(); ok {
 		return web.DirtyUsers()
@@ -332,8 +310,7 @@ func (m *TrustModel) Expertise(u UserID) []float64 {
 }
 
 // Affinity returns user u's affiliation with every category, indexed by
-// CategoryID. The returned slice is shared; do not modify it. On a
-// sharded model it panics for sources the shard does not own.
+// CategoryID. The returned slice is shared; do not modify it.
 func (m *TrustModel) Affinity(u UserID) []float64 {
 	return m.artifacts.Trust.AffinityRow(u)
 }
@@ -341,15 +318,14 @@ func (m *TrustModel) Affinity(u UserID) []float64 {
 // ShardSpec returns this model's slice of the shard-by-source
 // deployment: (0, 1) for an unsharded model.
 func (m *TrustModel) ShardSpec() (index, count int) {
-	sp := m.artifacts.Trust.ShardSpec()
+	sp := m.cfg.Shard.Canon()
 	return sp.Index, sp.Count
 }
 
-// Owns reports whether this model holds user u's dense per-source state
-// — whether u is a source it can answer trust queries for. Always true
-// on an unsharded model.
+// Owns reports whether u is a source this model answers for under its
+// shard spec (see WithShard). Always true on an unsharded model.
 func (m *TrustModel) Owns(u UserID) bool {
-	return m.artifacts.Trust.Owns(u)
+	return m.cfg.Shard.Owns(int(u))
 }
 
 // ReviewQuality returns the converged quality of a review (eq. 1) and
@@ -384,7 +360,7 @@ func (m *TrustModel) Artifacts() *core.Artifacts { return m.artifacts }
 
 // WebOfTrust returns the binarised web-of-trust artifact: the graph the
 // propagation queries traverse. It is immutable and safe for concurrent
-// use; Update produces a successor web sharing untouched users' rows.
+// use; Update produces a successor web that copies untouched users' rows.
 // Models produced by Derive or Update carry the graph from the pipeline;
 // a restored model builds it here exactly once, on first use (the build
 // is deterministic, so the result is identical to the eager one —

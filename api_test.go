@@ -1,10 +1,13 @@
 package weboftrust_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"weboftrust"
 	"weboftrust/internal/ratings"
+	"weboftrust/internal/shard"
 	"weboftrust/internal/synth"
 )
 
@@ -423,6 +426,60 @@ func TestUpdateMaintainsWeb(t *testing.T) {
 		for i := range ut {
 			if ut[i] != ct[i] || uwts[i] != cwts[i] {
 				t.Fatalf("user %d edge %d differs", u, i)
+			}
+		}
+	}
+}
+
+// TestShardedDeriveKeepsFullModel pins sharding as a serving filter: for
+// N ∈ {2, 3}, every shard's model holds the same A, E, Riggs results,
+// graph and generosity as the unsharded model, and Owns follows the
+// spec, the shards' owned sets partitioning the community.
+func TestShardedDeriveKeepsFullModel(t *testing.T) {
+	d, _, err := synth.Generate(synth.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := weboftrust.Derive(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Artifacts()
+	for _, count := range []int{2, 3} {
+		owners := make([]int, d.NumUsers())
+		for idx := 0; idx < count; idx++ {
+			m, err := weboftrust.Derive(d, weboftrust.WithShard(idx, count))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.Artifacts()
+			if !got.Affinity.Equal(want.Affinity, 0) || !got.Expertise.Equal(want.Expertise, 0) {
+				t.Fatalf("shard %d/%d: A or E differs from the unsharded model", idx, count)
+			}
+			if !reflect.DeepEqual(got.RiggsResults, want.RiggsResults) {
+				t.Fatalf("shard %d/%d: Riggs results differ", idx, count)
+			}
+			if !slices.Equal(got.Web.GenerosityVector(), want.Web.GenerosityVector()) ||
+				got.Web.NumEdges() != want.Web.NumEdges() {
+				t.Fatalf("shard %d/%d: generosity or edge count differs", idx, count)
+			}
+			for u := 0; u < d.NumUsers(); u++ {
+				gt, gw := got.Web.Graph().Out(u)
+				wt, ww := want.Web.Graph().Out(u)
+				if !slices.Equal(gt, wt) || !slices.Equal(gw, ww) {
+					t.Fatalf("shard %d/%d: graph row %d differs", idx, count, u)
+				}
+				if m.Owns(weboftrust.UserID(u)) != (shard.Owner(u, count) == idx) {
+					t.Fatalf("shard %d/%d: Owns(%d) does not follow the spec", idx, count, u)
+				}
+				if m.Owns(weboftrust.UserID(u)) {
+					owners[u]++
+				}
+			}
+		}
+		for u, n := range owners {
+			if n != 1 {
+				t.Fatalf("count %d: user %d owned by %d shards", count, u, n)
 			}
 		}
 	}

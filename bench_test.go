@@ -896,25 +896,30 @@ func BenchmarkPipelineRunLarge(b *testing.B) {
 
 // BenchmarkUpdateTouchedFraction measures core.Update against growth
 // batches touching 1, a quarter, half and all of the Medium preset's 12
-// categories, with a reused Scratch — the steady-state tailer ingest cost.
-// Compare touched=1 with touched=12 (and with BenchmarkPipelineRun): the
-// cost should track the touched fraction, not the total category count.
+// categories, and 1 and 4 of the Large preset's 36 — the steady-state
+// tailer ingest cost. Compare touched=1 with touched=12 (and with
+// BenchmarkPipelineRun): the cost should track the touched fraction, not
+// the total category count.
 func BenchmarkUpdateTouchedFraction(b *testing.B) {
-	e := env(b)
-	oldD := e.Dataset
-	numC := oldD.NumCategories()
+	medium := env(b).Dataset
+	numC := medium.NumCategories()
+	benchUpdateTouched(b, "", medium, []int{1, numC / 4, numC / 2, numC})
+	benchUpdateTouched(b, "large/", envLarge(b).Dataset, []int{1, 4})
+}
+
+// benchUpdateTouched runs one core.Update sub-benchmark per touched
+// category count, each folding the same growth batch into oldD's model.
+func benchUpdateTouched(b *testing.B, prefix string, oldD *ratings.Dataset, touchedCats []int) {
 	cfg := core.DefaultConfig()
 	oldArt, err := cfg.Run(oldD)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, touched := range []int{1, numC / 4, numC / 2, numC} {
+	for _, touched := range touchedCats {
 		newD := growTouching(b, oldD, touched)
-		scratch := new(core.Scratch)
-		b.Run(fmt.Sprintf("touched=%d of %d", touched, numC), func(b *testing.B) {
-			b.ResetTimer()
+		b.Run(fmt.Sprintf("%stouched=%d of %d", prefix, touched, oldD.NumCategories()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := cfg.UpdateScratch(oldArt, oldD, newD, scratch); err != nil {
+				if _, err := cfg.Update(oldArt, oldD, newD); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -952,11 +957,9 @@ func BenchmarkUpdateCategoryScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		newD := growTouching(b, oldD, 1)
-		scratch := new(core.Scratch)
 		b.Run(fmt.Sprintf("cats=%d", oldD.NumCategories()), func(b *testing.B) {
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pc.UpdateScratch(oldArt, oldD, newD, scratch); err != nil {
+				if _, err := pc.Update(oldArt, oldD, newD); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,8 +10,8 @@
 //	trustctl export   -in data.wot -dir DIR
 //	trustctl ingest   -log events.log -out data.wot [-allow-truncated]
 //	trustctl exportlog -in data.wot -log events.log [-users i/N | -users 1,2,3]
-//	trustctl checkpoint -log events.log -dir DIR [-shard i/N] [-workers N] [-allow-truncated]
-//	trustctl compact    -log events.log -dir DIR [-shard i/N] [-workers N] [-allow-truncated]
+//	trustctl checkpoint -log events.log -dir DIR [-workers N] [-allow-truncated]
+//	trustctl compact    -log events.log -dir DIR [-workers N] [-allow-truncated]
 //	trustctl exportgraph (-in data.wot | -log events.log | -checkpoint FILE)
 //	                     [-format csv|json] [-out FILE] [-tau T] [-cold-generosity K]
 //	                     [-workers N] [-allow-truncated]
@@ -24,9 +24,9 @@
 // checkpoint (internal/checkpoint) offline, so the next trustd boot
 // restores instead of re-deriving; "compact" additionally truncates the
 // folded prefix out of the log, bounding log growth. Both warm-start from
-// an existing checkpoint in -dir when one is usable, and both accept
-// -shard i/N to build the per-shard checkpoint a `trustd serve -shard
-// i/N` boots from. Neither may run while a writer is appending or a
+// an existing checkpoint in -dir when one is usable. A checkpoint holds
+// the complete model, so every `trustd serve`, whatever its -shard, boots
+// from the same one. Neither may run while a writer is appending or a
 // trustd is tailing the log.
 //
 // "exportlog -users" filters the exported log to the chosen sources'
@@ -63,7 +63,6 @@ import (
 	"weboftrust"
 	"weboftrust/internal/checkpoint"
 	"weboftrust/internal/ratings"
-	"weboftrust/internal/shard"
 	"weboftrust/internal/store"
 	"weboftrust/internal/synth"
 	"weboftrust/internal/tables"
@@ -347,7 +346,6 @@ func cmdCheckpoint(args []string) error {
 	logPath := fs.String("log", "", "input event log path (required)")
 	dir := fs.String("dir", "", "checkpoint directory (required)")
 	workers := fs.Int("workers", 0, "pipeline worker goroutines (0 = one per CPU)")
-	shardFlag := fs.String("shard", "", "build the per-shard checkpoint for shard i/N (empty = unsharded)")
 	allowTruncated := fs.Bool("allow-truncated", false,
 		"fold the intact prefix of a log whose final record is torn (crash during append)")
 	if err := fs.Parse(args); err != nil {
@@ -356,11 +354,7 @@ func cmdCheckpoint(args []string) error {
 	if *logPath == "" || *dir == "" {
 		return fmt.Errorf("checkpoint: -log and -dir are required")
 	}
-	opts, err := shardOpts(*shardFlag, weboftrust.WithWorkers(*workers))
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	res, err := checkpoint.WriteFromLog(*logPath, *dir, *allowTruncated, opts...)
+	res, err := checkpoint.WriteFromLog(*logPath, *dir, *allowTruncated, weboftrust.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -378,7 +372,6 @@ func cmdCompact(args []string) error {
 	logPath := fs.String("log", "", "event log to compact (required; rewritten in place)")
 	dir := fs.String("dir", "", "checkpoint directory (required)")
 	workers := fs.Int("workers", 0, "pipeline worker goroutines (0 = one per CPU)")
-	shardFlag := fs.String("shard", "", "build the per-shard checkpoint for shard i/N (empty = unsharded)")
 	allowTruncated := fs.Bool("allow-truncated", false,
 		"fold the intact prefix of a log whose final record is torn (the torn bytes stay in the log)")
 	if err := fs.Parse(args); err != nil {
@@ -387,11 +380,7 @@ func cmdCompact(args []string) error {
 	if *logPath == "" || *dir == "" {
 		return fmt.Errorf("compact: -log and -dir are required")
 	}
-	opts, err := shardOpts(*shardFlag, weboftrust.WithWorkers(*workers))
-	if err != nil {
-		return fmt.Errorf("compact: %w", err)
-	}
-	res, err := checkpoint.Compact(*logPath, *dir, *allowTruncated, opts...)
+	res, err := checkpoint.Compact(*logPath, *dir, *allowTruncated, weboftrust.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -584,16 +573,4 @@ func cmdExportLog(args []string) error {
 	}
 	fmt.Printf("wrote %s from %s: kept %d of %d events for %s\n", *logPath, *in, len(events), total, desc)
 	return nil
-}
-
-// shardOpts appends WithShard to base when a -shard i/N flag was given.
-func shardOpts(spec string, base ...weboftrust.Option) ([]weboftrust.Option, error) {
-	if spec == "" {
-		return base, nil
-	}
-	sp, err := shard.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return append(base, weboftrust.WithShard(sp.Index, sp.Count)), nil
 }

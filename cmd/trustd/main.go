@@ -14,12 +14,13 @@
 //	trustd chaosproxy -target URL [-addr :8095] [-latency-p P] [-error-p P] [-blackhole-p P] [-reset-p P]
 //
 // With -shard i/N the daemon serves shard i of an N-way source-partitioned
-// cluster: it replays the same log as every other shard but retains dense
-// per-source state only for the users the cluster's consistent hash assigns
-// it, answering 421 for sources it does not own. `trustd route` fronts such
-// a cluster as one endpoint: a stateless proxy that hashes each request's
-// source user to its owning shard (replicas of one shard separated by '|',
-// shards separated by ','), and is ready only once every shard is.
+// cluster: it replays the same log and keeps the same complete model as
+// every other shard, answers for the source users the cluster's
+// consistent hash assigns it, and replies 421 for sources it does not
+// own. `trustd route` fronts such a cluster as one endpoint: a stateless
+// proxy that hashes each request's source user to its owning shard
+// (replicas of one shard separated by '|', shards separated by ','), and
+// is ready only once every shard is.
 //
 // The route tier fails gracefully (DESIGN.md §12): first attempts rotate
 // across a shard's replicas skipping tripped circuit breakers
@@ -239,8 +240,9 @@ func cmdServe(args []string) error {
 		if *shardFlag != "" {
 			model, _, _ := srv.Current()
 			idx, count := model.ShardSpec()
+			numU := model.Dataset().NumUsers()
 			fmt.Fprintf(os.Stderr, "trustd: serving shard %d/%d (%d of %d users owned)\n",
-				idx, count, model.Artifacts().Trust.OwnedUsers(), model.Dataset().NumUsers())
+				idx, count, shard.Spec{Index: idx, Count: count}.CountOwned(numU), numU)
 		}
 		if *ckptDir != "" {
 			ck := server.NewCheckpointer(srv, *ckptDir, *ckptInterval, *ckptKeep)

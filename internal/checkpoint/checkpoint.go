@@ -9,14 +9,8 @@
 // Bundle layout (all integers varint-encoded unless noted):
 //
 //	magic "WOTCK001" (8 bytes)
-//	format version (uvarint, currently 2; version-1 bundles — which
-//	lack the shard fields below and always hold a full affinity
-//	matrix — are still read, as unsharded)
+//	format version (uvarint, currently 3)
 //	config fingerprint (8 bytes little-endian; see core.Config.Fingerprint)
-//	shard index, shard count (uvarints; 0/1 when unsharded — see
-//	internal/shard. The spec a bundle was written under is part of
-//	its identity: restore refuses a mismatched spec, because the
-//	affinity section below holds exactly the owned rows)
 //	event-log offset the model reflects (uvarint)
 //	event-log size observed at write time (uvarint, >= offset; how a
 //	boot detects that the log was rewritten by compaction — see
@@ -31,27 +25,23 @@
 //	riggs       per category: review ids, qualities, rater ids,
 //	            reputations, rating counts, iterations, converged flag
 //	expertise   U·C float64 cells (8-byte little-endian bits, row-major)
-//	affinity    owned·C float64 cells — the full U rows when unsharded,
-//	            only the shard's owned users' rows (ascending user id)
-//	            when sharded: the whole point of the partitioning is
-//	            that a shard never materialises the other rows
-//	web         sharded bundles only: the binarise policy (kind, tau,
-//	            cold generosity), the per-user generosity vector
-//	            (U floats), and the complete replicated adjacency (per
-//	            user: degree, ascending target ids, T̂ weights). An
-//	            unsharded restore rebuilds the web from A lazily; a
-//	            sharded one cannot — its A is compact — so the graph
-//	            rides in the bundle and restore decodes it eagerly
+//	affinity    U·C float64 cells, likewise
 //	crc32c of everything after the magic (4 bytes little-endian)
 //
-// Floats are serialised as their exact IEEE-754 bits, and the
+// A bundle holds the complete model whatever shard wrote it, so it
+// restores under any shard spec and any web policy. Read also accepts
+// version 1 (this layout) and version 2 bundles whose recorded shard spec
+// is 0/1 (this layout with a shard index and count after the
+// fingerprint). A sharded version-2 bundle held only its shard's rows and
+// fails with ErrBadVersion; a boot then replays the log cold.
+//
+// Floats are serialised as their exact IEEE-754 bits, and neither the
 // derived-trust index (row sums, expert bitsets, packed expert lists and
-// score columns) is deliberately NOT serialised: it is rebuilt from the
-// decoded matrices by core.RehydrateArtifacts (or, sharded, from the
-// compact matrix and decoded graph by core.RehydrateShardedArtifacts),
-// which is bitwise-deterministic at any worker count. A restored model
-// therefore serves values bitwise-identical to the Derive it checkpoints
-// — pinned by the round-trip property tests.
+// score columns) nor the web of trust is serialised: core.RehydrateArtifacts
+// rebuilds the index from the decoded matrices, and the facade builds the
+// web lazily on first use, both bitwise-deterministic at any worker
+// count. A restored model therefore serves values bitwise-identical to
+// the Derive it checkpoints — pinned by the round-trip property tests.
 //
 // The decoder is hardened against corrupt or adversarial input: bulk
 // sections are read through a chunk-growing buffer bounded by the bytes
@@ -75,13 +65,13 @@ import (
 	"weboftrust/internal/mat"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/riggs"
-	"weboftrust/internal/shard"
 )
 
 var (
 	// ErrBadMagic reports a stream that is not a checkpoint.
 	ErrBadMagic = errors.New("checkpoint: bad magic")
-	// ErrBadVersion reports a checkpoint from an unknown format version.
+	// ErrBadVersion reports a checkpoint in a format version this reader
+	// does not restore: an unknown version, or a sharded version-2 bundle.
 	ErrBadVersion = errors.New("checkpoint: unsupported format version")
 	// ErrChecksum reports checkpoint corruption caught by the CRC.
 	ErrChecksum = errors.New("checkpoint: checksum mismatch")
@@ -93,20 +83,16 @@ var (
 	// match the options the caller is serving with; restoring it would
 	// serve values a fresh Derive would not produce.
 	ErrStale = errors.New("checkpoint: config fingerprint mismatch")
-	// ErrShardMismatch reports a checkpoint written under a different
-	// shard spec than the configuration restoring it. A sharded bundle
-	// holds only its shard's dense rows, so restoring it as any other
-	// shard (or unsharded) would serve the wrong partition.
-	ErrShardMismatch = errors.New("checkpoint: shard spec mismatch")
 )
 
 var magic = [8]byte{'W', 'O', 'T', 'C', 'K', '0', '0', '1'}
 
-// formatVersion is bumped on any incompatible layout change. Version 2
-// added the shard spec (and, for sharded bundles, the compact affinity
-// section and the serialised web graph); version-1 bundles are still
-// readable and mean "unsharded".
-const formatVersion = 2
+// formatVersion is bumped on any incompatible layout change. Version 3
+// is version 1's layout again: version 2 added a shard spec, and for
+// sharded bundles a compact affinity section and a serialised web graph,
+// which bundles no longer need (see the package comment for what Read
+// still accepts).
+const formatVersion = 3
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -176,9 +162,6 @@ func Write(w io.Writer, m *weboftrust.TrustModel, offset, logSize int64) error {
 
 	enc.uvarint(formatVersion)
 	enc.fixed64(m.Fingerprint())
-	shardIndex, shardCount := m.ShardSpec()
-	enc.uvarint(uint64(shardIndex))
-	enc.uvarint(uint64(shardCount))
 	enc.uvarint(uint64(offset))
 	enc.uvarint(uint64(logSize))
 
@@ -215,34 +198,7 @@ func Write(w io.Writer, m *weboftrust.TrustModel, offset, logSize int64) error {
 	}
 
 	enc.matrix(art.Expertise, d.NumUsers(), d.NumCategories())
-	// Sharded models retain only their owned affinity rows; OwnedUsers is
-	// U for an unsharded model, so this is the historical U·C section
-	// exactly when the spec is 0/1.
-	enc.matrix(art.Affinity, art.Trust.OwnedUsers(), d.NumCategories())
-
-	if shardCount > 1 {
-		// The compact A cannot rebuild the web, so sharded bundles carry
-		// the graph: the policy it was binarised under, the effective
-		// generosity vector, and the complete replicated adjacency.
-		web := art.Web
-		if web == nil {
-			return fmt.Errorf("checkpoint: sharded model missing web artifact")
-		}
-		p := web.Policy()
-		enc.uvarint(uint64(p.Policy))
-		enc.fixed64(math.Float64bits(p.Tau))
-		enc.fixed64(math.Float64bits(p.ColdGenerosity))
-		enc.floats(web.GenerosityVector())
-		g := web.Graph()
-		for u := 0; u < d.NumUsers(); u++ {
-			to, wts := g.Out(u)
-			enc.uvarint(uint64(len(to)))
-			for _, t := range to {
-				enc.uvarint(uint64(t))
-			}
-			enc.floats(wts)
-		}
-	}
+	enc.matrix(art.Affinity, d.NumUsers(), d.NumCategories())
 	if enc.err != nil {
 		return enc.err
 	}
@@ -269,11 +225,10 @@ func Read(r io.Reader, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info,
 // file), bulk sections under that bound allocate exactly once instead of
 // growing geometrically.
 func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info, error) {
-	servingCfg, err := weboftrust.ResolveConfig(opts...)
+	servingFingerprint, err := weboftrust.Fingerprint(opts...)
 	if err != nil {
 		return nil, Info{}, err
 	}
-	servingFingerprint := servingCfg.Fingerprint()
 
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [8]byte
@@ -287,18 +242,14 @@ func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.T
 	dec := &decoder{r: br, crc: crc, sizeHint: sizeHint}
 
 	version := dec.uvarint()
-	if dec.err == nil && version != 1 && version != 2 {
+	if dec.err == nil && version != 1 && version != 2 && version != formatVersion {
 		return nil, Info{}, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	fingerprint := dec.fixed64()
-	spec := shard.Spec{Index: 0, Count: 1}
-	if version >= 2 {
-		idx, cnt := dec.uvarint(), dec.uvarint()
-		if dec.err == nil {
-			if cnt < 1 || cnt > math.MaxInt32 || idx >= cnt {
-				return nil, Info{}, fmt.Errorf("%w: shard spec %d/%d", ErrCorrupt, idx, cnt)
-			}
-			spec = shard.Spec{Index: int(idx), Count: int(cnt)}.Canon()
+	if version == 2 {
+		// Only an unsharded version-2 bundle has version 1's sections.
+		if idx, cnt := dec.uvarint(), dec.uvarint(); dec.err == nil && (idx != 0 || cnt != 1) {
+			return nil, Info{}, fmt.Errorf("%w: 2 with shard spec %d/%d", ErrBadVersion, idx, cnt)
 		}
 	}
 	offset := dec.uvarint()
@@ -351,34 +302,7 @@ func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.T
 	}
 
 	e := dec.matrix(numU, numC)
-	a := dec.matrix(spec.CountOwned(numU), numC)
-
-	// Sharded bundles carry the web graph (their compact A cannot rebuild
-	// it). Decoded here, validated structurally by graph construction and
-	// against the serving policy after integrity is established below.
-	var webPolicy core.WebPolicy
-	var generosity []float64
-	var webTo [][]int32
-	var webW [][]float64
-	if spec.IsSharded() {
-		webPolicy = core.WebPolicy{
-			Policy:         core.BinarizePolicy(dec.count("web policy", 8)),
-			Tau:            math.Float64frombits(dec.fixed64()),
-			ColdGenerosity: math.Float64frombits(dec.fixed64()),
-		}
-		generosity = dec.floats(numU)
-		webTo = make([][]int32, numU)
-		webW = make([][]float64, numU)
-		for u := 0; u < numU && dec.err == nil; u++ {
-			deg := int(dec.count("web degree", uint64(numU)))
-			to := make([]int32, deg)
-			for i := range to {
-				to[i] = int32(dec.id("web target", uint64(numU)))
-			}
-			webTo[u] = to
-			webW[u] = dec.floats(deg)
-		}
-	}
+	a := dec.matrix(numU, numC)
 	if dec.err != nil {
 		return nil, Info{}, dec.err
 	}
@@ -393,38 +317,10 @@ func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.T
 
 	// Integrity is now established; only reject on staleness after the
 	// bytes themselves are known good, so ErrStale reliably means "valid
-	// checkpoint, different configuration" (and ErrShardMismatch "valid
-	// checkpoint, different shard").
+	// checkpoint, different configuration".
 	if fingerprint != servingFingerprint {
 		return nil, Info{}, fmt.Errorf("%w: checkpoint %#x, serving config %#x",
 			ErrStale, fingerprint, servingFingerprint)
-	}
-	if want := servingCfg.Shard.Canon(); spec != want {
-		return nil, Info{}, fmt.Errorf("%w: checkpoint is shard %v, serving config says %v",
-			ErrShardMismatch, spec, want)
-	}
-
-	if spec.IsSharded() {
-		// The bundle's graph was binarised under the recorded policy; a
-		// different serving policy would need the full A to re-binarise,
-		// which is exactly what a sharded bundle does not carry.
-		if webPolicy != servingCfg.Web {
-			return nil, Info{}, fmt.Errorf("%w: checkpoint web policy %v, serving %v",
-				ErrStale, webPolicy, servingCfg.Web)
-		}
-		web, err := core.NewShardedWeb(webPolicy, generosity, webTo, webW, spec)
-		if err != nil {
-			return nil, Info{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		art, err := core.RehydrateShardedArtifacts(results, e, a, spec, web, servingCfg.Workers)
-		if err != nil {
-			return nil, Info{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		model, err := weboftrust.Restore(d, art, opts...)
-		if err != nil {
-			return nil, Info{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		return model, Info{Offset: int64(offset), LogSize: int64(logSize)}, nil
 	}
 
 	// A nil Trust asks Restore to rebuild the derived-trust index from

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"weboftrust"
@@ -282,54 +283,48 @@ func TestReadRejectsDamage(t *testing.T) {
 	})
 }
 
-// TestForgedCountsFailFastWithoutAllocation hand-crafts headers declaring
-// absurd section sizes and asserts decoding fails quickly and cleanly —
-// the adversarial-input hardening the count caps exist for.
+// TestForgedCountsFailFastWithoutAllocation hand-crafts a valid header
+// followed by a section declaring an absurd size, and asserts decoding
+// fails quickly and cleanly on that very section — the adversarial-input
+// hardening the count caps exist for.
 func TestForgedCountsFailFastWithoutAllocation(t *testing.T) {
 	forge := func(f func(e *encoder)) []byte {
 		var buf bytes.Buffer
 		buf.Write(magic[:])
 		e := &encoder{w: &buf}
 		e.uvarint(formatVersion)
-		e.fixed64(0)
-		e.uvarint(0)
-		e.uvarint(0)
+		e.fixed64(0) // fingerprint
+		e.uvarint(0) // offset
+		e.uvarint(0) // log size
 		f(e)
 		if e.err != nil {
 			t.Fatal(e.err)
 		}
 		return buf.Bytes()
 	}
+	img := ratings.AppendImage(nil, smallDataset(t))
 
-	t.Run("huge dataset length", func(t *testing.T) {
-		raw := forge(func(e *encoder) { e.uvarint(1 << 40) })
-		if _, _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("dataset length beyond stream", func(t *testing.T) {
+	for _, tc := range []struct {
+		name, section string
+		forged        func(e *encoder)
+	}{
+		{"huge dataset length", "dataset section", func(e *encoder) { e.uvarint(1 << 40) }},
 		// Under the cap, but the stream ends immediately: the chunked
 		// reader must fail after reading what exists, not preallocate.
-		raw := forge(func(e *encoder) { e.uvarint(1 << 28) })
-		if _, _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("huge riggs review count", func(t *testing.T) {
-		d := smallDataset(t)
-		var snap bytes.Buffer
-		if err := store.WriteSnapshot(&snap, d); err != nil {
-			t.Fatal(err)
-		}
-		raw := forge(func(e *encoder) {
-			e.uvarint(uint64(snap.Len()))
-			e.bytes(snap.Bytes())
+		{"dataset length beyond stream", "bulk section", func(e *encoder) { e.uvarint(1 << 28) }},
+		{"huge riggs review count", "reviews count", func(e *encoder) {
+			e.uvarint(uint64(len(img)))
+			e.bytes(img)
 			e.uvarint(1 << 50) // reviews count for category 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := Read(bytes.NewReader(forge(tc.forged)))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.section) {
+				t.Fatalf("err = %v, want ErrCorrupt naming the %s", err, tc.section)
+			}
 		})
-		if _, _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
-		}
-	})
+	}
 }
 
 func TestWriteDirRestorePrune(t *testing.T) {

@@ -1,79 +1,45 @@
 package checkpoint
 
-// Tests for per-shard checkpoints: a sharded bundle round-trips the
-// shard's compact state plus the replicated web graph bitwise, keeps
-// Update continuity after restore, and is refused under any other shard
-// spec (or web policy) than it was written with.
+// Tests for checkpoints in a sharded deployment: a bundle holds the
+// complete model whatever shard wrote it, so it restores under any shard
+// spec and any web policy, and Update continues from it exactly as from
+// the model it checkpoints. Format-version-2 bundles written before that
+// rule (testdata/) restore only when they were unsharded.
 
 import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"weboftrust"
 	"weboftrust/internal/ratings"
-	"weboftrust/internal/shard"
 	"weboftrust/internal/store"
 )
 
-// shardedModelsEqual asserts two sharded models serve identically:
-// everything for owned sources (scores, rankings, affinity), web rows
-// and generosity for ALL users (unowned rows come from the replicated
-// graph), expertise for all users.
-func shardedModelsEqual(t *testing.T, want, got *weboftrust.TrustModel, spec shard.Spec) {
+// restoredMatchesFresh asserts that got serves every value want does
+// (see modelsEqual) and answers for exactly the sources want owns.
+func restoredMatchesFresh(t *testing.T, want, got *weboftrust.TrustModel) {
 	t.Helper()
 	wi, wc := want.ShardSpec()
 	gi, gc := got.ShardSpec()
-	if wi != spec.Index || wc != spec.Count || gi != spec.Index || gc != spec.Count {
-		t.Fatalf("shard specs: want %d/%d and %d/%d, expected %v", wi, wc, gi, gc, spec)
+	if wi != gi || wc != gc {
+		t.Fatalf("shard spec: want %d/%d, got %d/%d", wi, wc, gi, gc)
 	}
-	numU := want.Dataset().NumUsers()
-	if got.Dataset().NumUsers() != numU {
-		t.Fatalf("user counts differ: %d vs %d", numU, got.Dataset().NumUsers())
-	}
-	websEqual(t, want.WebOfTrust(), got.WebOfTrust())
-	for u := 0; u < numU; u++ {
-		uid := ratings.UserID(u)
-		we, ge := want.Expertise(uid), got.Expertise(uid)
-		for c := range we {
-			if we[c] != ge[c] {
-				t.Fatalf("expertise[%d][%d]: want %v, got %v", u, c, we[c], ge[c])
-			}
-		}
-		if o := spec.Owns(u); want.Owns(uid) != o || got.Owns(uid) != o {
-			t.Fatalf("Owns(%d): want %v on both sides", u, o)
-		}
-		if !spec.Owns(u) {
-			continue
-		}
-		wa, ga := want.Affinity(uid), got.Affinity(uid)
-		for c := range wa {
-			if wa[c] != ga[c] {
-				t.Fatalf("affinity[%d][%d]: want %v, got %v", u, c, wa[c], ga[c])
-			}
-		}
-		for j := 0; j < numU; j++ {
-			if w, g := want.Score(uid, ratings.UserID(j)), got.Score(uid, ratings.UserID(j)); w != g {
-				t.Fatalf("score[%d][%d]: want %v, got %v", u, j, w, g)
-			}
-		}
-		wt, gt := want.TopTrusted(uid, 10), got.TopTrusted(uid, 10)
-		if len(wt) != len(gt) {
-			t.Fatalf("topk[%d]: %d vs %d results", u, len(wt), len(gt))
-		}
-		for k := range wt {
-			if wt[k] != gt[k] {
-				t.Fatalf("topk[%d][%d]: want %+v, got %+v", u, k, wt[k], gt[k])
-			}
+	for u := 0; u < want.Dataset().NumUsers(); u++ {
+		if want.Owns(ratings.UserID(u)) != got.Owns(ratings.UserID(u)) {
+			t.Fatalf("Owns(%d): want %v", u, want.Owns(ratings.UserID(u)))
 		}
 	}
+	modelsEqual(t, want, got)
 }
 
 // TestShardedRestoreTailEqualsFreshDerive is the sharded warm-restart
-// property: a per-shard checkpoint restores bitwise, and Update continues
-// from the restored model exactly as it would from the original — ending
-// at the model a fresh sharded Derive over the grown dataset produces.
+// property: a checkpoint written by a shard restores bitwise, and Update
+// continues from the restored model exactly as it would from the
+// original — ending at the model a fresh sharded Derive over the grown
+// dataset produces.
 func TestShardedRestoreTailEqualsFreshDerive(t *testing.T) {
 	d := smallDataset(t)
 	dir := t.TempDir()
@@ -100,8 +66,8 @@ func TestShardedRestoreTailEqualsFreshDerive(t *testing.T) {
 	}
 	d1 := b.Snapshot()
 
-	for _, spec := range []shard.Spec{{Index: 0, Count: 2}, {Index: 2, Count: 3}} {
-		opts := []weboftrust.Option{weboftrust.WithShard(spec.Index, spec.Count)}
+	for _, spec := range [][2]int{{0, 2}, {2, 3}} {
+		opts := []weboftrust.Option{weboftrust.WithShard(spec[0], spec[1])}
 		m0, err := weboftrust.Derive(d0, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +83,7 @@ func TestShardedRestoreTailEqualsFreshDerive(t *testing.T) {
 		if info.Offset != 100 {
 			t.Fatalf("offset %d, want 100", info.Offset)
 		}
-		shardedModelsEqual(t, m0, restored, spec)
+		restoredMatchesFresh(t, m0, restored)
 
 		up, err := restored.Update(d1)
 		if err != nil {
@@ -127,71 +93,66 @@ func TestShardedRestoreTailEqualsFreshDerive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardedModelsEqual(t, fresh, up, spec)
+		restoredMatchesFresh(t, fresh, up)
 	}
 }
 
-// TestReadRejectsShardMismatch pins that a bundle only restores under the
-// exact shard spec it was written with.
-func TestReadRejectsShardMismatch(t *testing.T) {
+// TestBundleRestoresUnderAnySpec pins that a bundle written by shard 0/3
+// restores as shard 1/3, as an unsharded model and under other web
+// policies, each serving exactly what a fresh Derive under the restoring
+// options serves.
+func TestBundleRestoresUnderAnySpec(t *testing.T) {
 	d := smallDataset(t)
-	sharded, err := weboftrust.Derive(d, weboftrust.WithShard(1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shardedBuf bytes.Buffer
-	if err := Write(&shardedBuf, sharded, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	unsharded, err := weboftrust.Derive(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unshardedBuf bytes.Buffer
-	if err := Write(&unshardedBuf, unsharded, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		raw  []byte
-		opts []weboftrust.Option
-	}{
-		{"sharded bundle, unsharded serving", shardedBuf.Bytes(), nil},
-		{"sharded bundle, wrong index", shardedBuf.Bytes(), []weboftrust.Option{weboftrust.WithShard(0, 3)}},
-		{"sharded bundle, wrong count", shardedBuf.Bytes(), []weboftrust.Option{weboftrust.WithShard(1, 4)}},
-		{"unsharded bundle, sharded serving", unshardedBuf.Bytes(), []weboftrust.Option{weboftrust.WithShard(1, 3)}},
-	}
-	for _, tc := range cases {
-		if _, _, err := Read(bytes.NewReader(tc.raw), tc.opts...); !errors.Is(err, ErrShardMismatch) {
-			t.Errorf("%s: err = %v, want ErrShardMismatch", tc.name, err)
-		}
-	}
-
-	// The matching spec still restores.
-	if _, _, err := Read(bytes.NewReader(shardedBuf.Bytes()), weboftrust.WithShard(1, 3)); err != nil {
-		t.Fatalf("matching spec: %v", err)
-	}
-}
-
-// TestShardedReadRejectsPolicyChange pins that a sharded bundle — whose
-// graph cannot be re-binarised from its compact affinity — refuses to
-// restore under a different web policy.
-func TestShardedReadRejectsPolicyChange(t *testing.T) {
-	d := smallDataset(t)
-	m, err := weboftrust.Derive(d, weboftrust.WithShard(0, 2), weboftrust.WithWebColdStartGenerosity(0.2))
+	written, err := weboftrust.Derive(d, weboftrust.WithShard(0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, m, 0, 0); err != nil {
+	if err := Write(&buf, written, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(bytes.NewReader(buf.Bytes()), weboftrust.WithShard(0, 2)); !errors.Is(err, ErrStale) {
-		t.Fatalf("policy change: err = %v, want ErrStale", err)
+	for _, opts := range [][]weboftrust.Option{
+		{weboftrust.WithShard(1, 3)},
+		nil,
+		{weboftrust.WithShard(0, 3), weboftrust.WithWebColdStartGenerosity(0.2)},
+		{weboftrust.WithWebThreshold(0.5)},
+	} {
+		restored, _, err := Read(bytes.NewReader(buf.Bytes()), opts...)
+		if err != nil {
+			t.Fatalf("%d options: %v", len(opts), err)
+		}
+		fresh, err := weboftrust.Derive(d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restoredMatchesFresh(t, fresh, restored)
 	}
-	if _, _, err := Read(bytes.NewReader(buf.Bytes()),
-		weboftrust.WithShard(0, 2), weboftrust.WithWebColdStartGenerosity(0.2)); err != nil {
-		t.Fatalf("matching policy: %v", err)
+}
+
+// TestReadVersion2Bundles pins the reading rule for format version 2 on
+// bundles that version's writer produced (testdata/): the unsharded one
+// restores under any spec, bitwise a fresh Derive over its dataset, and
+// the one written by shard 1/3 — which held only that shard's rows —
+// fails with ErrBadVersion under any options.
+func TestReadVersion2Bundles(t *testing.T) {
+	shardOpts := []weboftrust.Option{weboftrust.WithShard(1, 3)}
+	restored, info, err := ReadFile(filepath.Join("testdata", "v2-unsharded.wck"), shardOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Offset == 0 || info.LogSize != info.Offset {
+		t.Fatalf("info = %+v, want the recorded log end", info)
+	}
+	fresh, err := weboftrust.Derive(restored.Dataset(), shardOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredMatchesFresh(t, fresh, restored)
+
+	for _, opts := range [][]weboftrust.Option{nil, shardOpts} {
+		_, _, err := ReadFile(filepath.Join("testdata", "v2-shard-1of3.wck"), opts...)
+		if !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%d options: err = %v, want ErrBadVersion", len(opts), err)
+		}
 	}
 }

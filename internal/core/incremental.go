@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"weboftrust/internal/affinity"
 	"weboftrust/internal/mat"
@@ -16,53 +15,27 @@ import (
 // one, so incremental update is impossible.
 var ErrNotExtension = errors.New("core: new dataset does not extend the old one")
 
-// Scratch carries reusable buffers across Update calls, so a long-lived
-// ingest loop (trustd's tailer folds a batch in on every poll tick) stops
-// re-allocating the Riggs iteration buffers per tick. The zero value is
-// ready to use; a mutex serialises concurrent Update calls that happen to
-// share one Scratch, so reuse is always safe, just not concurrent.
-type Scratch struct {
-	mu    sync.Mutex
-	riggs []*riggs.Scratch
-}
-
-// riggsScratch returns the lazily-created per-worker Riggs scratch slots,
-// sized to at least workers. Callers hold s.mu.
-func (s *Scratch) riggsScratch(workers int) []*riggs.Scratch {
-	for len(s.riggs) < workers {
-		s.riggs = append(s.riggs, riggs.NewScratch())
-	}
-	return s.riggs
-}
-
 // Update recomputes the pipeline artifacts after the dataset grew,
 // re-solving the Step 1 fixed point only for the categories touched by
 // new reviews or ratings. Untouched categories are reused wholesale: their
-// Riggs results verbatim (their inputs are byte-identical), their
+// Riggs results verbatim (their inputs are byte-identical) and their
 // expertise columns copied from the old E instead of re-aggregating
-// writers, and their expert sets and packed score columns shared with the
-// old derived-trust index instead of re-scanning E columns. What does need recomputing — touched
+// writers. The web of trust re-selects rows only for the users
+// dirtyUsers marks and copies every other row from the old web's graph
+// (Web.DirtyUsers reports the set). What does need recomputing — touched
 // fixed points, touched expertise columns, the affinity matrix (any new
-// event shifts some user's activity normalisation) and the trust row sums
-// — fans out across Config.Workers. The result is exactly what Run would
-// produce on the new dataset — verified by the equivalence property tests.
+// event shifts some user's activity normalisation) and the derived-trust
+// index — fans out across Config.Workers. These are the reuse layers that
+// pay for themselves (EXPERIMENTS.md times each). The result is exactly
+// what Run would produce on the new dataset — verified by the equivalence
+// property tests.
 //
 // newD must extend oldD: all of oldD's users, categories, objects,
 // reviews and ratings must form a prefix of newD's (the shape produced by
 // replaying an append-only event log past its previous position).
 func (c Config) Update(oldArt *Artifacts, oldD, newD *ratings.Dataset) (*Artifacts, error) {
-	return c.UpdateScratch(oldArt, oldD, newD, nil)
-}
-
-// UpdateScratch is Update with caller-owned reusable buffers; pass nil to
-// allocate per call. A steady-state ingest loop passes the same Scratch
-// every tick.
-func (c Config) UpdateScratch(oldArt *Artifacts, oldD, newD *ratings.Dataset, s *Scratch) (*Artifacts, error) {
 	if oldArt == nil || oldD == nil || newD == nil {
 		return nil, fmt.Errorf("core: Update requires non-nil artifacts and datasets")
-	}
-	if err := c.Shard.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := checkExtension(oldD, newD); err != nil {
 		return nil, err
@@ -73,9 +46,6 @@ func (c Config) UpdateScratch(oldArt *Artifacts, oldD, newD *ratings.Dataset, s 
 	}
 	if oldD.NumCategories() > 0 && oldArt.Expertise == nil {
 		return nil, fmt.Errorf("core: artifacts missing expertise matrix")
-	}
-	if s == nil {
-		s = new(Scratch)
 	}
 
 	numC := newD.NumCategories()
@@ -102,13 +72,17 @@ func (c Config) UpdateScratch(oldArt *Artifacts, oldD, newD *ratings.Dataset, s 
 		touchedCats = append(touchedCats, cat)
 	}
 
-	s.mu.Lock()
-	// Normalize once so the scratch slots and DoWorker's ids come from
-	// the same evaluation even if GOMAXPROCS changes concurrently.
+	// Each worker gets its own Riggs scratch for this call, as
+	// riggs.SolveAllWorkers does. Normalize once so the scratch slots and
+	// DoWorker's ids come from the same evaluation even if GOMAXPROCS
+	// changes concurrently.
 	workers := par.Normalize(c.Workers)
-	scratch := s.riggsScratch(workers)
+	scratch := make([]*riggs.Scratch, workers)
 	solveErrs := make([]error, len(touchedCats))
 	par.DoWorker(workers, len(touchedCats), func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = riggs.NewScratch()
+		}
 		cat := touchedCats[i]
 		cr, err := c.Riggs.SolveScratch(newD, ratings.CategoryID(cat), scratch[w])
 		if err != nil {
@@ -117,7 +91,6 @@ func (c Config) UpdateScratch(oldArt *Artifacts, oldD, newD *ratings.Dataset, s 
 		}
 		results[cat] = cr
 	})
-	s.mu.Unlock()
 	if err := par.FirstError(solveErrs); err != nil {
 		return nil, err
 	}
@@ -147,33 +120,23 @@ func (c Config) UpdateScratch(oldArt *Artifacts, oldD, newD *ratings.Dataset, s 
 	if err != nil {
 		return nil, fmt.Errorf("core: update affinity: %w", err)
 	}
-	dt, err := newDerivedTrust(a, e, c.Workers, oldArt.Trust, touched)
+	dt, err := NewDerivedTrustWorkers(a, e, c.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: update derive: %w", err)
 	}
-	// The web of trust follows the same reuse discipline: only users
-	// whose own activity or reachable expertise changed get their edge
-	// rows re-selected; everyone else's rows are shared with the old web
-	// by reference (a nil oldArt.Web — artifacts assembled by hand —
-	// falls back to a full build).
+	// A nil oldArt.Web (artifacts assembled by hand) falls back to a full
+	// web build.
 	web, err := buildWeb(newD, dt, c.Web, c.Workers, oldArt.Web, oldD, touched)
 	if err != nil {
 		return nil, fmt.Errorf("core: update web of trust: %w", err)
 	}
-	art := &Artifacts{
+	return &Artifacts{
 		RiggsResults: results,
 		Expertise:    e,
 		Affinity:     a,
 		Trust:        dt,
 		Web:          web,
-	}
-	// Like Run: the update computes the complete model (the full A is
-	// rebuilt every tick regardless), then a sharded config compacts the
-	// retained dense state down to the owned rows.
-	if c.Shard.IsSharded() {
-		art = shardArtifacts(art, c.Shard)
-	}
-	return art, nil
+	}, nil
 }
 
 // checkExtension verifies that newD is oldD plus appended entities.

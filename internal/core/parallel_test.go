@@ -159,8 +159,7 @@ func growFraction(t *testing.T, d *ratings.Dataset, touchedCats int) *ratings.Da
 
 // TestUpdateEquivalenceTouchedFractions asserts that the reuse-heavy
 // Update matches a from-scratch Run bitwise at several touched-category
-// fractions (none, one, half, all), at several worker counts, and that a
-// shared Scratch chained across successive updates stays correct.
+// fractions (none, one, half, all) and at several worker counts.
 func TestUpdateEquivalenceTouchedFractions(t *testing.T) {
 	oldD := synthDataset(t)
 	numC := oldD.NumCategories()
@@ -171,10 +170,9 @@ func TestUpdateEquivalenceTouchedFractions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch := new(Scratch)
 		for _, touchedCats := range []int{0, 1, numC / 2, numC} {
 			newD := growFraction(t, oldD, touchedCats)
-			incremental, err := cfg.UpdateScratch(oldArt, oldD, newD, scratch)
+			incremental, err := cfg.Update(oldArt, oldD, newD)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,20 +195,19 @@ func TestUpdateEquivalenceTouchedFractions(t *testing.T) {
 	}
 }
 
-// TestUpdateChainWithScratch walks several successive grow+update steps
-// through one model chain sharing one Scratch, comparing against full
-// recomputation at each step — the tailer's steady-state shape.
-func TestUpdateChainWithScratch(t *testing.T) {
+// TestUpdateChain walks several successive grow+update steps through one
+// model chain, comparing against full recomputation at each step — the
+// tailer's steady-state shape.
+func TestUpdateChain(t *testing.T) {
 	d := synthDataset(t)
 	cfg := DefaultConfig()
 	art, err := cfg.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := new(Scratch)
 	for step, touched := range []int{1, 2, 1, 3} {
 		newD := growFraction(t, d, touched)
-		next, err := cfg.UpdateScratch(art, d, newD, scratch)
+		next, err := cfg.Update(art, d, newD)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,16 +34,14 @@ type Config struct {
 	// artifacts do not depend on it, and a restore rebuilds the graph
 	// under the restoring side's policy.
 	Web WebPolicy
-	// Shard names this process's slice of an N-shard deployment. The
-	// pipeline always computes the complete model — the Riggs fixed
-	// points, E and the replicated CSR web graph need every user's events
-	// — but a sharded config RETAINS dense per-source-user state (affinity
-	// rows, web edge rows) only for owned users, cutting steady-state
-	// memory to ~1/N per shard. Retained rows are bitwise-identical to
-	// the unsharded model's, so any shard answers queries for sources it
-	// owns exactly as a single process would. Like Workers, the spec is
-	// excluded from the configuration fingerprint: it changes what is
-	// kept, never what is computed.
+	// Shard names this process's slice of an N-shard deployment: the
+	// source users whose queries it answers (Spec.Owns). It is a serving
+	// filter only. Every shard runs, keeps, updates and checkpoints the
+	// same complete model an unsharded process does — a query from any
+	// one source walks the whole web, so the graph, E and the expert
+	// index are needed in full anyway. Like Workers, the spec is excluded
+	// from the configuration fingerprint: it changes nothing the pipeline
+	// computes.
 	Shard shard.Spec
 }
 
@@ -75,13 +73,8 @@ type Artifacts struct {
 	Web *Web
 }
 
-// Run executes Steps 1-3 on the dataset and returns the artifacts. Under
-// a sharded config the full pipeline still runs, then dense per-user
-// state is compacted to the owned rows (see Config.Shard).
+// Run executes Steps 1-4 on the dataset and returns the artifacts.
 func (c Config) Run(d *ratings.Dataset) (*Artifacts, error) {
-	if err := c.Shard.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	results, err := c.Riggs.SolveAllWorkers(d, c.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: step 1 (riggs): %w", err)
@@ -102,15 +95,11 @@ func (c Config) Run(d *ratings.Dataset) (*Artifacts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: step 4 (web of trust): %w", err)
 	}
-	art := &Artifacts{
+	return &Artifacts{
 		RiggsResults: results,
 		Expertise:    e,
 		Affinity:     a,
 		Trust:        dt,
 		Web:          web,
-	}
-	if c.Shard.IsSharded() {
-		art = shardArtifacts(art, c.Shard)
-	}
-	return art, nil
+	}, nil
 }

@@ -86,7 +86,7 @@ func RehydrateArtifacts(results []*riggs.CategoryResult, expertise, affinity *ma
 // the expertise matrix they must pair with — one result per column, each
 // labelled with its own index, parallel slices consistent — and reindexes
 // each (the lookup maps are derived state that does not survive
-// serialisation). Shared by the unsharded and sharded rehydrate paths.
+// serialisation).
 func validateRiggsResults(results []*riggs.CategoryResult, numCategories int) error {
 	if len(results) != numCategories {
 		return fmt.Errorf("%d riggs results for %d expertise columns", len(results), numCategories)

@@ -23,7 +23,6 @@ import (
 	"weboftrust/internal/mat"
 	"weboftrust/internal/par"
 	"weboftrust/internal/ratings"
-	"weboftrust/internal/shard"
 )
 
 // ErrShape reports mismatched matrix dimensions between A and E.
@@ -32,16 +31,8 @@ var ErrShape = errors.New("core: affinity/expertise shape mismatch")
 // DerivedTrust is the derived trust matrix T̂ in functional form: it holds
 // the affinity matrix A and expertise matrix E and evaluates eq. 5 on
 // demand. It is immutable and safe for concurrent use.
-//
-// A sharded instance (see Config.Shard) retains dense affinity rows only
-// for the users its shard owns: the affinity matrix is compacted to the
-// owned rows and rowIndex maps user ids onto it. Everything a row
-// evaluation needs about TARGETS — the expertise matrix and the expert
-// index — stays complete, so a sharded model answers any query whose
-// SOURCE it owns, bitwise-identically to an unsharded model, and panics
-// on sources it does not own (serving layers guard ownership first).
 type DerivedTrust struct {
-	affinity  *mat.Dense // owned-users x C (U x C when unsharded)
+	affinity  *mat.Dense // U x C
 	expertise *mat.Dense // U x C
 	rowSum    []float64  // Σ_c A_ic per user
 
@@ -61,16 +52,6 @@ type DerivedTrust struct {
 	// decide between the dense dot and the indexed path without
 	// re-scanning A's row.
 	affinityNNZ []int32
-
-	// numUsers is U — explicit because a sharded affinity matrix has
-	// fewer rows than the community has users.
-	numUsers int
-	// spec is the shard this index serves sources for; the zero value
-	// (unsharded) owns everyone.
-	spec shard.Spec
-	// rowIndex maps user id -> compacted affinity row, -1 for users this
-	// shard does not own. nil when unsharded (identity mapping).
-	rowIndex []int32
 }
 
 // NewDerivedTrust builds the derived trust matrix from the affinity matrix
@@ -85,18 +66,6 @@ func NewDerivedTrust(affinity, expertise *mat.Dense) (*DerivedTrust, error) {
 // sets by category — every slot has exactly one writer — so the result is
 // identical at any worker count.
 func NewDerivedTrustWorkers(affinity, expertise *mat.Dense, workers int) (*DerivedTrust, error) {
-	return newDerivedTrust(affinity, expertise, workers, nil, nil)
-}
-
-// newDerivedTrust builds the derived structures. When old and touched are
-// given (the incremental-update path), the expert set of every untouched
-// category is taken from old instead of scanning its E column: the column
-// was copied verbatim and rows past old's user count are zero, so the set
-// — and the packed score column beside it — is unchanged. Expert lists
-// and score columns are shared with old outright (both sides are
-// immutable); bitsets are shared too when the user count is unchanged, and
-// rebuilt from the (typically short) expert list when it grew.
-func newDerivedTrust(affinity, expertise *mat.Dense, workers int, old *DerivedTrust, touched []bool) (*DerivedTrust, error) {
 	au, ac := affinity.Dims()
 	eu, ec := expertise.Dims()
 	if au != eu || ac != ec {
@@ -107,7 +76,6 @@ func newDerivedTrust(affinity, expertise *mat.Dense, workers int, old *DerivedTr
 		expertise:   expertise,
 		rowSum:      make([]float64, au),
 		affinityNNZ: make([]int32, au),
-		numUsers:    au,
 	}
 	par.Do(workers, au, func(u int) {
 		var sum float64
@@ -125,21 +93,6 @@ func newDerivedTrust(affinity, expertise *mat.Dense, workers int, old *DerivedTr
 	dt.expertLists = make([][]int32, ac)
 	dt.expertScores = make([][]float64, ac)
 	par.Do(workers, ac, func(c int) {
-		if old != nil && c < len(touched) && !touched[c] && c < old.NumCategories() {
-			list := old.expertLists[c]
-			dt.expertLists[c] = list
-			dt.expertScores[c] = old.expertScores[c]
-			if old.NumUsers() == au {
-				dt.expertsByCategory[c] = old.expertsByCategory[c]
-			} else {
-				bs := mat.NewBitset(au)
-				for _, u := range list {
-					bs.Set(int(u))
-				}
-				dt.expertsByCategory[c] = bs
-			}
-			return
-		}
 		bs := mat.NewBitset(au)
 		var list []int32
 		var scores []float64
@@ -158,47 +111,17 @@ func newDerivedTrust(affinity, expertise *mat.Dense, workers int, old *DerivedTr
 }
 
 // NumUsers returns U.
-func (dt *DerivedTrust) NumUsers() int { return dt.numUsers }
+func (dt *DerivedTrust) NumUsers() int { return dt.affinity.Rows() }
 
 // NumCategories returns C.
 func (dt *DerivedTrust) NumCategories() int { return dt.expertise.Cols() }
 
-// Affinity returns the A matrix (shared; do not modify). On a sharded
-// index the matrix holds only the owned users' rows, in ascending user-id
-// order; AffinityRow maps a user id onto it.
+// Affinity returns the A matrix (shared; do not modify).
 func (dt *DerivedTrust) Affinity() *mat.Dense { return dt.affinity }
 
-// ShardSpec returns the shard this index retains dense rows for; the
-// unsharded spelling (0/1) means every user is owned.
-func (dt *DerivedTrust) ShardSpec() shard.Spec { return dt.spec.Canon() }
-
-// Owns reports whether this index holds user u's dense state — whether u
-// is a source this model can answer for.
-func (dt *DerivedTrust) Owns(u ratings.UserID) bool {
-	return dt.rowIndex == nil || dt.rowIndex[u] >= 0
-}
-
-// OwnedUsers returns how many users' dense rows this index retains (U
-// when unsharded) — the per-shard memory the partitioning buys back.
-func (dt *DerivedTrust) OwnedUsers() int { return dt.affinity.Rows() }
-
-// AffinityRow returns user u's affinity row (shared; do not modify). It
-// panics when a sharded index does not own u.
+// AffinityRow returns user u's affinity row (shared; do not modify).
 func (dt *DerivedTrust) AffinityRow(u ratings.UserID) []float64 {
-	return dt.affinityRow(int(u))
-}
-
-// affinityRow resolves user i's dense affinity row through the shard
-// compaction; every per-source evaluation path reads A through it.
-func (dt *DerivedTrust) affinityRow(i int) []float64 {
-	if dt.rowIndex == nil {
-		return dt.affinity.Row(i)
-	}
-	r := dt.rowIndex[i]
-	if r < 0 {
-		panic(fmt.Sprintf("core: user %d is not owned by shard %v", i, dt.spec))
-	}
-	return dt.affinity.Row(int(r))
+	return dt.affinity.Row(int(u))
 }
 
 // Expertise returns the E matrix (shared; do not modify).
@@ -224,7 +147,7 @@ func (dt *DerivedTrust) Value(i, j ratings.UserID) float64 {
 	if int(dt.affinityNNZ[i])*(bits.Len(uint(dt.NumUsers()))+1) < dt.NumCategories() {
 		return dt.valueIndexed(i, j) / sum
 	}
-	return mat.Dot(dt.affinityRow(int(i)), dt.expertise.Row(int(j))) / sum
+	return mat.Dot(dt.affinity.Row(int(i)), dt.expertise.Row(int(j))) / sum
 }
 
 // valueIndexed evaluates the eq. 5 numerator for cell (i, j) through the
@@ -236,7 +159,7 @@ func (dt *DerivedTrust) Value(i, j ratings.UserID) float64 {
 func (dt *DerivedTrust) valueIndexed(i, j ratings.UserID) float64 {
 	var acc float64
 	target := int32(j)
-	for c, wc := range dt.affinityRow(int(i)) {
+	for c, wc := range dt.affinity.Row(int(i)) {
 		if wc == 0 {
 			continue
 		}
@@ -264,7 +187,7 @@ func (dt *DerivedTrust) Row(i ratings.UserID, dst []float64) []float64 {
 		}
 		return dst
 	}
-	w := dt.affinityRow(int(i))
+	w := dt.affinity.Row(int(i))
 	inv := 1 / sum
 	for j := 0; j < numU; j++ {
 		dst[j] = mat.Dot(w, dt.expertise.Row(j)) * inv
@@ -292,7 +215,7 @@ func (dt *DerivedTrust) RowSparse(i ratings.UserID, dst []float64) []float64 {
 	if sum == 0 {
 		return dst
 	}
-	w := dt.affinityRow(int(i))
+	w := dt.affinity.Row(int(i))
 	for c, wc := range w {
 		if wc == 0 {
 			continue
@@ -316,7 +239,7 @@ func (dt *DerivedTrust) RowSparse(i ratings.UserID, dst []float64) []float64 {
 // affinity for, plus the O(U) clear and scale passes.
 func (dt *DerivedTrust) sparseCost(i ratings.UserID) int {
 	cost := 2 * dt.NumUsers()
-	for c, wc := range dt.affinityRow(int(i)) {
+	for c, wc := range dt.affinity.Row(int(i)) {
 		if wc != 0 {
 			cost += len(dt.expertLists[c])
 		}
@@ -343,7 +266,7 @@ func (dt *DerivedTrust) RowSupport(i ratings.UserID) int {
 		return 0
 	}
 	union := mat.NewBitset(dt.NumUsers())
-	w := dt.affinityRow(int(i))
+	w := dt.affinity.Row(int(i))
 	for c, bs := range dt.expertsByCategory {
 		if w[c] > 0 {
 			bs.OrInto(union)

@@ -8,7 +8,6 @@ import (
 	"weboftrust/internal/mat"
 	"weboftrust/internal/par"
 	"weboftrust/internal/ratings"
-	"weboftrust/internal/shard"
 )
 
 // WebPolicy selects how the continuous derived matrix T̂ is binarised
@@ -84,43 +83,36 @@ func (p WebPolicy) effectiveGenerosity(k float64) float64 {
 	return k
 }
 
-// WebRow is one user's out-edges in the web of trust: target users in
-// ascending id order with the parallel continuous T̂ weights. Rows are
-// immutable once built and shared by reference across incremental
-// updates, so they must never be modified.
+// WebRow is one user's out-edges as the row selection emits them: target
+// users in ascending id order with the parallel continuous T̂ weights.
+// Rows are transient — buildWeb packs them into the web's CSR graph,
+// which is the only place an edge is stored.
 type WebRow struct {
 	To []int32
 	W  []float64
 }
 
 // Web is the binarised web of trust as a pipeline artifact: the per-user
-// generosity vector (after any cold-start fallback), the selected edge
-// rows, and the CSR graph form the propagation algorithms traverse. It is
-// immutable and safe for concurrent use.
+// generosity vector (after any cold-start fallback) and the CSR graph of
+// selected edges the propagation algorithms traverse. The graph is the
+// only copy of the edges: Neighbors reads a user's row straight out of
+// its packed out-arrays. It is immutable and safe for concurrent use.
 //
 // The artifact is maintained incrementally through Config.Update: a user's
 // row is a pure function of their own affinity row, the expert columns of
 // the categories they have affinity for, and their own generosity, so an
-// update recomputes rows only for users whose inputs could have changed
-// and shares every other row with the previous web by reference — the
-// same reuse discipline the derived-trust index applies to expert lists.
-// A sharded web (see Config.Shard) retains dense edge rows only for the
-// owned users; every other user's row lives solely in the replicated CSR
-// graph, which always holds the complete edge set (cross-shard
-// propagation traverses it, so it cannot be partial). Row reads fall back
-// to the graph transparently — the graph's packed rows are copies of the
-// same selections, so the content is identical either way.
+// update re-selects rows only for users whose inputs could have changed
+// and copies every other row from the previous web's graph — the reuse
+// DirtyUsers reports.
 type Web struct {
 	policy     WebPolicy
 	generosity []float64
-	rows       []WebRow
 	g          *graph.Graph
-	numEdges   int
-	spec       shard.Spec
 	// dirty marks, for a web produced by the incremental path, the users
 	// whose row or generosity may differ from the predecessor's — the
-	// exact set buildWeb recomputed; every other row is shared by
-	// reference and therefore provably unchanged. nil for full builds.
+	// exact set buildWeb re-selected; every other row was copied from the
+	// predecessor's graph and is therefore provably unchanged. nil for
+	// full builds.
 	dirty []bool
 }
 
@@ -128,10 +120,10 @@ type Web struct {
 func (w *Web) Policy() WebPolicy { return w.policy }
 
 // NumUsers returns the node count.
-func (w *Web) NumUsers() int { return len(w.rows) }
+func (w *Web) NumUsers() int { return len(w.generosity) }
 
 // NumEdges returns the number of directed trust edges.
-func (w *Web) NumEdges() int { return w.numEdges }
+func (w *Web) NumEdges() int { return w.g.NumEdges() }
 
 // Generosity returns user u's effective conversion ratio k_u (after the
 // cold-start fallback, when the policy has one).
@@ -142,30 +134,11 @@ func (w *Web) Generosity(u ratings.UserID) float64 { return w.generosity[u] }
 func (w *Web) GenerosityVector() []float64 { return w.generosity }
 
 // Neighbors returns user u's out-edges: target ids in ascending order and
-// the parallel T̂ weights. The returned slices are shared; do not modify
-// them.
+// the parallel T̂ weights — the graph's own packed row (Graph().Out(u)).
+// The returned slices are shared; do not modify them.
 func (w *Web) Neighbors(u ratings.UserID) (to []int32, weights []float64) {
-	r := w.rowAt(int(u))
-	return r.To, r.W
+	return w.g.Out(int(u))
 }
-
-// Row returns user u's edge row (shared; do not modify).
-func (w *Web) Row(u ratings.UserID) WebRow { return w.rowAt(int(u)) }
-
-// rowAt resolves user u's edge row, serving unowned users of a sharded
-// web from the replicated CSR graph (whose packed row is a copy of the
-// same selection — identical targets and weights).
-func (w *Web) rowAt(u int) WebRow {
-	if w.spec.IsSharded() && !w.spec.Owns(u) {
-		to, wt := w.g.Out(u)
-		return WebRow{To: to, W: wt}
-	}
-	return w.rows[u]
-}
-
-// ShardSpec returns the shard whose users' rows are retained densely; the
-// unsharded spelling (0/1) means all of them.
-func (w *Web) ShardSpec() shard.Spec { return w.spec.Canon() }
 
 // Graph returns the CSR graph form the propagation algorithms traverse
 // (shared; do not modify).
@@ -174,9 +147,10 @@ func (w *Web) Graph() *graph.Graph { return w.g }
 // DirtyUsers returns the users whose row or generosity may differ from
 // the predecessor web this one was incrementally built from — a
 // conservative superset of the actually-changed rows; every user not
-// marked shares their row with the predecessor by reference and is
-// provably unchanged. It returns nil for webs built from scratch (no
-// predecessor to compare against). The slice is shared; do not modify.
+// marked had their row copied from the predecessor's graph instead of
+// re-selected, and is provably unchanged. It returns nil for webs built
+// from scratch (no predecessor to compare against). The slice is shared;
+// do not modify.
 func (w *Web) DirtyUsers() []bool { return w.dirty }
 
 // BuildWeb binarises the derived matrix into a web of trust under the
@@ -187,10 +161,9 @@ func BuildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 }
 
 // buildWeb builds the web artifact. When old, oldD and touched are given
-// (the incremental-update path), only dirty users' rows are recomputed;
-// every other row and generosity entry is taken from old — rows shared by
-// reference, since both sides are immutable. See dirtyUsers for what
-// makes a user dirty.
+// (the incremental-update path), only dirty users' rows are re-selected;
+// every other row and generosity entry is copied from old. See
+// dirtyUsers for what makes a user dirty.
 func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers int, old *Web, oldD *ratings.Dataset, touched []bool) (*Web, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
@@ -202,24 +175,28 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 	w := &Web{
 		policy:     policy,
 		generosity: make([]float64, numU),
-		rows:       make([]WebRow, numU),
 	}
 
 	// Incremental reuse is only sound against a web built under the same
 	// policy from a dataset this one extends.
 	var dirty []bool
-	if old != nil && oldD != nil && old.policy == policy && len(old.rows) <= numU {
+	if old != nil && oldD != nil && old.policy == policy && old.NumUsers() <= numU {
 		dirty = dirtyUsers(oldD, d, touched, dt.affinity)
 	}
 
+	// Rows live in these transient slices only until graph.FromRows packs
+	// them — one O(E) validate-and-copy pass over rows that are already
+	// sorted and unique — so the graph is the web's one copy of its edges.
+	// Every build packs wholesale: a typical ingest tick dirties most
+	// users, so splicing dirty rows into the predecessor's arrays costs
+	// more than this rebuild (EXPERIMENTS.md measures both).
+	to := make([][]int32, numU)
+	weights := make([][]float64, numU)
 	n := par.Normalize(workers)
 	bufs := make([]*selectScratch, n)
 	par.DoWorker(n, numU, func(wk, u int) {
 		if dirty != nil && !dirty[u] {
-			// rowAt, not rows[u]: a sharded predecessor holds non-owned
-			// rows only in its graph, and this full rebuild needs them all
-			// (the compaction, if any, happens after the pipeline).
-			w.rows[u] = old.rowAt(u)
+			to[u], weights[u] = old.g.Out(u)
 			w.generosity[u] = old.generosity[u]
 			return
 		}
@@ -228,20 +205,9 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 		}
 		k := policy.effectiveGenerosity(generosityOf(d, ratings.UserID(u)))
 		w.generosity[u] = k
-		w.rows[u] = policyRowInto(dt, ratings.UserID(u), policy, k, bufs[wk], true)
+		r := policyRowInto(dt, ratings.UserID(u), policy, k, bufs[wk], true)
+		to[u], weights[u] = r.To, r.W
 	})
-
-	// The CSR graph: every build, incremental or not, packs the rows
-	// wholesale — one O(E) validate-and-copy pass over rows that are
-	// already sorted and unique (graph.FromRows). A typical ingest tick
-	// dirties most users, so splicing dirty rows into the predecessor's
-	// arrays costs more than this rebuild (EXPERIMENTS.md measures both).
-	to := make([][]int32, numU)
-	weights := make([][]float64, numU)
-	for u, r := range w.rows {
-		to[u] = r.To
-		weights[u] = r.W
-	}
 	g, err := graph.FromRows(numU, to, weights)
 	if err != nil {
 		// policyRowInto emits ascending in-range unique ids; reaching
@@ -249,7 +215,6 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 		return nil, fmt.Errorf("core: web build: %w", err)
 	}
 	w.g = g
-	w.numEdges = g.NumEdges()
 	w.dirty = dirty
 	return w, nil
 }
@@ -261,7 +226,7 @@ func buildWeb(d *ratings.Dataset, dt *DerivedTrust, policy WebPolicy, workers in
 // u has affinity for — changed only for touched categories; and (3) u's
 // generosity — changed only by u's own new connections (ratings) or
 // explicit trust edges. New users have no old row at all. Everyone else's
-// inputs are byte-identical, which is what makes sharing their rows
+// inputs are byte-identical, which is what makes copying their rows
 // sound; the equals-fresh-derive property test pins it.
 func dirtyUsers(oldD, newD *ratings.Dataset, touched []bool, affinity *mat.Dense) []bool {
 	numU := newD.NumUsers()

@@ -41,15 +41,51 @@ func websEqual(t *testing.T, want, got *Web) {
 	}
 }
 
-// sharesRow reports whether two webs share user u's row backing arrays
-// (the incremental-update reuse discipline), vacuously true for empty
-// rows.
-func sharesRow(a, b *Web, u ratings.UserID) bool {
-	ra, rb := a.Row(u), b.Row(u)
-	if len(ra.To) == 0 && len(rb.To) == 0 {
-		return true
+// sameRow reports whether two webs hold the same edges for user u.
+func sameRow(a, b *Web, u ratings.UserID) bool {
+	at, aw := a.Neighbors(u)
+	bt, bw := b.Neighbors(u)
+	return slices.Equal(at, bt) && slices.Equal(aw, bw)
+}
+
+// TestWebStoresEdgesOnce pins that the CSR graph is the web's only copy
+// of its edges: after Run and after Update, Neighbors(u) returns the very
+// slices Graph().Out(u) does, for every user.
+func TestWebStoresEdgesOnce(t *testing.T) {
+	d := synthDataset(t)
+	cfg := DefaultConfig()
+	art, err := cfg.Run(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return len(ra.To) == len(rb.To) && len(ra.To) > 0 && &ra.To[0] == &rb.To[0] && &ra.W[0] == &rb.W[0]
+	newD := growFraction(t, d, 2)
+	upd, err := cfg.Update(art, d, newD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		label string
+		web   *Web
+	}{{"run", art.Web}, {"update", upd.Web}} {
+		aliased := 0
+		for u := 0; u < tc.web.NumUsers(); u++ {
+			to, w := tc.web.Neighbors(ratings.UserID(u))
+			gt, gw := tc.web.Graph().Out(u)
+			if len(to) != len(gt) || len(w) != len(gw) {
+				t.Fatalf("%s: user %d has %d neighbors, graph row %d", tc.label, u, len(to), len(gt))
+			}
+			if len(to) == 0 {
+				continue
+			}
+			if &to[0] != &gt[0] || &w[0] != &gw[0] {
+				t.Fatalf("%s: user %d's neighbors are a copy, not the graph's row", tc.label, u)
+			}
+			aliased++
+		}
+		if aliased == 0 {
+			t.Fatalf("%s: no user has edges; the aliasing check is vacuous", tc.label)
+		}
+	}
 }
 
 // TestWebMatchesBinarize pins the artifact to the paper's protocol: the
@@ -172,9 +208,9 @@ func TestWebColdGenerosity(t *testing.T) {
 
 // TestGraphUpdateEqualsFreshDerive: after random dataset growth, the
 // incrementally maintained web — dirty rows recomputed, every other row
-// shared — is bitwise identical to a from-scratch derive at every
-// worker-count combination, and every untouched user's edge row is
-// shared with the old web by reference (not merely equal).
+// copied — is bitwise identical to a from-scratch derive at every
+// worker-count combination, and every untouched user is unmarked in
+// DirtyUsers with their old row and generosity.
 func TestGraphUpdateEqualsFreshDerive(t *testing.T) {
 	property := func(seed uint64) bool {
 		oldD := randomGrowableDataset(seed)
@@ -201,9 +237,9 @@ func TestGraphUpdateEqualsFreshDerive(t *testing.T) {
 				}
 				websEqual(t, fresh.Web, upd.Web)
 
-				// Shared-ref reuse for every untouched user: recompute the
-				// dirty set the way the update did and require bitwise row
-				// sharing outside it.
+				// Row reuse for every untouched user: recompute the dirty
+				// set the way the update did and require every user outside
+				// it to be unmarked, with the old row and generosity.
 				touched := make([]bool, newD.NumCategories())
 				for c := oldD.NumCategories(); c < newD.NumCategories(); c++ {
 					touched[c] = true
@@ -215,22 +251,24 @@ func TestGraphUpdateEqualsFreshDerive(t *testing.T) {
 					touched[newD.Review(rt.Review).Category] = true
 				}
 				dirty := dirtyUsers(oldD, newD, touched, upd.Affinity)
-				shared := 0
+				marked := upd.Web.DirtyUsers()
 				for u := 0; u < oldD.NumUsers(); u++ {
 					if dirty[u] {
 						continue
 					}
-					if !sharesRow(oldArt.Web, upd.Web, ratings.UserID(u)) {
-						t.Logf("seed %d: untouched user %d row not shared", seed, u)
+					if marked[u] {
+						t.Logf("seed %d: untouched user %d marked dirty", seed, u)
+						return false
+					}
+					if !sameRow(oldArt.Web, upd.Web, ratings.UserID(u)) {
+						t.Logf("seed %d: untouched user %d row changed", seed, u)
 						return false
 					}
 					if oldArt.Web.Generosity(ratings.UserID(u)) != upd.Web.Generosity(ratings.UserID(u)) {
 						t.Logf("seed %d: untouched user %d generosity changed", seed, u)
 						return false
 					}
-					shared++
 				}
-				_ = shared
 			}
 		}
 		return true
@@ -244,7 +282,7 @@ func TestGraphUpdateEqualsFreshDerive(t *testing.T) {
 // "alpha" and "beta", three users each, activity strictly within their
 // own category) and returns the dataset plus the beta reviews. Growth
 // confined to alpha leaves the beta users' every web input untouched, so
-// their rows must be shared by reference across an update.
+// an update must leave them unmarked in DirtyUsers.
 func buildSplitCommunity(t *testing.T) (*ratings.Dataset, []ratings.ReviewID) {
 	t.Helper()
 	b := ratings.NewBuilder()
@@ -309,7 +347,7 @@ func growAlpha(d *ratings.Dataset, round int) *ratings.Dataset {
 
 // TestWebUpdateChain folds several alpha-only growth rounds through
 // Update and pins the final web against a fresh derive, asserting that
-// the untouched beta users' rows are shared by reference at every round.
+// the untouched beta users are unmarked in DirtyUsers at every round.
 func TestWebUpdateChain(t *testing.T) {
 	d, _ := buildSplitCommunity(t)
 	cfg := DefaultConfig()
@@ -323,9 +361,10 @@ func TestWebUpdateChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		marked := upd.Web.DirtyUsers()
 		for u := 3; u < 6; u++ { // beta users
-			if !sharesRow(art.Web, upd.Web, ratings.UserID(u)) {
-				t.Fatalf("round %d: beta user %d row not shared", round, u)
+			if marked[u] {
+				t.Fatalf("round %d: untouched beta user %d marked dirty", round, u)
 			}
 		}
 		d, art = newD, upd
@@ -335,9 +374,9 @@ func TestWebUpdateChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	websEqual(t, fresh.Web, art.Web)
-	// Sanity: beta users actually have edges, so sharing is not vacuous.
+	// Sanity: beta users actually have edges, so the reuse is not vacuous.
 	if to, _ := art.Web.Neighbors(3); len(to) == 0 {
-		t.Error("beta user 3 has no edges; sharing assertion is vacuous")
+		t.Error("beta user 3 has no edges; the reuse assertion is vacuous")
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package router serves a shard-by-source trustd cluster behind one
 // address. It is a thin, stateless consistent-hash proxy: each per-source
 // query names a source user, the user's owning shard is computed with the
-// same jump hash the shards themselves retain state under
+// same jump hash the shards themselves check ownership with
 // (internal/shard), and the request is forwarded to one of that shard's
 // replicas over a pooled connection. The router holds no model, no
 // cache and no cluster state beyond its static shard map, so any number
 // of router processes can front the same cluster.
 //
-// Because every shard answers its owned sources bitwise-identically to
-// an unsharded process (the core retention property), the router's
+// Because every shard keeps the complete model and answers its owned
+// sources bitwise-identically to an unsharded process, the router's
 // responses are byte-for-byte what a single trustd serving the whole
 // community would produce — including error bodies, which are proxied
 // from real shards rather than synthesised here. The cluster harness
@@ -261,7 +261,7 @@ func New(cfg Config) (*Router, error) {
 func (rt *Router) NumShards() int { return len(rt.shards) }
 
 // Owner returns the shard index owning a user id — the same jump hash
-// the shards retain state under.
+// the shards check ownership with.
 func (rt *Router) Owner(user int) int { return shard.Owner(user, len(rt.shards)) }
 
 // Handler returns the router's HTTP routes: the shard-routed query

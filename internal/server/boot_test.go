@@ -319,3 +319,52 @@ func TestCheckpointerFinalWriteOnShutdown(t *testing.T) {
 		t.Fatalf("final checkpoint at %d, server at %d", info.Offset, srvOffset)
 	}
 }
+
+// TestOpenCheckpointedVersion2Bundles boots a shard over bundles written
+// in checkpoint format version 2 (internal/checkpoint/testdata): the
+// unsharded one restores warm under the shard's spec, while the one shard
+// 1/3 wrote — which held only that shard's rows — boots cold and says why.
+func TestOpenCheckpointedVersion2Bundles(t *testing.T) {
+	golden := filepath.Join("..", "checkpoint", "testdata")
+	unsharded, info, err := checkpoint.ReadFile(filepath.Join(golden, "v2-unsharded.wck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The log the bundles were written against: the same dataset's events.
+	path := filepath.Join(t.TempDir(), "events.log")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendDataset(store.NewLogWriter(f), unsharded.Dataset()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != info.Offset {
+		t.Fatalf("rebuilt log: %v, want %d bytes (err %v)", st, info.Offset, err)
+	}
+
+	boot := func(bundle string) *BootInfo {
+		dir := t.TempDir()
+		raw, err := os.ReadFile(filepath.Join(golden, bundle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000001.wck"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, bi, err := OpenCheckpointed(path, dir, time.Hour, Options{}, weboftrust.WithShard(1, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bi
+	}
+	if bi := boot("v2-unsharded.wck"); !bi.Warm || bi.TailedEvents != 0 {
+		t.Fatalf("unsharded v2 bundle: boot %+v, want warm with nothing tailed", bi)
+	}
+	if bi := boot("v2-shard-1of3.wck"); bi.Warm || !strings.Contains(bi.FallbackReason, "unsupported format version") {
+		t.Fatalf("sharded v2 bundle: boot %+v, want cold naming the format version", bi)
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"weboftrust/internal/anomaly"
 	"weboftrust/internal/core"
 	"weboftrust/internal/ratings"
+	"weboftrust/internal/shard"
 )
 
 // state is everything one consistent view of the world needs. It is
@@ -61,6 +62,9 @@ type state struct {
 	// landmarks is the state's landmark selection and sketches for the
 	// `?approx=landmark` propagation mode, each built cold on first use.
 	landmarks *landmarkState
+	// shard is the /v1/stats and /metrics partition block, computed once
+	// per model; nil when the model is unsharded.
+	shard *ShardStats
 }
 
 // Options tunes a Server. The zero value uses the defaults.
@@ -250,6 +254,7 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		flights: newFlightGroup(),
 		rank:    lazyRank(model),
 		anomaly: s.lazyAnomaly(model),
+		shard:   shardStats(model),
 	}
 	st.landmarks = s.lazyLandmarks(st)
 	if prev == nil {
@@ -865,7 +870,7 @@ type StatsResponse struct {
 }
 
 // ShardStats is the partition block of /v1/stats: the spec this process
-// serves and how many of the community's users it owns dense state for.
+// serves and how many of the community's source users it answers for.
 type ShardStats struct {
 	Index      int    `json:"index"`
 	Count      int    `json:"count"`
@@ -884,7 +889,7 @@ func shardStats(m *weboftrust.TrustModel) *ShardStats {
 		Index:      idx,
 		Count:      count,
 		Spec:       fmt.Sprintf("%d/%d", idx, count),
-		OwnedUsers: m.Artifacts().Trust.OwnedUsers(),
+		OwnedUsers: shard.Spec{Index: idx, Count: count}.CountOwned(m.Dataset().NumUsers()),
 	}
 }
 
@@ -914,7 +919,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ShedRequests:        s.metrics.shed.Load(),
 		TailTransientErrors: s.metrics.tailTransient.Load(),
 	}
-	resp.Shard = shardStats(st.model)
+	resp.Shard = st.shard
 	resp.Landmarks = st.landmarks.size()
 	if ck := s.checkpointStatus(); ck != nil {
 		resp.Checkpoint = &CheckpointStats{
@@ -941,8 +946,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version": st.version,
 		"offset":  st.offset,
 	}
-	if sh := shardStats(st.model); sh != nil {
-		body["shard"] = sh.Spec
+	if st.shard != nil {
+		body["shard"] = st.shard.Spec
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -966,8 +971,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		"offset":  st.offset,
 		"target":  target,
 	}
-	if sh := shardStats(st.model); sh != nil {
-		body["shard"] = sh.Spec
+	if st.shard != nil {
+		body["shard"] = st.shard.Spec
 	}
 	if st.offset < target {
 		body["status"] = "catching-up"
@@ -1010,10 +1015,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("trustd_log_offset_bytes", "Event-log offset the served model reflects.", st.offset)
 		gauge("trustd_result_cache_entries", "Ranked results currently cached.", int64(st.results.len()))
 		gauge("trustd_result_cache_bytes", "Approximate memory retained by the result cache.", st.results.approxBytes())
-		if sh := shardStats(st.model); sh != nil {
+		if sh := st.shard; sh != nil {
 			gauge("trustd_shard_index", "This server's shard index.", int64(sh.Index))
 			gauge("trustd_shard_count", "Total shards in the deployment.", int64(sh.Count))
-			gauge("trustd_shard_owned_users", "Users this shard owns dense state for.", int64(sh.OwnedUsers))
+			gauge("trustd_shard_owned_users", "Source users this shard answers for.", int64(sh.OwnedUsers))
 		}
 	}
 	counter("trustd_checkpoint_writes_total", "Checkpoints successfully written.", s.metrics.checkpointWrites.Load())

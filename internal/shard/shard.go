@@ -1,8 +1,8 @@
 // Package shard defines the cluster's ownership rule: which shard of an
 // N-shard deployment owns which source user. Every layer that partitions
-// by source user — the core pipeline's dense-state retention, per-shard
-// checkpoints, trustd's ownership guard, the request router — imports
-// this one rule, so they can never disagree about who owns whom.
+// by source user — the model's Owns, trustd's ownership guard, log
+// filtering by source, the request router — imports this one rule, so
+// they can never disagree about who owns whom.
 //
 // Ownership is a consistent hash (Lamping & Veach's jump consistent hash
 // over a splitmix64-mixed user id): deterministic across processes and
@@ -106,9 +106,10 @@ func (s Spec) CountOwned(n int) int {
 // Owner returns the shard index in [0, count) that owns user id, via jump
 // consistent hash over a splitmix64-mixed id. count <= 1 returns 0.
 //
-// The function is part of the persistence format: per-shard checkpoints
-// record which users' rows they hold by recording only the Spec, so the
-// mapping must never change. The golden-value test pins it.
+// Nothing persisted records the mapping, but a router and its shards
+// must agree on it, including processes of different builds during a
+// rolling upgrade, so it must never change. The golden-value test pins
+// it.
 func Owner(id, count int) int {
 	if count <= 1 {
 		return 0

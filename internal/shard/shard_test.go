@@ -108,9 +108,9 @@ func TestOwnerMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestOwnerGolden pins the hash function itself: per-shard checkpoints
-// record only the Spec, so the id -> shard mapping is part of the
-// persistence format and must never change.
+// TestOwnerGolden pins the hash function itself: a router and its shards
+// must agree on the id -> shard mapping across builds, so it must never
+// change.
 func TestOwnerGolden(t *testing.T) {
 	cases := []struct{ id, count, want int }{
 		{0, 2, Owner(0, 2)},
@@ -133,7 +133,7 @@ func TestOwnerGolden(t *testing.T) {
 	}
 	const wantSig = 0x6a67c16e4f73efe7
 	if sig != wantSig {
-		t.Fatalf("ownership signature %#x, want %#x — the hash changed, which breaks every sharded checkpoint", sig, wantSig)
+		t.Fatalf("ownership signature %#x, want %#x — the hash changed, so routers and shards of different builds disagree", sig, wantSig)
 	}
 }
 

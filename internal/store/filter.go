@@ -16,8 +16,7 @@ import (
 // by, so dropping any of them would renumber the world. Only the
 // per-source ACTION events are filtered: a rating goes with its rater, a
 // trust edge with its origin. The result is a log whose replay yields
-// the same users/objects/reviews but only the chosen sources' opinions —
-// the physical-split counterpart of a shard's retained dense state.
+// the same users/objects/reviews but only the chosen sources' opinions.
 //
 // The returned slice shares the input's backing array when everything is
 // kept; callers must treat the input as consumed.

@@ -16,13 +16,9 @@
 #                            may grow by at most 1.25×.
 #
 # Usage: scripts/check_allocs.sh
-#   ALLOC_BASELINE_FILE            BenchmarkServerTopK baseline JSON (default BENCH_pr3.json)
-#   ALLOC_PROPAGATE_BASELINE_FILE  BenchmarkServerPropagate baseline JSON (default BENCH_pr10.json)
-#   ALLOC_BENCHTIME                iterations for the alloc measurement (default 200x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-benchtime="${ALLOC_BENCHTIME:-200x}"
 fail=0
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -33,8 +29,9 @@ recorded() {
 	grep -o "\"name\": \"Benchmark$2\"[^}]*" "$1" | grep -o "\"$3\": [0-9]*" | awk '{print $2}'
 }
 
-# guard NAME BASELINE_FILE — measure Benchmark$NAME (anchored) and compare
-# its allocs/op against the lowest figure recorded for it in the baseline.
+# guard NAME BASELINE_FILE — measure Benchmark$NAME (anchored) over 200
+# iterations and compare its allocs/op against the lowest figure recorded
+# for it in the baseline.
 guard() {
 	local name="$1" baseline_file="$2" baseline current
 	baseline="$(recorded "$baseline_file" "$name" allocs_per_op | sort -n | head -1)"
@@ -42,7 +39,7 @@ guard() {
 		echo "check_allocs: no Benchmark${name} baseline in $baseline_file" >&2
 		return 2
 	fi
-	current="$(go test -run '^$' -bench "${name}\$" -benchmem -benchtime "$benchtime" . |
+	current="$(go test -run '^$' -bench "${name}\$" -benchmem -benchtime 200x . |
 		awk -v b="^Benchmark${name}(-[0-9]+)?[ \t]" '$0 ~ b {print $(NF-1)}')"
 	if [ -z "$current" ]; then
 		echo "check_allocs: Benchmark${name} produced no allocs/op figure" >&2
@@ -104,8 +101,8 @@ time_guard() {
 	fi
 }
 
-guard ServerTopK "${ALLOC_BASELINE_FILE:-BENCH_pr3.json}" || fail=$?
-guard ServerPropagate "${ALLOC_PROPAGATE_BASELINE_FILE:-BENCH_pr10.json}" || fail=$?
+guard ServerTopK BENCH_pr3.json || fail=$?
+guard ServerPropagate BENCH_pr10.json || fail=$?
 time_guard IngestSwap PipelineRun/workers=1 BENCH_pr16.json || fail=$?
 
 if [ "$fail" -ne 0 ]; then

@@ -11,7 +11,8 @@
 #      answers 200,
 #   4. killing one replica of a two-replica shard mid-run is invisible
 #      (responses stay byte-identical through failover), and restarting
-#      it recovers with zero divergence,
+#      it warm from a checkpoint `trustctl checkpoint` wrote without a
+#      shard spec recovers with zero divergence,
 #
 # then tears everything down. This is the out-of-process complement to
 # the in-process harnesses in internal/router/cluster_test.go and
@@ -49,6 +50,9 @@ echo "== generating community and event log"
 "$workdir/trustctl" generate -preset small -out "$workdir/data.wot" >/dev/null
 "$workdir/trustctl" exportlog -in "$workdir/data.wot" -log "$workdir/events.log" >/dev/null
 users=300 # synth.Small community size
+
+echo "== writing one spec-free checkpoint of the log"
+"$workdir/trustctl" checkpoint -log "$workdir/events.log" -dir "$workdir/ckpt" >/dev/null
 
 echo "== starting unsharded reference on :$ref_port"
 "$workdir/trustd" serve -log "$workdir/events.log" -addr "127.0.0.1:$ref_port" 2>"$workdir/ref.log" &
@@ -140,13 +144,20 @@ kill -9 "$s0a_pid" 2>/dev/null || true
 wait "$s0a_pid" 2>/dev/null || true
 check_equivalence "replica-dead"
 
-echo "== restarting the killed replica"
-"$workdir/trustd" serve -log "$workdir/events.log" -addr "127.0.0.1:$s0_port" -shard 0/3 2>"$workdir/shard0_restart.log" &
+echo "== restarting the killed replica warm from a copy of the checkpoint"
+cp -r "$workdir/ckpt" "$workdir/ckpt-s0"
+"$workdir/trustd" serve -log "$workdir/events.log" -addr "127.0.0.1:$s0_port" -shard 0/3 \
+    -checkpoint-dir "$workdir/ckpt-s0" 2>"$workdir/shard0_restart.log" &
 pids+=($!)
 wait_ready "http://127.0.0.1:$s0_port" "restarted shard 0 replica"
 # Give the router's breaker a cooldown to re-probe the revived replica,
 # then the full equivalence sweep must hold again with zero divergence.
 sleep 0.5
+if ! grep -q "warm boot" "$workdir/shard0_restart.log"; then
+    echo "FAIL: restarted shard 0 replica did not boot warm from the checkpoint" >&2
+    cat "$workdir/shard0_restart.log" >&2
+    exit 1
+fi
 check_equivalence "replica-restarted"
 
 echo "== misdirected check: no shard saw a wrongly routed source"
