@@ -135,21 +135,21 @@ func TestBundleRestoresUnderAnySpec(t *testing.T) {
 // the one written by shard 1/3 — which held only that shard's rows —
 // fails with ErrBadVersion under any options.
 func TestReadVersion2Bundles(t *testing.T) {
-	shardOpts := []weboftrust.Option{weboftrust.WithShard(1, 3)}
-	restored, info, err := ReadFile(filepath.Join("testdata", "v2-unsharded.wck"), shardOpts...)
+	asShard1of3 := []weboftrust.Option{weboftrust.WithShard(1, 3)}
+	restored, info, err := ReadFile(filepath.Join("testdata", "v2-unsharded.wck"), asShard1of3...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Offset == 0 || info.LogSize != info.Offset {
 		t.Fatalf("info = %+v, want the recorded log end", info)
 	}
-	fresh, err := weboftrust.Derive(restored.Dataset(), shardOpts...)
+	fresh, err := weboftrust.Derive(restored.Dataset(), asShard1of3...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restoredMatchesFresh(t, fresh, restored)
 
-	for _, opts := range [][]weboftrust.Option{nil, shardOpts} {
+	for _, opts := range [][]weboftrust.Option{nil, asShard1of3} {
 		_, _, err := ReadFile(filepath.Join("testdata", "v2-shard-1of3.wck"), opts...)
 		if !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("%d options: err = %v, want ErrBadVersion", len(opts), err)
