@@ -97,13 +97,57 @@ func TestShardedRestoreTailEqualsFreshDerive(t *testing.T) {
 	}
 }
 
-// TestBundleRestoresUnderAnySpec pins that a bundle written by shard 0/3
-// restores as shard 1/3, as an unsharded model and under other web
-// policies, each serving exactly what a fresh Derive under the restoring
+// TestBundleRestoresUnderAnySpec pins that a bundle restores under any
+// shard spec, whatever spec wrote it: one written by shard 0/3 restores as
+// 1/3, as 1/4 and as an unsharded model, and an unsharded one restores as
+// 1/3, each serving exactly what a fresh Derive under the restoring
 // options serves.
 func TestBundleRestoresUnderAnySpec(t *testing.T) {
 	d := smallDataset(t)
-	written, err := weboftrust.Derive(d, weboftrust.WithShard(0, 3))
+	bundle := func(opts ...weboftrust.Option) []byte {
+		t.Helper()
+		m, err := weboftrust.Derive(d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sharded := bundle(weboftrust.WithShard(0, 3))
+	unsharded := bundle()
+
+	cases := []struct {
+		name string
+		raw  []byte
+		opts []weboftrust.Option
+	}{
+		{"sharded bundle, other index", sharded, []weboftrust.Option{weboftrust.WithShard(1, 3)}},
+		{"sharded bundle, other count", sharded, []weboftrust.Option{weboftrust.WithShard(1, 4)}},
+		{"sharded bundle, unsharded serving", sharded, nil},
+		{"unsharded bundle, sharded serving", unsharded, []weboftrust.Option{weboftrust.WithShard(1, 3)}},
+	}
+	for _, tc := range cases {
+		restored, _, err := Read(bytes.NewReader(tc.raw), tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fresh, err := weboftrust.Derive(d, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restoredMatchesFresh(t, fresh, restored)
+	}
+}
+
+// TestBundleRestoresUnderAnyWebPolicy pins that a sharded bundle restores
+// under a web policy other than the one it was written with, serving
+// exactly what a fresh Derive under the restoring policy serves.
+func TestBundleRestoresUnderAnyWebPolicy(t *testing.T) {
+	d := smallDataset(t)
+	written, err := weboftrust.Derive(d, weboftrust.WithShard(0, 2), weboftrust.WithWebColdStartGenerosity(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +156,9 @@ func TestBundleRestoresUnderAnySpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range [][]weboftrust.Option{
-		{weboftrust.WithShard(1, 3)},
-		nil,
-		{weboftrust.WithShard(0, 3), weboftrust.WithWebColdStartGenerosity(0.2)},
+		{weboftrust.WithShard(0, 2), weboftrust.WithWebColdStartGenerosity(0.2)},
+		{weboftrust.WithShard(0, 2)},
+		{weboftrust.WithShard(1, 2), weboftrust.WithWebThreshold(0.5)},
 		{weboftrust.WithWebThreshold(0.5)},
 	} {
 		restored, _, err := Read(bytes.NewReader(buf.Bytes()), opts...)
