@@ -62,10 +62,13 @@ cluster-smoke:
 # injection (kill/restart, slow replica, flapping replica, total shard
 # death) where every response must be byte-identical to the unsharded
 # reference or explicitly labeled degraded. Includes the fault
-# injector's and failure-layer unit tests.
+# injector's and failure-layer unit tests, and 50 race-detector runs of
+# the result-cache tests: a scheduling flake seen in 4 of 100 single runs
+# shows up in one run about 4% of the time, in 50 runs about 87%.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestBreaker|TestAdmission|TestTailer' ./internal/router ./internal/server
 	$(GO) test -race -count=1 ./internal/faulty
+	$(GO) test -race -count=50 -run 'TestResultCache|TestOversizedKSharesOneEntry|TestLeaderPanic|TestSingleflight' ./internal/server
 
 # fuzz-smoke gives each binary-decoder fuzz target (plus the graph
 # constructor's edge validation) a short adversarial run ($(FUZZTIME)

@@ -412,7 +412,7 @@ func BenchmarkTopTrusted(b *testing.B) {
 // --- Serving benchmarks ---------------------------------------------------
 
 // BenchmarkServerTopK measures trustd's full /v1/topk handler path —
-// routing, parameter validation, result cache, pooled RowAuto evaluation,
+// routing, parameter validation, result cache, pooled RowSparse evaluation,
 // heap ranking and JSON encoding — cycling through every user so the
 // result cache runs at its steady-state miss rate.
 func BenchmarkServerTopK(b *testing.B) {

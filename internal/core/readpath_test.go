@@ -10,28 +10,23 @@ import (
 	"weboftrust/internal/synth"
 )
 
-// requireReadPathsAgree asserts, for every user of dt, that the three row
-// evaluators (dense Row, CSC-indexed RowSparse, and the routing RowAuto)
-// produce bitwise-identical rows, and that Value and its two underlying
-// routes (the dense dot and the indexed binary search) agree bitwise on a
-// stride of cells.
+// requireReadPathsAgree asserts, for every user of dt, that the two row
+// evaluators (dense Row and CSC-indexed RowSparse) produce
+// bitwise-identical rows, and that Value and its two underlying routes
+// (the dense dot and the indexed binary search) agree bitwise on a stride
+// of cells.
 func requireReadPathsAgree(t *testing.T, label string, dt *DerivedTrust) {
 	t.Helper()
 	numU := dt.NumUsers()
 	dense := make([]float64, numU)
 	sparse := make([]float64, numU)
-	auto := make([]float64, numU)
 	for u := 0; u < numU; u++ {
 		i := ratings.UserID(u)
 		dt.Row(i, dense)
 		dt.RowSparse(i, sparse)
-		dt.RowAuto(i, auto)
 		for j := range dense {
 			if dense[j] != sparse[j] {
 				t.Fatalf("%s: RowSparse T̂[%d][%d] = %v, Row = %v", label, u, j, sparse[j], dense[j])
-			}
-			if dense[j] != auto[j] {
-				t.Fatalf("%s: RowAuto T̂[%d][%d] = %v, Row = %v", label, u, j, auto[j], dense[j])
 			}
 		}
 		// Value divides by the row sum (where Row multiplies by its

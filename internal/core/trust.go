@@ -172,7 +172,8 @@ func (dt *DerivedTrust) valueIndexed(i, j ratings.UserID) float64 {
 }
 
 // Row fills dst (length U) with row i of T̂ and returns it. If dst is nil
-// a new slice is allocated.
+// a new slice is allocated. It is the dense O(U·C) reference that tests
+// hold RowSparse to.
 func (dt *DerivedTrust) Row(i ratings.UserID, dst []float64) []float64 {
 	numU := dt.NumUsers()
 	if dst == nil {
@@ -198,9 +199,9 @@ func (dt *DerivedTrust) Row(i ratings.UserID, dst []float64) []float64 {
 // RowSparse fills dst (length U) with row i of T̂ like Row, but iterates
 // only the experts of the categories user i has affinity for, instead of
 // all U·C products. When interests are narrow and expertise is sparse this
-// is much cheaper; the result is bitwise identical to Row up to float
-// summation order (each (j, c) product is added exactly once, in ascending
-// category order, matching Row's inner loop order for the touched cells).
+// is much cheaper, and the result is bitwise identical to Row: each
+// non-zero (j, c) product is added exactly once, in ascending category
+// order, matching Row's inner loop order for the touched cells.
 func (dt *DerivedTrust) RowSparse(i ratings.UserID, dst []float64) []float64 {
 	numU := dt.NumUsers()
 	if dst == nil {
@@ -232,31 +233,6 @@ func (dt *DerivedTrust) RowSparse(i ratings.UserID, dst []float64) []float64 {
 		dst[k] *= inv
 	}
 	return dst
-}
-
-// sparseCost estimates the number of multiply-adds RowSparse performs for
-// source i: the total expert-list length over the categories i has
-// affinity for, plus the O(U) clear and scale passes.
-func (dt *DerivedTrust) sparseCost(i ratings.UserID) int {
-	cost := 2 * dt.NumUsers()
-	for c, wc := range dt.affinity.Row(int(i)) {
-		if wc != 0 {
-			cost += len(dt.expertLists[c])
-		}
-	}
-	return cost
-}
-
-// RowAuto fills dst (length U) with row i of T̂, routing to RowSparse when
-// user i's affinity is narrow enough that walking only the relevant expert
-// lists beats the dense U·C sweep, and to Row otherwise. Both paths add
-// the same products in the same order, so the result is identical either
-// way; only the cost differs.
-func (dt *DerivedTrust) RowAuto(i ratings.UserID, dst []float64) []float64 {
-	if dt.sparseCost(i) < dt.NumUsers()*dt.NumCategories() {
-		return dt.RowSparse(i, dst)
-	}
-	return dt.Row(i, dst)
 }
 
 // RowSupport returns the number of users j != i with T̂_ij > 0: the size
@@ -297,12 +273,12 @@ type Ranked struct {
 
 // TopTrusted returns the k users with the highest T̂_ij for source i,
 // excluding i itself and zero scores, in descending score order (ties by
-// ascending user id). The row is evaluated through RowAuto, so sources
-// with narrow interests pay only for the experts they can reach, and
-// selection runs through the bounded heap (O(U log k), O(k) working
-// memory) rather than a full-row sort-select.
+// ascending user id). The row is evaluated through RowSparse, so a
+// source pays only for the experts it can reach, and selection runs
+// through the bounded heap (O(U log k), O(k) working memory) rather than
+// a full-row sort-select.
 func (dt *DerivedTrust) TopTrusted(i ratings.UserID, k int) []Ranked {
-	row := dt.RowAuto(i, nil)
+	row := dt.RowSparse(i, nil)
 	row[i] = 0 // exclude self
 	return RankRow(row, k)
 }

@@ -82,7 +82,7 @@ type AnomalyTopResponse struct {
 }
 
 // handleAnomalyTop serves the suspicion leaderboard through the same
-// result-cache/singleflight path as top-k and propagation answers (one
+// result-cache path as top-k and propagation answers (one
 // kindAnomalyTop entry per cached k; the score vector itself lives in
 // the state's lazy anomaly holder, so a miss only copies and ranks it).
 func (s *Server) handleAnomalyTop(w http.ResponseWriter, r *http.Request) {

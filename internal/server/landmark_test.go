@@ -132,7 +132,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	// The swap starts an empty cache, so the post-swap query recomputes
 	// the composition (one compute, not a traversal).
 	numU := srv.cur.Load().model.Dataset().NumUsers()
-	if _, ok := st.results.get(resultKey{kind: kindAppleseedLandmark, user: 3, k: cacheK(8, numU)}); ok {
+	if st.results.len() != 0 {
 		t.Error("landmark cache entry survived the swap")
 	}
 	builds := srv.metrics.landmarkBuilds.Load()

@@ -15,15 +15,16 @@
 // keyed by (kind, user, k) — O(k) bytes per entry, not the 8·U-byte
 // dense rows the first iteration cached — backed by a sync.Pool of
 // row-length scratch buffers, so steady-state misses evaluate eq. 5 with
-// zero allocations. Concurrent misses for the same key coalesce through
-// a per-state flight group: one computation, many readers.
+// zero allocations. The cache also coalesces concurrent misses for the
+// same key: the first leaves a pending entry and computes it, the rest
+// wait on that entry — one computation, many readers.
 //
 // Beyond the continuous-score endpoints, the daemon serves the binarised
 // web of trust itself: /v1/neighbors lists a user's predicted-trust
 // edges, /v1/propagate ranks multi-hop transitive trust with Appleseed,
 // MoleTrust or TidalTrust over the served graph, and /v1/graph/stats
 // reports its shape. Propagation results ride the same result cache,
-// byte budget and singleflight as top-k answers (one extra key
+// byte budget and miss coalescing as top-k answers (one extra key
 // dimension), and a model swap invalidates them with the same
 // whole-state replacement.
 package server
@@ -32,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -52,7 +52,6 @@ type state struct {
 	version uint64
 	results *resultCache
 	rows    *rowPool
-	flights *flightGroup
 	// rank is the state's global EigenTrust vector, solved cold on first
 	// use.
 	rank *lazy[rankVec]
@@ -70,7 +69,8 @@ type state struct {
 // Options tunes a Server. The zero value uses the defaults.
 type Options struct {
 	// CacheResults bounds the per-state LRU of ranked top-k results.
-	// Zero means DefaultCacheResults; negative disables caching.
+	// Zero means DefaultCacheResults; negative disables caching, though
+	// concurrent misses for one answer still compute it once.
 	CacheResults int
 	// CacheBytes bounds the result cache's approximate retained memory,
 	// guarding against large-k answers (each legitimately O(k), up to
@@ -129,8 +129,9 @@ type Server struct {
 	// (and the trustd_inflight gauge).
 	inflight atomic.Int64
 	// computeGate, when non-nil, runs on the leader goroutine right
-	// before a row computation. Test hook: the singleflight test parks
-	// the leader here until every concurrent request has registered.
+	// before it computes a result. Test hook: the coalescing tests park
+	// the leader here until every concurrent request has missed, and
+	// panic here to fail a leader.
 	computeGate func(u ratings.UserID)
 }
 
@@ -150,7 +151,7 @@ type metrics struct {
 	badRequests      atomic.Int64
 	cacheHits        atomic.Int64
 	cacheMisses      atomic.Int64
-	rowComputes      atomic.Int64 // misses that actually evaluated a row (not coalesced)
+	rowComputes      atomic.Int64 // misses that evaluated a row (not waiters)
 	swaps            atomic.Int64
 	eventsIngested   atomic.Int64
 	truncatedReads   atomic.Int64
@@ -163,7 +164,7 @@ type metrics struct {
 	misdirected atomic.Int64
 	// Propagation serving instrumentation: per-algorithm request
 	// counters, the graph traversals actually performed (cache misses
-	// minus coalesced flights), cumulative wall-clock spent in the
+	// minus waiters), cumulative wall-clock spent in the
 	// propagate handler (nanoseconds; rate() gives mean latency), and
 	// the latency of the most recent request.
 	propagateRequests  [3]atomic.Int64 // indexed by PropagationAlgo (traversal and landmark share)
@@ -251,7 +252,6 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		version: version,
 		results: newResultCache(s.opts.CacheResults, s.opts.CacheBytes),
 		rows:    newRowPool(model.Dataset().NumUsers()),
-		flights: newFlightGroup(),
 		rank:    lazyRank(model),
 		anomaly: s.lazyAnomaly(model),
 		shard:   shardStats(model),
@@ -329,7 +329,7 @@ func cacheK(k, numU int) int {
 func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []float64) {
 	switch kind {
 	case kindTopK:
-		st.model.Artifacts().Trust.RowAuto(u, dst)
+		st.model.Artifacts().Trust.RowSparse(u, dst)
 		dst[u] = 0 // exclude self, matching TopTrusted
 		s.metrics.rowComputes.Add(1)
 	case kindAnomalyTop:
@@ -350,7 +350,7 @@ func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []f
 		// The source is range-checked by the handler and the algorithm
 		// fixed by the route, so the only error the propagation facade can
 		// return is an impossible one; panic like any other broken
-		// invariant (the flight protocol below recovers followers either
+		// invariant (the leader's deferred abandon frees its waiters either
 		// way).
 		if err := st.model.PropagateInto(weboftrust.PropagationAlgo(kind-kindAppleseed), u, dst); err != nil {
 			panic(fmt.Sprintf("server: propagate %v for user %d: %v", kind, u, err))
@@ -359,91 +359,50 @@ func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []f
 	}
 }
 
-// ranked returns user u's top-k result for one result family from the
-// state's result cache, computing it on a miss: the score vector (trust
-// row or propagation ranks) is evaluated into a pooled scratch buffer —
-// coalesced across concurrent misses for the same (kind, user) by the
-// state's flight group — ranked with the bounded heap, and only the
-// O(k)-byte ranked slice is retained, byte-accounted against the shared
-// LRU budget. The returned slice is shared and must not be modified.
+// ranked returns user u's top-k result for one result family. A hit comes
+// from the state's result cache. On a miss exactly one request per key —
+// the leader — computes the answer (lead) while concurrent misses for the
+// same key wait on its pending entry. The returned slice is shared and
+// must not be modified.
 func (s *Server) ranked(st *state, kind resultKind, u ratings.UserID, k int) []core.Ranked {
-	kc := cacheK(k, st.model.Dataset().NumUsers())
-	key := resultKey{kind: kind, user: u, k: kc}
-	fkey := flightKey{kind: kind, user: u}
+	key := resultKey{kind: kind, user: u, k: cacheK(k, st.model.Dataset().NumUsers())}
 	for {
-		if r, ok := st.results.get(key); ok {
+		r, e, lead := st.results.acquire(key)
+		if e == nil {
 			s.metrics.cacheHits.Add(1)
 			return trimRanked(r, k)
 		}
 		s.metrics.cacheMisses.Add(1)
-		f, follower := st.flights.join(fkey)
-		if follower {
-			// Another request is already computing this vector; wait for
-			// it and rank the shared buffer with our own k.
-			f.wg.Wait()
-			if f.scratch == nil {
-				// The leader published no vector: it died (its panic is
-				// its own request's failure) or found the answer already
-				// cached. Yield until the flight is unpublished, then
-				// retry — into the cache hit, or leading the recompute —
-				// instead of dereferencing nothing.
-				runtime.Gosched()
-				continue
-			}
-		} else {
-			// A leader that finished between this request's cache miss and
-			// its join has already cached the answer: serve it instead of
-			// computing it twice. Followers that joined meanwhile see a
-			// flight with no scratch and retry into the same hit.
-			if r, ok := st.results.get(key); ok {
-				st.flights.unpublish(fkey)
-				f.wg.Done()
-				return trimRanked(r, k)
-			}
-			// The flight stays published until this function returns —
-			// after the result reaches the cache — so misses arriving
-			// while the leader ranks coalesce instead of re-leading; the
-			// defer also guarantees a panicking computation can't strand
-			// a flight that would hang every later miss in wg.Wait. The
-			// leader's scratch reference is released only after the
-			// unpublish: followers can join (and take references) right
-			// up to that point, so an earlier release could recycle the
-			// buffer under a late joiner.
-			defer func() {
-				st.flights.unpublish(fkey)
-				if f.refs.Add(-1) == 0 && f.scratch != nil {
-					st.rows.put(f.scratch)
-				}
-			}()
-			func() {
-				defer f.wg.Done()
-				if s.computeGate != nil {
-					s.computeGate(u)
-				}
-				sc := st.rows.get()
-				s.fillScore(st, kind, u, sc.row)
-				f.scratch = sc
-			}()
+		if lead {
+			return trimRanked(s.lead(st, e), k)
 		}
-		var idx []int
-		if !follower {
-			idx = f.scratch.idx // followers rank with a per-call scratch
+		if r, ok := e.wait(); ok {
+			return trimRanked(r, k)
 		}
-		r := core.RankRowScratch(f.scratch.row, kc, idx)
-		if follower && f.refs.Add(-1) == 0 {
-			// The last participant (always a follower here: the leader
-			// holds its reference until the deferred unpublish) recycles
-			// the shared scratch.
-			st.rows.put(f.scratch)
-		}
-		if cap(r) > len(r) {
-			// Cache an exact-length copy: the ranked slice was sized for
-			// kc candidates but zero scores may have trimmed it.
-			r = append(make([]core.Ranked, 0, len(r)), r...)
-		}
-		st.results.put(key, r)
-		return trimRanked(r, k)
+		// The leader panicked and abandoned the entry: retry.
 	}
+}
+
+// lead computes the pending entry e and publishes it: the score vector
+// (trust row or propagation ranks) is evaluated into a pooled scratch
+// buffer, ranked with the bounded heap, and only the O(k)-byte ranked
+// slice is retained, byte-accounted against the shared LRU budget.
+func (s *Server) lead(st *state, e *resultEntry) []core.Ranked {
+	defer st.results.abandon(e) // frees the waiters if a panic skips publish
+	if s.computeGate != nil {
+		s.computeGate(e.key.user)
+	}
+	sc := st.rows.get()
+	s.fillScore(st, e.key.kind, e.key.user, sc.row)
+	r := core.RankRowScratch(sc.row, e.key.k, sc.idx)
+	st.rows.put(sc)
+	if cap(r) > len(r) {
+		// Cache an exact-length copy: the ranked slice was sized for k
+		// candidates but zero scores may have trimmed it.
+		r = append(make([]core.Ranked, 0, len(r)), r...)
+	}
+	st.results.publish(e, r)
+	return r
 }
 
 // trimRanked returns the exact top-k prefix of a result ranked at a
@@ -1003,7 +962,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("trustd_misdirected_requests_total", "Per-source requests for users this shard does not own (answered 421).", s.metrics.misdirected.Load())
 	counter("trustd_result_cache_hits_total", "Ranked-result cache hits.", s.metrics.cacheHits.Load())
 	counter("trustd_result_cache_misses_total", "Ranked-result cache misses.", s.metrics.cacheMisses.Load())
-	counter("trustd_row_computes_total", "Trust rows actually evaluated (misses minus coalesced flights).", s.metrics.rowComputes.Load())
+	counter("trustd_row_computes_total", "Trust rows actually evaluated (misses minus requests that waited on another's computation).", s.metrics.rowComputes.Load())
 	counter("trustd_swaps_total", "Model swaps performed by ingest.", s.metrics.swaps.Load())
 	counter("trustd_cache_carryover_dropped_total", "Result-cache entries discarded at swaps (every swap starts an empty cache).", s.metrics.cacheDropped.Load())
 	counter("trustd_events_ingested_total", "Event-log records ingested since start.", s.metrics.eventsIngested.Load())
@@ -1054,7 +1013,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, algo := range []string{"appleseed", "moletrust", "tidaltrust"} {
 		fmt.Fprintf(w, "trustd_propagate_requests_total{algo=%q} %d\n", algo, s.metrics.propagateRequests[i].Load())
 	}
-	counter("trustd_propagate_computes_total", "Propagation rank vectors actually computed (cache misses minus coalesced flights).", s.metrics.propagateComputes.Load())
+	counter("trustd_propagate_computes_total", "Propagation rank vectors actually computed (cache misses minus requests that waited on another's computation).", s.metrics.propagateComputes.Load())
 	counter("trustd_landmark_builds_total", "Landmark sketches built.", s.metrics.landmarkBuilds.Load())
 	fmt.Fprintf(w, "# HELP trustd_landmark_build_seconds Cumulative wall-clock spent building landmark sketches.\n# TYPE trustd_landmark_build_seconds counter\ntrustd_landmark_build_seconds %g\n",
 		float64(s.metrics.landmarkBuildNanos.Load())/1e9)

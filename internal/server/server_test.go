@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"weboftrust"
-	"weboftrust/internal/core"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/store"
 	"weboftrust/internal/synth"
@@ -257,60 +256,48 @@ func TestResultCacheHitsAndSwapInvalidation(t *testing.T) {
 
 func TestResultCacheEvictionAndBytes(t *testing.T) {
 	c := newResultCache(2, 0)
-	ranked := func(n int) []core.Ranked {
-		r := make([]core.Ranked, n)
-		for i := range r {
-			r[i] = core.Ranked{User: ratings.UserID(i), Score: 0.5}
-		}
-		return r
-	}
-	c.put(resultKey{user: 1, k: 5}, ranked(5))
-	c.put(resultKey{user: 2, k: 5}, ranked(5))
-	if want := 2 * entryBytes(ranked(5)); c.approxBytes() != want {
+	cachePut(t, c, resultKey{user: 1, k: 5}, rankedOf(5))
+	cachePut(t, c, resultKey{user: 2, k: 5}, rankedOf(5))
+	if want := 2 * entryBytes(rankedOf(5)); c.approxBytes() != want {
 		t.Errorf("approxBytes = %d, want %d", c.approxBytes(), want)
 	}
-	if _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
+	if !cached(c, resultKey{user: 1, k: 5}) {
 		t.Fatal("entry (1,5) missing")
 	}
-	c.put(resultKey{user: 3, k: 5}, ranked(3)) // evicts (2,5); (1,5) was just used
-	if _, ok := c.get(resultKey{user: 2, k: 5}); ok {
+	cachePut(t, c, resultKey{user: 3, k: 5}, rankedOf(3)) // evicts (2,5); (1,5) was just used
+	if cached(c, resultKey{user: 2, k: 5}) {
 		t.Error("LRU entry (2,5) not evicted")
 	}
-	if _, ok := c.get(resultKey{user: 1, k: 5}); !ok {
+	if !cached(c, resultKey{user: 1, k: 5}) {
 		t.Error("recently used entry (1,5) evicted")
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
 	}
-	if want := entryBytes(ranked(5)) + entryBytes(ranked(3)); c.approxBytes() != want {
+	if want := entryBytes(rankedOf(5)) + entryBytes(rankedOf(3)); c.approxBytes() != want {
 		t.Errorf("approxBytes after eviction = %d, want %d", c.approxBytes(), want)
 	}
-	// Replacing a key adjusts the byte accounting instead of double-counting.
-	c.put(resultKey{user: 1, k: 5}, ranked(2))
-	if want := entryBytes(ranked(2)) + entryBytes(ranked(3)); c.approxBytes() != want {
-		t.Errorf("approxBytes after replace = %d, want %d", c.approxBytes(), want)
-	}
-	// Disabled cache accepts nothing.
+	// Disabled cache keeps nothing, not even the published entry.
 	off := newResultCache(-1, 0)
-	off.put(resultKey{user: 1, k: 5}, ranked(1))
-	if off.len() != 0 || off.approxBytes() != 0 {
+	cachePut(t, off, resultKey{user: 1, k: 5}, rankedOf(1))
+	if off.len() != 0 || off.approxBytes() != 0 || len(off.m) != 0 {
 		t.Error("disabled cache stored a result")
 	}
 
 	// The byte budget evicts LRU entries even below the entry bound, but
 	// never the entry just inserted — one oversized answer is cacheable.
-	budget := newResultCache(100, 2*entryBytes(ranked(5)))
-	budget.put(resultKey{user: 1, k: 5}, ranked(5))
-	budget.put(resultKey{user: 2, k: 5}, ranked(5))
-	budget.put(resultKey{user: 3, k: 5}, ranked(5)) // over budget: evicts (1,5)
-	if _, ok := budget.get(resultKey{user: 1, k: 5}); ok {
+	budget := newResultCache(100, 2*entryBytes(rankedOf(5)))
+	cachePut(t, budget, resultKey{user: 1, k: 5}, rankedOf(5))
+	cachePut(t, budget, resultKey{user: 2, k: 5}, rankedOf(5))
+	cachePut(t, budget, resultKey{user: 3, k: 5}, rankedOf(5)) // over budget: evicts (1,5)
+	if cached(budget, resultKey{user: 1, k: 5}) {
 		t.Error("byte budget did not evict the LRU entry")
 	}
-	if budget.len() != 2 || budget.approxBytes() > 2*entryBytes(ranked(5)) {
+	if budget.len() != 2 || budget.approxBytes() > 2*entryBytes(rankedOf(5)) {
 		t.Errorf("over budget: len=%d bytes=%d", budget.len(), budget.approxBytes())
 	}
 	huge := newResultCache(100, 64)
-	huge.put(resultKey{user: 1, k: 50}, ranked(50)) // bigger than the whole budget
+	cachePut(t, huge, resultKey{user: 1, k: 50}, rankedOf(50)) // bigger than the whole budget
 	if huge.len() != 1 {
 		t.Error("oversized single entry was not retained")
 	}
@@ -362,11 +349,10 @@ func TestOversizedKSharesOneEntry(t *testing.T) {
 	}
 }
 
-// TestLeaderPanicFollowersRecover: when a leader panics with followers
-// coalesced on its flight, the followers must observe the unpublished
-// nil-scratch flight and retry (one of them leading the recomputation)
-// rather than dereferencing nothing or hanging — the panic costs exactly
-// the leader's request.
+// TestLeaderPanicFollowersRecover: when a leader panics with waiters on
+// its pending entry, the waiters must observe the abandoned entry and
+// retry (one of them leading the recomputation) rather than reading
+// nothing or hanging — the panic costs exactly the leader's request.
 func TestLeaderPanicFollowersRecover(t *testing.T) {
 	srv, _, _ := openServer(t)
 	h := srv.Handler()
@@ -376,10 +362,7 @@ func TestLeaderPanicFollowersRecover(t *testing.T) {
 	srv.computeGate = func(u ratings.UserID) {
 		if armed.Load() {
 			// Wait for every request to coalesce, then die.
-			deadline := time.Now().Add(5 * time.Second)
-			for srv.cur.Load().flights.refsOf(u) < clients && time.Now().Before(deadline) {
-				time.Sleep(50 * time.Microsecond)
-			}
+			parkLeader(srv, clients)(u)
 			armed.Store(false)
 			panic("injected compute failure")
 		}
@@ -422,9 +405,8 @@ func TestLeaderPanicFollowersRecover(t *testing.T) {
 }
 
 // TestLeaderPanicReleasesFlight: a panic during the leader's row
-// computation must unpublish the flight and release its WaitGroup, so
-// the failure costs one request instead of hanging every later miss for
-// that user.
+// computation must abandon its pending entry, so the failure costs one
+// request instead of hanging every later miss for that key.
 func TestLeaderPanicReleasesFlight(t *testing.T) {
 	srv, _, _ := openServer(t)
 	h := srv.Handler()
@@ -444,7 +426,7 @@ func TestLeaderPanicReleasesFlight(t *testing.T) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/topk?user=9&k=5", nil))
 	}()
-	// The next request for the same user must not block on a dead flight.
+	// The next request for the same key must not wait on a dead entry.
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		rec := httptest.NewRecorder()
@@ -457,42 +439,22 @@ func TestLeaderPanicReleasesFlight(t *testing.T) {
 			t.Fatalf("post-panic request: %d %s", rec.Code, rec.Body.String())
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("request after leader panic hung on the dead flight")
+		t.Fatal("request after leader panic hung on the abandoned entry")
 	}
 }
 
-// TestSingleflightCoalescesConcurrentMisses is the ISSUE 3 thundering-herd
+// TestSingleflightCoalescesConcurrentMisses is the thundering-herd
 // guard: concurrent identical /v1/topk misses for one user must evaluate
 // the trust row exactly once. The computeGate hook parks the leader until
-// every other request has registered on its flight, so the schedule that
-// used to recompute the row per request is forced deterministically.
+// every other request has missed and so waits on its pending entry, so
+// the schedule that used to recompute the row per request is forced
+// deterministically.
 func TestSingleflightCoalescesConcurrentMisses(t *testing.T) {
 	srv, _, _ := openServer(t)
 	h := srv.Handler()
 	const clients = 8
-	srv.computeGate = func(u ratings.UserID) {
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.cur.Load().flights.refsOf(u) < clients {
-			if time.Now().After(deadline) {
-				return // let the test fail on the counter, not hang
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	bodies := make([]string, clients)
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/topk?user=7&k=5", nil))
-			if rec.Code == http.StatusOK {
-				bodies[g] = rec.Body.String()
-			}
-		}(g)
-	}
-	wg.Wait()
+	srv.computeGate = parkLeader(srv, clients)
+	bodies := getConcurrently(h, "/v1/topk?user=7&k=5", clients)
 	if computes := srv.metrics.rowComputes.Load(); computes != 1 {
 		t.Errorf("%d concurrent identical requests computed %d rows, want 1", clients, computes)
 	}

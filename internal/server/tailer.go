@@ -19,12 +19,12 @@ import (
 // with TrustModel.Update (only categories touched by the new events are
 // re-solved, the rest of the model is reused, and the recompute fans out
 // across the Workers the model was derived with — see
-// weboftrust.WithWorkers), and swaps the result into the server. Because
-// Update chains the model's scratch buffers, steady-state ingest ticks
-// reuse the Riggs iteration buffers instead of reallocating them. A torn
-// final record —
-// a writer crashed or is still mid-append — is not an error: the tailer
-// ingests the intact prefix and retries the tail on the next poll.
+// weboftrust.WithWorkers), and swaps the result into the server. Each
+// Update gives every worker its own Riggs iteration scratch for that call,
+// so no scratch buffer outlives a tick. A torn
+// final record — a writer crashed or is still mid-append — is not an
+// error: the tailer ingests the intact prefix and retries the tail on the
+// next poll.
 type Tailer struct {
 	srv     *Server
 	path    string
