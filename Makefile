@@ -30,9 +30,10 @@ bench-smoke:
 
 # bench-guard fails if the serving hot paths' allocs/op regress above
 # their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached
-# /v1/propagate hit vs BENCH_pr10.json), or if BenchmarkIngestSwap's time
-# as a multiple of BenchmarkPipelineRun/workers=1 grows over 1.25× the
-# multiple in BENCH_pr16.json.
+# /v1/propagate hit vs BENCH_pr10.json), or if BenchmarkIngestSwap's or
+# BenchmarkServerPropagateMiss's time as a multiple of
+# BenchmarkPipelineRun/workers=1 grows over 1.25× its multiple in
+# BENCH_pr16.json.
 bench-guard:
 	./scripts/check_allocs.sh
 

@@ -7,8 +7,6 @@ import (
 	"os"
 
 	"weboftrust/internal/adversary"
-	"weboftrust/internal/ratings"
-	"weboftrust/internal/store"
 	"weboftrust/internal/synth"
 )
 
@@ -17,16 +15,13 @@ import (
 // lift, top-k exposure, per-algorithm propagation inflation and anomaly
 // separation, with each scenario's pinned assertions enforced. With
 // -export-log the attacked dataset is additionally rendered as an event
-// log — optionally source-filtered through the same
-// store.ParseUserFilter/store.FilterBySource path `exportlog -users`
-// uses, so an attack cohort replays correctly onto a sharded cluster.
+// log, which any trustd serve, sharded or not, replays whole.
 func cmdAttack(args []string) error {
 	fs := flag.NewFlagSet("attack", flag.ExitOnError)
 	scenario := fs.String("scenario", "", "one scenario JSON file to run")
 	dir := fs.String("dir", "", "directory of scenario JSON files (e.g. scenarios/)")
 	jsonOut := fs.String("json", "", "write the resistance-metrics report JSON to this path")
 	exportLog := fs.String("export-log", "", "write the attacked dataset as an event log (single -scenario only)")
-	users := fs.String("users", "", "with -export-log: keep only these sources' actions (i/N shard spec or id list)")
 	landmarks := fs.Int("landmarks", 0, "measure propagation inflation through N-landmark sketches (?approx=landmark mode; 0 = exact)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +70,7 @@ func cmdAttack(args []string) error {
 		fmt.Printf("wrote %s (%d scenarios)\n", *jsonOut, len(rep.Scenarios))
 	}
 	if *exportLog != "" {
-		if err := exportAttackLog(scs[0], *exportLog, *users); err != nil {
+		if err := exportAttackLog(scs[0], *exportLog); err != nil {
 			return err
 		}
 	}
@@ -86,10 +81,9 @@ func cmdAttack(args []string) error {
 }
 
 // exportAttackLog re-injects the scenario's attacks into its clean
-// baseline and writes the attacked dataset's event stream, filtered like
-// `exportlog -users` when a spec is given. Injection is seeded, so the
-// exported log is byte-identical run to run.
-func exportAttackLog(sc *adversary.Scenario, path, users string) error {
+// baseline and writes the attacked dataset's event stream. Injection is
+// seeded, so the exported log is byte-identical run to run.
+func exportAttackLog(sc *adversary.Scenario, path string) error {
 	cfg, err := sc.BaseConfig()
 	if err != nil {
 		return err
@@ -102,37 +96,9 @@ func exportAttackLog(sc *adversary.Scenario, path, users string) error {
 	if err != nil {
 		return err
 	}
-	events, err := store.DatasetEvents(attacked)
-	if err != nil {
+	if err := writeLog(path, attacked); err != nil {
 		return err
 	}
-	total := len(events)
-	desc := "all sources"
-	if users != "" {
-		var keep func(u ratings.UserID) bool
-		if keep, desc, err = store.ParseUserFilter(users); err != nil {
-			return fmt.Errorf("attack: %w", err)
-		}
-		events = store.FilterBySource(events, keep)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	lw := store.NewLogWriter(f)
-	for _, ev := range events {
-		if err := lw.Append(ev); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: kept %d of %d events for %s\n", path, len(events), total, desc)
+	fmt.Printf("wrote %s: %v\n", path, attacked)
 	return nil
 }

@@ -9,14 +9,13 @@
 //	trustctl expertise -in data.wot -user ID
 //	trustctl export   -in data.wot -dir DIR
 //	trustctl ingest   -log events.log -out data.wot [-allow-truncated]
-//	trustctl exportlog -in data.wot -log events.log [-users i/N | -users 1,2,3]
+//	trustctl exportlog -in data.wot -log events.log
 //	trustctl checkpoint -log events.log -dir DIR [-workers N] [-allow-truncated]
 //	trustctl compact    -log events.log -dir DIR [-workers N] [-allow-truncated]
 //	trustctl exportgraph (-in data.wot | -log events.log | -checkpoint FILE)
 //	                     [-format csv|json] [-out FILE] [-tau T] [-cold-generosity K]
 //	                     [-workers N] [-allow-truncated]
-//	trustctl attack   (-scenario FILE | -dir DIR) [-json OUT]
-//	                  [-export-log FILE [-users i/N | -users 1,2,3]]
+//	trustctl attack   (-scenario FILE | -dir DIR) [-json OUT] [-export-log FILE]
 //
 // Datasets are stored in the snapshot format of internal/store (CRC-32
 // checked); "ingest" replays an append-only event log into a snapshot.
@@ -29,21 +28,13 @@
 // from the same one. Neither may run while a writer is appending or a
 // trustd is tailing the log.
 //
-// "exportlog -users" filters the exported log to the chosen sources'
-// actions: structural events (users, objects, reviews, categories) are
-// always kept so dense IDs stay stable, while ratings and trust edges
-// survive only when their source user matches -users — either an
-// explicit comma-separated id list or a shard spec i/N selecting the
-// users the cluster's consistent hash assigns shard i.
-//
 // "attack" runs adversarial scenarios (internal/adversary, seed corpus
 // in scenarios/): each JSON file names a synth baseline, a set of seeded
 // attack cohorts to inject, and pinned resistance assertions. The
 // command renders the resistance metrics as tables, optionally writes
 // the JSON report CI archives, exits non-zero when any assertion fails,
-// and with -export-log renders the attacked dataset as an event log —
-// filtered per shard through the same source-filter path as
-// "exportlog -users" when -users is given.
+// and with -export-log renders the attacked dataset as an event log,
+// written like "exportlog" writes a snapshot's.
 //
 // "exportgraph" dumps the binarised web of trust — the same graph trustd
 // serves at /v1/neighbors and propagates at /v1/propagate — as a
@@ -135,6 +126,19 @@ func saveDataset(path string, d *ratings.Dataset) error {
 		return err
 	}
 	if err := store.WriteSnapshot(f, d); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeLog writes d's event stream as a new event log at path.
+func writeLog(path string, d *ratings.Dataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := store.AppendDataset(store.NewLogWriter(f), d); err != nil {
 		f.Close()
 		return err
 	}
@@ -515,7 +519,6 @@ func cmdExportLog(args []string) error {
 	fs := flag.NewFlagSet("exportlog", flag.ContinueOnError)
 	in := fs.String("in", "", "input snapshot path (required)")
 	logPath := fs.String("log", "", "output event log path (required)")
-	users := fs.String("users", "", "keep only these sources' ratings and trust edges: a shard spec i/N or a comma-separated id list (empty = everything)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -526,51 +529,9 @@ func cmdExportLog(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*logPath)
-	if err != nil {
+	if err := writeLog(*logPath, d); err != nil {
 		return err
 	}
-	lw := store.NewLogWriter(f)
-	if *users == "" {
-		if err := store.AppendDataset(lw, d); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s from %s: %v\n", *logPath, *in, d)
-		return nil
-	}
-
-	keep, desc, err := store.ParseUserFilter(*users)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("exportlog: %w", err)
-	}
-	// Materialise the full event stream, filter the per-source action
-	// events (structural events always survive; see store.FilterBySource),
-	// and write the remainder.
-	events, err := store.DatasetEvents(d)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	total := len(events)
-	events = store.FilterBySource(events, keep)
-	for _, ev := range events {
-		if err := lw.Append(ev); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s from %s: kept %d of %d events for %s\n", *logPath, *in, len(events), total, desc)
+	fmt.Printf("wrote %s from %s: %v\n", *logPath, *in, d)
 	return nil
 }

@@ -10,7 +10,7 @@
 //	trustd serve   -snapshot data.wot [-addr :8080]            (static serving)
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
 //	               [-retry-backoff 25ms] [-breaker-threshold 5] [-breaker-cooldown 1s]
-//	               [-hedge-after D] [-stale-entries N]
+//	               [-stale-entries N]
 //	trustd chaosproxy -target URL [-addr :8095] [-latency-p P] [-error-p P] [-blackhole-p P] [-reset-p P]
 //
 // With -shard i/N the daemon serves shard i of an N-way source-partitioned
@@ -26,14 +26,14 @@
 // across a shard's replicas skipping tripped circuit breakers
 // (-breaker-threshold consecutive failures open a replica for
 // -breaker-cooldown, then one half-open probe), transient failures retry
-// with jittered exponential backoff (-retry-backoff base), slow GETs can
-// hedge on the next replica (-hedge-after), and with -stale-entries set a
-// fully unreachable shard serves its last known good responses marked
-// X-Trustd-Degraded: stale instead of 502. On the shard side -max-inflight
-// bounds concurrently served compute queries, shedding the excess with 429
-// + Retry-After. `trustd chaosproxy` fronts any shard with a deterministic
-// fault injector (latency, error statuses, blackholes, connection resets)
-// so all of the above can be rehearsed against a real cluster.
+// with jittered exponential backoff (-retry-backoff base), and with
+// -stale-entries set a fully unreachable shard serves its last known good
+// responses marked X-Trustd-Degraded: stale instead of 502. On the shard
+// side -max-inflight bounds concurrently served compute queries, shedding
+// the excess with 429 + Retry-After. `trustd chaosproxy` fronts any shard
+// with a deterministic fault injector (latency, error statuses,
+// blackholes, connection resets) so all of the above can be rehearsed
+// against a real cluster.
 //
 // The daemon binds its listen address BEFORE booting: while the replay or
 // checkpoint restore runs, /healthz answers 200 (liveness), /readyz answers
@@ -324,7 +324,6 @@ func cmdRoute(args []string) error {
 	retryBackoff := fs.Duration("retry-backoff", router.DefaultRetryBackoff, "base pause before a retry, doubled per attempt with jitter (0 = retry immediately)")
 	breakerThreshold := fs.Int("breaker-threshold", router.DefaultBreakerThreshold, "consecutive failures that trip a replica's circuit breaker (0 = disable breakers)")
 	breakerCooldown := fs.Duration("breaker-cooldown", router.DefaultBreakerCooldown, "rest before a tripped replica gets a half-open probe")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge slow GETs on the shard's next replica after this long (0 = no hedging)")
 	staleEntries := fs.Int("stale-entries", 0, "last-known-good responses to cache for degraded serving when a whole shard is down, marked "+router.DegradedHeader+" (0 = disabled, serve 502)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -341,7 +340,6 @@ func cmdRoute(args []string) error {
 		Timeout:             *timeout,
 		MaxIdleConnsPerHost: *maxIdle,
 		BreakerCooldown:     *breakerCooldown,
-		HedgeAfter:          *hedgeAfter,
 		StaleEntries:        *staleEntries,
 	}
 	// These flags say the literal value; the configs' 0 means "default",

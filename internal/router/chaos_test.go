@@ -311,18 +311,14 @@ func TestChaosReplicaKillFailover(t *testing.T) {
 	}
 }
 
-// TestChaosSlowReplicaHedging makes one replica of shard 0 pathologically
-// slow (300ms on every request) and routes with hedging enabled: the
-// router must launch hedge requests, serve the fast replica's answer
-// (hedge wins observable in /metrics), and every body must stay
-// byte-identical to the reference — a slow replica costs latency, never
-// correctness.
-func TestChaosSlowReplicaHedging(t *testing.T) {
+// TestChaosSlowReplica makes one replica of shard 0 pathologically slow
+// (300ms on every request): the first attempts rotated to it wait out its
+// latency, and every body must stay byte-identical to the reference with
+// no degraded label — a slow replica costs latency, never correctness.
+func TestChaosSlowReplica(t *testing.T) {
 	c := getChaosCluster(t)
 	t.Cleanup(c.clearFaults)
-	rts := newChaosRouter(t, c, func(cfg *router.Config) {
-		cfg.HedgeAfter = 20 * time.Millisecond
-	})
+	rts := newChaosRouter(t, c, nil)
 
 	c.reps[0][0].inj.SetFaults(faulty.Fault{Probability: 1, Latency: 300 * time.Millisecond})
 
@@ -338,15 +334,9 @@ func TestChaosSlowReplicaHedging(t *testing.T) {
 					p, gotCode, wantCode, string(gotBody) == string(wantBody))
 			}
 			if hdr.Get(router.DegradedHeader) != "" {
-				t.Fatalf("%s: hedged response labeled degraded", p)
+				t.Fatalf("%s: slow-replica response labeled degraded", p)
 			}
 		}
-	}
-	if hedges := metricValue(t, rts.URL, "trustrouter_hedges_total"); hedges < 1 {
-		t.Fatalf("no hedges launched against the slow replica")
-	}
-	if wins := metricValue(t, rts.URL, "trustrouter_hedge_wins_total"); wins < 1 {
-		t.Fatalf("no hedge ever won against a 300ms replica with a 20ms hedge trigger")
 	}
 }
 
@@ -384,10 +374,10 @@ func TestChaosFlappingReplica(t *testing.T) {
 
 // TestChaosWaitReadyWithHungReplica blackholes one replica of shard 0's
 // /readyz (accepts, never answers — the shape of a hung process) and
-// asserts WaitReady still converges: every shard has a healthy replica,
-// and readiness probes run concurrently, so the hung replica burns only
-// its own goroutine's wait, never the sweep budget of the replicas
-// behind it.
+// asserts that both readiness surfaces still converge: every shard has a
+// healthy replica, and WaitReady and the router's /readyz share one
+// concurrent probe, so the hung replica burns only its own goroutine's
+// wait, never the sweep budget of the replicas behind it.
 func TestChaosWaitReadyWithHungReplica(t *testing.T) {
 	c := getChaosCluster(t)
 	t.Cleanup(c.clearFaults)
@@ -402,64 +392,11 @@ func TestChaosWaitReadyWithHungReplica(t *testing.T) {
 	if err := rt.WaitReady(ctx); err != nil {
 		t.Fatalf("WaitReady with one hung replica: %v (every shard has a healthy replica)", err)
 	}
-}
-
-// TestChaosHedgedProbeLoserReleasesBreaker pins the probe-abandonment
-// regression: with hedging enabled, a half-open probe granted to a
-// pathologically slow replica loses the hedge race and is canceled —
-// the reaper must resolve the probe (recording a failure, reopening the
-// breaker) so that once the replica heals a later probe can still close
-// it. A wedged half-open breaker would blacklist the replica until
-// restart: recoveries would never move and the open gauge never drain.
-func TestChaosHedgedProbeLoserReleasesBreaker(t *testing.T) {
-	c := getChaosCluster(t)
-	t.Cleanup(c.clearFaults)
-	rts := newChaosRouter(t, c, func(cfg *router.Config) {
-		cfg.HedgeAfter = 20 * time.Millisecond
-	})
-
-	// Trip replica 0's breaker (connection resets, default threshold).
-	c.reps[0][0].inj.SetFaults(faulty.Fault{Probability: 1, Reset: true})
-	paths := chaosPaths(c.users[0])
-	deadline := time.Now().Add(5 * time.Second)
-	for metricValue(t, rts.URL, "trustrouter_breaker_trips_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never tripped for the reset replica")
-		}
-		for _, p := range paths {
-			chaosGet(t, rts.URL, p)
-		}
-	}
-
-	// The replica now answers, but slower than the hedge trigger: every
-	// half-open probe it is granted loses the race and is canceled.
-	c.reps[0][0].inj.SetFaults(faulty.Fault{Probability: 1, Latency: 150 * time.Millisecond})
-	time.Sleep(2 * chaosCooldown)
-	for i := 0; i < 10; i++ {
-		for _, p := range paths {
-			if code, body, _ := chaosGet(t, rts.URL, p); code != http.StatusOK {
-				t.Fatalf("%s during slow half-open probes: %d %s", p, code, body)
-			}
-		}
-		time.Sleep(chaosCooldown / 2)
-	}
-
-	// Heal the replica: a later probe must still be granted and close
-	// the breaker — impossible if an abandoned race-loser probe wedged
-	// it half-open.
-	c.reps[0][0].inj.SetFaults()
-	deadline = time.Now().Add(5 * time.Second)
-	for metricValue(t, rts.URL, "trustrouter_breaker_recoveries_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker never recovered after heal: an abandoned hedge-race probe wedged it half-open")
-		}
-		for _, p := range paths {
-			chaosGet(t, rts.URL, p)
-		}
-		time.Sleep(chaosCooldown)
-	}
-	if open := metricValue(t, rts.URL, "trustrouter_breaker_open"); open != 0 {
-		t.Fatalf("breaker_open gauge = %d after recovery, want 0", open)
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(rts.Close)
+	code, body, _ := chaosGet(t, rts.URL, "/readyz")
+	if code != http.StatusOK || !strings.Contains(string(body), `"ready"`) {
+		t.Fatalf("/readyz with one hung replica = %d %s, want 200 ready", code, body)
 	}
 }
 

@@ -94,11 +94,10 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 }
 
 // TestBreakerAbandonedProbeReleases pins the wedge regression: a granted
-// half-open probe that is abandoned (request gone during backoff, hedge
-// race canceled the probe) must be resolved via onFailure — the breaker
-// reopens for a fresh cooldown and a LATER caller gets to probe, instead
-// of the breaker sticking half-open and blacklisting the replica until
-// restart.
+// half-open probe that is abandoned (the request ended during retry
+// backoff) must be resolved via onFailure — the breaker reopens for a
+// fresh cooldown and a LATER caller gets to probe, instead of the
+// breaker sticking half-open and blacklisting the replica until restart.
 func TestBreakerAbandonedProbeReleases(t *testing.T) {
 	var b breaker
 	cooldown := int64(time.Second)

@@ -22,21 +22,21 @@
 // status (502/503/504) costs an exponential-backoff-with-jitter pause
 // and moves the request to the next allowed replica, at most
 // Config.Retries extra attempts, each attempt bounded by Config.Timeout.
-// With Config.HedgeAfter set, a slow attempt is hedged: a second copy of
-// the (idempotent, GET-only) request races on the next allowed replica
-// and the first response wins. A 421 (Misdirected Request) is NOT
-// retried: it means the shard map disagrees with the shard's own spec,
-// which no other replica of the same shard will fix. When every attempt
-// at a shard is exhausted and Config.StaleEntries is set, the router
-// serves the last known good body for that exact request URI, marked
-// X-Trustd-Degraded: stale — honest staleness instead of a 502.
+// A 421 (Misdirected Request) is NOT retried: it means the shard map
+// disagrees with the shard's own spec, which no other replica of the
+// same shard will fix. When every attempt at a shard is exhausted and
+// Config.StaleEntries is set, the router serves the last known good body
+// for that exact request URI, marked X-Trustd-Degraded: stale — honest
+// staleness instead of a 502. Readiness, for /readyz and WaitReady
+// alike, is one concurrent probe of every replica.
 //
-// The proxy hot path is deliberately allocation-lean — the acceptance
-// bar is ≤2× a direct cached shard hit, which leaves almost no room on
-// top of the second network hop: query parameters are scanned without
-// materialising url.Values, upstream calls go straight to the pooled
-// Transport (no per-request timer; the transport enforces the header
-// timeout), and bodies stream through pooled copy buffers.
+// The proxy hot path is deliberately allocation-lean: routed, a cached
+// /v1/topk hit costs 2.16× a direct one (BenchmarkRouterTopK in
+// BENCH_pr16.json, medians of 5 runs: 174.3 µs vs 80.7 µs). Query
+// parameters are scanned without materialising url.Values, upstream
+// calls go straight to the pooled Transport (no per-request timer; the
+// transport enforces the header timeout), and bodies stream through
+// pooled copy buffers.
 package router
 
 import (
@@ -84,12 +84,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped replica rests before a single
 	// half-open probe is allowed through. 0 means DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// HedgeAfter, when positive, hedges slow attempts on per-source GET
-	// endpoints: if a replica has not answered within HedgeAfter, a
-	// second copy of the request races on the shard's next allowed
-	// replica and the first response wins. 0 disables hedging (the
-	// default: it costs a goroutine + context per hedged attempt).
-	HedgeAfter time.Duration
 	// StaleEntries, when positive, bounds a last-known-good response
 	// cache: per-source requests that exhaust every replica serve their
 	// most recent 200 body marked X-Trustd-Degraded: stale instead of a
@@ -130,10 +124,9 @@ type Router struct {
 	parsed  [][]url.URL
 	timeout time.Duration
 	retries int
-	// transport is the pooled upstream path; client wraps it for the
-	// non-hot fan-out and readiness surfaces.
+	// transport is the pooled upstream path every attempt, fan-out and
+	// readiness probe takes (through fetch).
 	transport *http.Transport
-	client    *http.Client
 	start     time.Time
 	// rr rotates unroutable requests (no parsable source user) across
 	// shards so their error responses still come from real shards.
@@ -148,7 +141,6 @@ type Router struct {
 	breakerThreshold int32
 	breakerCooldown  int64 // nanos
 	retryBackoff     time.Duration
-	hedgeAfter       time.Duration
 	// stale is the flag-gated last-known-good cache; nil when disabled.
 	stale *staleCache
 	// jitterSeq feeds the cheap backoff-jitter mixer (no rand state, no
@@ -165,8 +157,6 @@ type routerMetrics struct {
 	misdirected       atomic.Int64 // 421s from shards (shard-map skew alarm)
 	breakerTrips      atomic.Int64 // replica breakers tripped closed→open
 	breakerRecoveries atomic.Int64 // half-open probes that closed a breaker
-	hedges            atomic.Int64 // hedge requests launched
-	hedgeWins         atomic.Int64 // hedges whose response was served
 	staleServed       atomic.Int64 // degraded last-known-good responses
 }
 
@@ -242,14 +232,12 @@ func New(cfg Config) (*Router, error) {
 		timeout:          timeout,
 		retries:          retries,
 		transport:        transport,
-		client:           &http.Client{Transport: transport},
 		start:            time.Now(),
 		replicaRR:        make([]atomic.Uint64, len(cfg.Shards)),
 		breakers:         breakers,
 		breakerThreshold: threshold,
 		breakerCooldown:  int64(cooldown),
 		retryBackoff:     backoff,
-		hedgeAfter:       cfg.HedgeAfter,
 	}
 	if cfg.StaleEntries > 0 {
 		rt.stale = newStaleCache(cfg.StaleEntries)
@@ -395,16 +383,16 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, idx int) {
 			now = time.Now().UnixNano()
 		}
 		fetched++
-		resp, winRi, err := rt.fetchMaybeHedged(ctx, idx, ri, probe, r.URL)
+		resp, err := rt.fetch(ctx, &replicas[ri], r.URL)
 		if err != nil {
-			rt.recordFailure(idx, winRi)
-			errs = append(errs, rt.shards[idx][winRi]+": "+err.Error())
+			rt.recordFailure(idx, ri)
+			errs = append(errs, rt.shards[idx][ri]+": "+err.Error())
 			continue
 		}
 		if retryableStatus(resp.StatusCode) {
-			rt.recordFailure(idx, winRi)
+			rt.recordFailure(idx, ri)
 			if fetched < attempts {
-				errs = append(errs, rt.shards[idx][winRi]+": "+resp.Status)
+				errs = append(errs, rt.shards[idx][ri]+": "+resp.Status)
 				resp.Body.Close()
 				continue
 			}
@@ -422,7 +410,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, idx int) {
 			rt.relay(w, resp, "")
 			return
 		}
-		rt.recordSuccess(idx, winRi)
+		rt.recordSuccess(idx, ri)
 		if resp.StatusCode == http.StatusMisdirectedRequest {
 			rt.metrics.misdirected.Add(1)
 		}
@@ -495,126 +483,6 @@ func (rt *Router) backoffSleep(ctx context.Context, k int) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// hedgeTarget picks the hedge replica: the first replica other than
-// exclude whose breaker is closed (hedges are a latency optimisation —
-// they never probe tripped replicas).
-func (rt *Router) hedgeTarget(idx, exclude int) (int, bool) {
-	reps := rt.breakers[idx]
-	for ri := range reps {
-		if ri == exclude {
-			continue
-		}
-		if rt.breakerThreshold < 0 || reps[ri].state.Load() == bClosed {
-			return ri, true
-		}
-	}
-	return 0, false
-}
-
-// cancelBody ties a hedged attempt's context to its response body: the
-// context is released when the body is closed, never before the relay
-// finished reading it.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// fetchMaybeHedged issues one attempt against replica ri, racing a hedge
-// copy on the shard's next closed-breaker replica if the first has not
-// answered within hedgeAfter. It returns the winning response and the
-// replica it came from; the caller records the winner's breaker outcome.
-// probe means ri holds its breaker's half-open probe — if ri loses the
-// race and its reaped outcome is not a genuine success, the reaper must
-// record the failure (reopening the breaker) so the probe is never left
-// dangling half-open. With hedging disabled (or a single-replica shard)
-// this is exactly rt.fetch — zero extra cost on that path.
-func (rt *Router) fetchMaybeHedged(ctx context.Context, idx, ri int, probe bool, orig *url.URL) (*http.Response, int, error) {
-	if rt.hedgeAfter <= 0 || len(rt.parsed[idx]) < 2 {
-		resp, err := rt.fetch(ctx, &rt.parsed[idx][ri], orig)
-		return resp, ri, err
-	}
-	type hres struct {
-		resp *http.Response
-		err  error
-		ri   int
-		slot int
-	}
-	ch := make(chan hres, 2)
-	var cancels [2]context.CancelFunc
-	launch := func(slot, ri int) {
-		cctx, cancel := context.WithCancel(ctx)
-		cancels[slot] = cancel
-		go func() {
-			resp, err := rt.fetch(cctx, &rt.parsed[idx][ri], orig)
-			if err != nil {
-				cancel()
-			} else {
-				resp.Body = cancelBody{resp.Body, cancel}
-			}
-			ch <- hres{resp, err, ri, slot}
-		}()
-	}
-	launch(0, ri)
-	launched := 1
-	timer := time.NewTimer(rt.hedgeAfter)
-	var res hres
-	select {
-	case res = <-ch:
-		timer.Stop()
-	case <-timer.C:
-		if hi, ok := rt.hedgeTarget(idx, ri); ok {
-			rt.metrics.hedges.Add(1)
-			launch(1, hi)
-			launched = 2
-		}
-		res = <-ch
-	}
-	consumed := 1
-	if launched == 2 && consumed == 1 && (res.err != nil || retryableStatus(res.resp.StatusCode)) {
-		// The first finisher failed; the racer may still save the
-		// request. The failure is recorded here because only the final
-		// result reaches the caller.
-		rt.recordFailure(idx, res.ri)
-		if res.resp != nil {
-			resp := res.resp
-			go func() { resp.Body.Close() }() // may block on the hijacked conn; reap off-path
-		}
-		res = <-ch
-		consumed = 2
-	}
-	if launched > consumed {
-		// A racer is still in flight: abort it and reap it off-path. Its
-		// abort is self-inflicted, so it feeds no breaker bookkeeping —
-		// except a genuine success, which proves the replica healthy, and
-		// except when the loser is the primary holding its breaker's
-		// half-open probe: the probe owes the breaker an outcome, so a
-		// canceled or retryable-status probe records a failure (reopen,
-		// fresh cooldown) instead of wedging the breaker half-open.
-		cancels[1-res.slot]()
-		go func() {
-			lr := <-ch
-			if lr.resp != nil && !retryableStatus(lr.resp.StatusCode) {
-				rt.recordSuccess(idx, lr.ri)
-			} else if probe && lr.ri == ri {
-				rt.recordFailure(idx, lr.ri)
-			}
-			if lr.resp != nil {
-				lr.resp.Body.Close()
-			}
-		}()
-	}
-	if res.err == nil && res.slot == 1 {
-		rt.metrics.hedgeWins.Add(1)
-	}
-	return res.resp, res.ri, res.err
 }
 
 // maxStaleBody caps how large a response body the stale cache will
@@ -871,8 +739,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		"breakerTrips":      rt.metrics.breakerTrips.Load(),
 		"breakerRecoveries": rt.metrics.breakerRecoveries.Load(),
 		"breakers":          breakers,
-		"hedges":            rt.metrics.hedges.Load(),
-		"hedgeWins":         rt.metrics.hedgeWins.Load(),
 		"staleServed":       rt.metrics.staleServed.Load(),
 		"uptimeSeconds":     time.Since(rt.start).Seconds(),
 	}
@@ -928,28 +794,18 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "role": "router", "shards": len(rt.shards)})
 }
 
-// handleReadyz reports cluster readiness: 200 "ready" only when every
-// shard has at least one replica answering /readyz with 200. With
-// degraded serving enabled AND something in the last-known-good cache,
-// an unready shard demotes the verdict to 200 "degraded" instead of
-// 503 — the router can still answer from the cache, so taking it out of
-// rotation would only turn partial degradation into total
-// unavailability. An empty cache (cold start) stays 503 "waiting":
-// degraded serving cannot answer anything yet. The per-shard verdicts
-// ride along so an operator can see which shard is lagging.
+// handleReadyz reports cluster readiness from one probeReady sweep, the
+// probe WaitReady uses: 200 "ready" only when every shard has at least
+// one replica answering /readyz with 200. With degraded serving enabled
+// AND something in the last-known-good cache, an unready shard demotes
+// the verdict to 200 "degraded" instead of 503 — the router can still
+// answer from the cache, so taking it out of rotation would only turn
+// partial degradation into total unavailability. An empty cache (cold
+// start) stays 503 "waiting": degraded serving cannot answer anything
+// yet. The per-shard verdicts ride along so an operator can see which
+// shard is lagging.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	verdicts := rt.fanOut(r, "/readyz", func(idx, status int, ct string, body []byte) any {
-		return status == http.StatusOK
-	})
-	ready := true
-	perShard := make([]bool, len(verdicts))
-	for i, v := range verdicts {
-		ok, _ := v.(bool)
-		perShard[i] = ok
-		if !ok {
-			ready = false
-		}
-	}
+	perShard, ready := rt.probeReady(r.Context())
 	status := http.StatusOK
 	state := "ready"
 	if !ready {
@@ -977,8 +833,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("trustrouter_misdirected_total", "421 responses proxied from shards (shard-map skew alarm).", rt.metrics.misdirected.Load())
 	counter("trustrouter_breaker_trips_total", "Replica circuit breakers tripped open by consecutive failures.", rt.metrics.breakerTrips.Load())
 	counter("trustrouter_breaker_recoveries_total", "Replica circuit breakers closed by a successful half-open probe.", rt.metrics.breakerRecoveries.Load())
-	counter("trustrouter_hedges_total", "Hedge requests launched against slow replicas.", rt.metrics.hedges.Load())
-	counter("trustrouter_hedge_wins_total", "Requests answered by the hedge instead of the primary attempt.", rt.metrics.hedgeWins.Load())
 	counter("trustrouter_stale_served_total", "Degraded responses served from the last-known-good cache.", rt.metrics.staleServed.Load())
 	var open int64
 	for i := range rt.breakers {
@@ -1005,7 +859,7 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 	backoff := 25 * time.Millisecond
 	const maxBackoff = time.Second
 	for {
-		if rt.allReady(ctx) {
+		if _, ready := rt.probeReady(ctx); ready {
 			return nil
 		}
 		u := splitmix64(rt.jitterSeq.Add(1))
@@ -1023,12 +877,14 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 	}
 }
 
-// allReady probes every replica concurrently under ONE per-sweep 1s
-// deadline: a hung or blackholed replica burns only its own goroutine's
-// wait, never another replica's budget, so a cluster whose every shard
-// has a healthy replica passes even while some replica hangs. The sweep
-// is cancelled early once every shard has reported a ready replica.
-func (rt *Router) allReady(ctx context.Context) bool {
+// probeReady probes every replica's /readyz concurrently under ONE 1s
+// deadline and reports, per shard, whether any of its replicas answered
+// 200, and whether every shard did. A hung or blackholed replica burns
+// only its own goroutine's wait, never another replica's budget, so a
+// cluster whose every shard has a healthy replica passes even while some
+// replica hangs. The sweep is cancelled early once every shard has
+// reported a ready replica.
+func (rt *Router) probeReady(ctx context.Context) (perShard []bool, all bool) {
 	sctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
 	u := &url.URL{Path: "/readyz"}
@@ -1055,7 +911,11 @@ func (rt *Router) allReady(ctx context.Context) bool {
 		}
 	}
 	wg.Wait()
-	return unreadyShards.Load() == 0
+	perShard = make([]bool, len(ready))
+	for i := range ready {
+		perShard[i] = ready[i].Load()
+	}
+	return perShard, unreadyShards.Load() == 0
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

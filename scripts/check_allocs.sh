@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check_allocs.sh is the CI bench guard. It fails if the serving hot
 # path's allocs/op regress above their recorded baselines, or if the
-# ingest tick's time regresses against the pipeline, so neither win can
-# silently erode as the serving surface grows. Guarded:
+# ingest tick's or the propagate miss's time regresses against the
+# pipeline, so no win can silently erode as the serving surface grows.
+# Guarded:
 #   BenchmarkServerTopK      allocs/op vs BENCH_pr3.json  (34 — pooled
 #                            scratch + heap selection)
 #   BenchmarkServerPropagate allocs/op vs BENCH_pr10.json (cached propagate
@@ -14,6 +15,10 @@
 #                            5 adjacent pairs of 20 iterations, so the
 #                            runner's speed cancels; the ratio of medians
 #                            may grow by at most 1.25×.
+#   BenchmarkServerPropagateMiss
+#                            ns/op against the same reference and baseline
+#                            file, under the same rule: an uncached
+#                            Appleseed /v1/propagate.
 #
 # Usage: scripts/check_allocs.sh
 set -euo pipefail
@@ -73,7 +78,7 @@ measured_ns() {
 # than the recording host only lowers NAME's multiple.
 time_guard() {
 	local name="$1" ref="$2" baseline_file="$3" slack=1.25
-	local base bin i a r cur
+	local base bin i a r cur name_ns ref_ns
 	bin="$tmp/bench.test"
 	base="$(awk -v n="$(recorded "$baseline_file" "$name" ns_per_op | median)" \
 		-v r="$(recorded "$baseline_file" "$ref" ns_per_op | median)" \
@@ -82,13 +87,16 @@ time_guard() {
 		echo "check_allocs: no Benchmark${name} / Benchmark${ref} ns/op baseline in $baseline_file" >&2
 		return 2
 	fi
-	go test -c -o "$bin" .
+	[ -x "$bin" ] || go test -c -o "$bin" .
+	# Each call keeps its own timings, so its medians see no other gate's.
+	name_ns="$(mktemp "$tmp/name.XXXXXX")"
+	ref_ns="$(mktemp "$tmp/ref.XXXXXX")"
 	for i in 1 2 3 4 5; do
-		measured_ns "$bin" "^Benchmark${name}\$" >>"$tmp/name.ns"
-		measured_ns "$bin" "^Benchmark${ref%%/*}\$/^${ref#*/}\$" >>"$tmp/ref.ns"
+		measured_ns "$bin" "^Benchmark${name}\$" >>"$name_ns"
+		measured_ns "$bin" "^Benchmark${ref%%/*}\$/^${ref#*/}\$" >>"$ref_ns"
 	done
-	a="$(median <"$tmp/name.ns")"
-	r="$(median <"$tmp/ref.ns")"
+	a="$(median <"$name_ns")"
+	r="$(median <"$ref_ns")"
 	if [ -z "$a" ] || [ -z "$r" ]; then
 		echo "check_allocs: Benchmark${name} or Benchmark${ref} produced no ns/op figure" >&2
 		return 2
@@ -104,6 +112,7 @@ time_guard() {
 guard ServerTopK BENCH_pr3.json || fail=$?
 guard ServerPropagate BENCH_pr10.json || fail=$?
 time_guard IngestSwap PipelineRun/workers=1 BENCH_pr16.json || fail=$?
+time_guard ServerPropagateMiss PipelineRun/workers=1 BENCH_pr16.json || fail=$?
 
 if [ "$fail" -ne 0 ]; then
 	exit "$fail"
