@@ -61,8 +61,9 @@ cluster-smoke:
 # chaos-smoke drives the in-process chaos harness under the race
 # detector: a 2-shard × 2-replica cluster with per-replica fault
 # injection (kill/restart, slow replica, flapping replica, total shard
-# death) where every response must be byte-identical to the unsharded
-# reference or explicitly labeled degraded. Includes the fault
+# death, a hung replica behind every fan-out endpoint) where every
+# response must be byte-identical to the unsharded reference or
+# explicitly labeled degraded. Includes the fault
 # injector's and failure-layer unit tests, and 50 race-detector runs of
 # the result-cache tests: a scheduling flake seen in 4 of 100 single runs
 # shows up in one run about 4% of the time, in 50 runs about 87%.

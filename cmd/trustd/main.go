@@ -9,8 +9,7 @@
 //	               [-landmarks L] [-pprof-addr :6060]
 //	trustd serve   -snapshot data.wot [-addr :8080]            (static serving)
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
-//	               [-retry-backoff 25ms] [-breaker-threshold 5] [-breaker-cooldown 1s]
-//	               [-stale-entries N]
+//	               [-breaker-cooldown 1s] [-stale-entries N]
 //	trustd chaosproxy -target URL [-addr :8095] [-latency-p P] [-error-p P] [-blackhole-p P] [-reset-p P]
 //
 // With -shard i/N the daemon serves shard i of an N-way source-partitioned
@@ -22,18 +21,19 @@
 // (replicas of one shard separated by '|', shards separated by ','), and
 // is ready only once every shard is.
 //
-// The route tier fails gracefully (DESIGN.md §12): first attempts rotate
-// across a shard's replicas skipping tripped circuit breakers
-// (-breaker-threshold consecutive failures open a replica for
-// -breaker-cooldown, then one half-open probe), transient failures retry
-// with jittered exponential backoff (-retry-backoff base), and with
-// -stale-entries set a fully unreachable shard serves its last known good
-// responses marked X-Trustd-Degraded: stale instead of 502. On the shard
-// side -max-inflight bounds concurrently served compute queries, shedding
-// the excess with 429 + Retry-After. `trustd chaosproxy` fronts any shard
-// with a deterministic fault injector (latency, error statuses,
-// blackholes, connection resets) so all of the above can be rehearsed
-// against a real cluster.
+// The route tier fails gracefully (DESIGN.md §12): every request, per-source
+// or fanned out to all shards, reaches a shard through one attempt loop.
+// First attempts rotate across a shard's replicas skipping tripped circuit
+// breakers (5 consecutive failures open a replica for -breaker-cooldown,
+// then one half-open probe), transient failures retry with jittered
+// exponential backoff (25ms base), each attempt waits at most -timeout for
+// response headers, and with -stale-entries set a fully unreachable shard
+// serves its last known good responses marked X-Trustd-Degraded: stale
+// instead of 502. On the shard side -max-inflight bounds concurrently
+// served compute queries, shedding the excess with 429 + Retry-After.
+// `trustd chaosproxy` fronts any shard with a deterministic fault injector
+// (latency, error statuses, blackholes, connection resets) so all of the
+// above can be rehearsed against a real cluster.
 //
 // The daemon binds its listen address BEFORE booting: while the replay or
 // checkpoint restore runs, /healthz answers 200 (liveness), /readyz answers
@@ -317,12 +317,9 @@ func cmdRoute(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ContinueOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	shards := fs.String("shards", "", "shard map in hash order: shards separated by ',', replicas of one shard by '|' (e.g. http://a:1|http://a2:1,http://b:2)")
-	timeout := fs.Duration("timeout", router.DefaultTimeout, "end-to-end budget for one proxied request, across retries")
+	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-attempt wait for a replica's response headers; a request makes up to 1+retries attempts with backoff between them, so it can take (1+retries)×timeout plus backoff")
 	retries := fs.Int("retries", router.DefaultRetries, "extra replica attempts after a transport error or 502/503/504 (0 = no retries)")
-	maxIdle := fs.Int("max-idle-conns", router.DefaultMaxIdleConnsPerHost, "pooled connections kept per replica")
 	waitReady := fs.Duration("wait-ready", 0, "block until every shard reports ready before serving (0 = serve immediately)")
-	retryBackoff := fs.Duration("retry-backoff", router.DefaultRetryBackoff, "base pause before a retry, doubled per attempt with jitter (0 = retry immediately)")
-	breakerThreshold := fs.Int("breaker-threshold", router.DefaultBreakerThreshold, "consecutive failures that trip a replica's circuit breaker (0 = disable breakers)")
 	breakerCooldown := fs.Duration("breaker-cooldown", router.DefaultBreakerCooldown, "rest before a tripped replica gets a half-open probe")
 	staleEntries := fs.Int("stale-entries", 0, "last-known-good responses to cache for degraded serving when a whole shard is down, marked "+router.DegradedHeader+" (0 = disabled, serve 502)")
 	if err := fs.Parse(args); err != nil {
@@ -336,28 +333,16 @@ func cmdRoute(args []string) error {
 		return err
 	}
 	cfg := router.Config{
-		Shards:              shardMap,
-		Timeout:             *timeout,
-		MaxIdleConnsPerHost: *maxIdle,
-		BreakerCooldown:     *breakerCooldown,
-		StaleEntries:        *staleEntries,
+		Shards:          shardMap,
+		Timeout:         *timeout,
+		Retries:         *retries,
+		BreakerCooldown: *breakerCooldown,
+		StaleEntries:    *staleEntries,
 	}
-	// These flags say the literal value; the configs' 0 means "default",
-	// so map an explicit 0 to the configs' "disabled".
+	// -retries says the literal value; the config's 0 means "default",
+	// so map an explicit 0 to the config's "disabled".
 	if *retries == 0 {
 		cfg.Retries = -1
-	} else {
-		cfg.Retries = *retries
-	}
-	if *retryBackoff == 0 {
-		cfg.RetryBackoff = -1
-	} else {
-		cfg.RetryBackoff = *retryBackoff
-	}
-	if *breakerThreshold == 0 {
-		cfg.BreakerThreshold = -1
-	} else {
-		cfg.BreakerThreshold = *breakerThreshold
 	}
 	rt, err := router.New(cfg)
 	if err != nil {

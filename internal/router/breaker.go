@@ -26,9 +26,9 @@ const (
 	bHalfOpen
 )
 
-// DefaultBreakerThreshold trips a replica's breaker after this many
+// breakerThreshold trips a replica's breaker after this many
 // consecutive failures.
-const DefaultBreakerThreshold = 5
+const breakerThreshold = 5
 
 // DefaultBreakerCooldown is how long a tripped replica rests before the
 // half-open probe.
@@ -73,13 +73,13 @@ func (b *breaker) onSuccess() (recovered bool) {
 // onFailure records a failed attempt, reporting whether it tripped the
 // breaker closed→open. A failed half-open probe reopens silently (the
 // trip was already counted).
-func (b *breaker) onFailure(now int64, threshold int32) (tripped bool) {
+func (b *breaker) onFailure(now int64) (tripped bool) {
 	if b.state.Load() == bHalfOpen {
 		b.openedAt.Store(now)
 		b.state.Store(bOpen)
 		return false
 	}
-	if b.consec.Add(1) >= threshold {
+	if b.consec.Add(1) >= breakerThreshold {
 		// Stamp before the CAS so a concurrent acquire never reads a
 		// stale openedAt on a freshly opened breaker.
 		b.openedAt.Store(now)

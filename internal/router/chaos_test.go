@@ -4,15 +4,17 @@ package router_test
 // Two shards × two replicas, every replica behind its own fault
 // injector (internal/faulty), an unsharded reference over the same log,
 // and the router in front. Each scenario — replica kill/restart, slow
-// replica, flapping replica, total shard death — asserts the honesty
-// contract from DESIGN.md §12: every successful response is
-// byte-identical to the unsharded reference, and anything that is NOT
-// the fresh answer is explicitly labeled (X-Trustd-Degraded) — never a
-// silently wrong body, and never a router-synthesised 502 while a
-// labeled-degraded path exists. Run with -race (make chaos-smoke).
+// replica, flapping replica, total shard death, a hung replica behind the
+// fan-out endpoints — asserts the honesty contract from DESIGN.md §12:
+// every successful response is byte-identical to the unsharded
+// reference, and anything that is NOT the fresh answer is explicitly
+// labeled (X-Trustd-Degraded) — never a silently wrong body, and never a
+// router-synthesised 502 while a labeled-degraded path exists. Run with
+// -race (make chaos-smoke).
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -149,14 +151,12 @@ func (c *chaosCluster) clearFaults() {
 }
 
 // newChaosRouter builds a fresh router over the shared cluster (fresh
-// breakers, fresh metrics) with test-speed failure handling: immediate
-// retries, short cooldown.
+// breakers, fresh metrics) with a test-speed breaker cooldown.
 func newChaosRouter(t *testing.T, c *chaosCluster, mutate func(*router.Config)) *httptest.Server {
 	t.Helper()
 	cfg := router.Config{
 		Shards:          c.shardMap,
 		Retries:         3,
-		RetryBackoff:    -1, // immediate: scenarios assert outcomes, not pacing
 		BreakerCooldown: chaosCooldown,
 	}
 	if mutate != nil {
@@ -397,6 +397,169 @@ func TestChaosWaitReadyWithHungReplica(t *testing.T) {
 	code, body, _ := chaosGet(t, rts.URL, "/readyz")
 	if code != http.StatusOK || !strings.Contains(string(body), `"ready"`) {
 		t.Fatalf("/readyz with one hung replica = %d %s, want 200 ready", code, body)
+	}
+}
+
+// statsShards decodes the per-shard blocks of the router's /v1/stats.
+func statsShards(t *testing.T, body []byte) []map[string]any {
+	t.Helper()
+	var v struct {
+		Shards []map[string]any `json:"shards"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("router /v1/stats: %v: %s", err, body)
+	}
+	return v.Shards
+}
+
+// TestChaosFanOutHungReplica blackholes replica 0 of shard 0 on every
+// path (the shape of a hung process) behind a router with a 500 ms
+// per-attempt timeout. Every fan-out endpoint reaches each shard through
+// the proxy's attempt loop, so a GET waits out the hung replica at most
+// once, when the rotation starts there, and then gets shard 0's answer
+// from replica 1 after one backoff; once the hung replica's breaker
+// trips, GETs skip it and answer well inside the timeout.
+func TestChaosFanOutHungReplica(t *testing.T) {
+	c := getChaosCluster(t)
+	t.Cleanup(c.clearFaults)
+	const timeout = 500 * time.Millisecond
+	rts := newChaosRouter(t, c, func(cfg *router.Config) {
+		cfg.Timeout = timeout
+		// A half-open probe is a real request, and at a hung replica it
+		// waits out the timeout: keep the tripped breaker open for the
+		// whole test, which pins the skip, not the probe cadence.
+		cfg.BreakerCooldown = time.Minute
+	})
+
+	// The endpoints the router answers from every shard: the
+	// replicated-state ones, whose bodies must equal the unsharded
+	// reference's, and /v1/stats, which nests the shards' own stats.
+	paths := []string{
+		"/v1/stats",
+		"/v1/graph/stats",
+		"/v1/rank?k=5",
+		"/v1/anomaly/top?k=5",
+		fmt.Sprintf("/v1/anomaly?user=%d", c.users[0][0]),
+	}
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		// Warm every replica first, so no timed GET below also pays a
+		// shard's first, lazy rank or anomaly solve.
+		for i := range c.reps {
+			for j := range c.reps[i] {
+				if code, body, _ := chaosGet(t, c.reps[i][j].ts.URL, p); code != http.StatusOK {
+					t.Fatalf("warm %s on shard %d replica %d: %d %s", p, i, j, code, body)
+				}
+			}
+		}
+		code, body, _ := chaosGet(t, c.ref.URL, p)
+		if code != http.StatusOK {
+			t.Fatalf("reference %s: %d", p, code)
+		}
+		want[p] = body
+	}
+
+	c.reps[0][0].inj.SetFaults(faulty.Fault{Probability: 1, Blackhole: true})
+	passedBefore := c.reps[0][1].inj.Counts().Passed
+	// One GET may wait out the hung replica once, then back off before
+	// its retry; the first backoff is well under the 250 ms cap.
+	limit := timeout + 250*time.Millisecond
+	gets, tripped := 0, false
+	for round := 0; round < 5; round++ {
+		for _, p := range paths {
+			start := time.Now()
+			code, body, _ := chaosGet(t, rts.URL, p)
+			took := time.Since(start)
+			gets++
+			if code != http.StatusOK {
+				t.Fatalf("round %d %s: %d %s", round, p, code, body)
+			}
+			if took > limit {
+				t.Fatalf("round %d %s took %v, over one timeout plus backoff (%v)", round, p, took, limit)
+			}
+			if tripped && took > timeout/2 {
+				t.Fatalf("round %d %s took %v after the hung replica's breaker tripped", round, p, took)
+			}
+			if p != "/v1/stats" {
+				if string(body) != string(want[p]) {
+					t.Fatalf("round %d %s: body diverged from the unsharded reference", round, p)
+				}
+			} else {
+				blocks := statsShards(t, body)
+				for _, b := range blocks {
+					if b["error"] != nil {
+						t.Fatalf("round %d /v1/stats: shard block is an error: %v", round, b)
+					}
+				}
+				if got := blocks[0]["replica"]; got != c.shardMap[0][1] {
+					t.Fatalf("round %d /v1/stats: shard 0 answered by %v, want the healthy %s", round, got, c.shardMap[0][1])
+				}
+			}
+			if !tripped {
+				tripped = metricValue(t, rts.URL, "trustrouter_breaker_trips_total") >= 1
+			}
+		}
+	}
+	if !tripped {
+		t.Fatalf("the hung replica's breaker never tripped in %d GETs", gets)
+	}
+	if served := c.reps[0][1].inj.Counts().Passed - passedBefore; served != int64(gets) {
+		t.Fatalf("shard 0 replica 1 served %d of %d fan-out GETs, want every one", served, gets)
+	}
+}
+
+// TestChaosFanOutShardDown resets every connection to both replicas of
+// shard 0. /v1/stats still answers: shard 1's block carries its stats,
+// and shard 0's block is an error naming each failed attempt, as the
+// proxy's 502 does. A replicated-state endpoint keeps serving the
+// reference's bytes from shard 1; once shard 1 is down too, its
+// synthesised 502 lists every attempt at every replica.
+func TestChaosFanOutShardDown(t *testing.T) {
+	c := getChaosCluster(t)
+	t.Cleanup(c.clearFaults)
+	rts := newChaosRouter(t, c, nil)
+	reset := faulty.Fault{Probability: 1, Reset: true}
+	c.reps[0][0].inj.SetFaults(reset)
+	c.reps[0][1].inj.SetFaults(reset)
+
+	code, body, _ := chaosGet(t, rts.URL, "/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/stats with shard 0 down: %d %s", code, body)
+	}
+	blocks := statsShards(t, body)
+	if blocks[1]["error"] != nil || blocks[1]["stats"] == nil {
+		t.Fatalf("/v1/stats: healthy shard 1 block = %v", blocks[1])
+	}
+	if msg, _ := blocks[0]["error"].(string); !strings.Contains(msg, "unavailable after") {
+		t.Fatalf("/v1/stats: shard 0 block error = %q, want the unavailable account", msg)
+	}
+	attempts, _ := blocks[0]["attempts"].([]any)
+	if len(attempts) == 0 {
+		t.Fatalf("/v1/stats: shard 0 block lists no attempts: %v", blocks[0])
+	}
+	for _, url := range c.shardMap[0] {
+		if !strings.Contains(fmt.Sprint(attempts), url) {
+			t.Fatalf("/v1/stats: shard 0 attempts %v never name replica %s", attempts, url)
+		}
+	}
+
+	wantCode, wantBody, _ := chaosGet(t, c.ref.URL, "/v1/graph/stats")
+	if code, body, _ := chaosGet(t, rts.URL, "/v1/graph/stats"); code != wantCode || string(body) != string(wantBody) {
+		t.Fatalf("/v1/graph/stats with shard 0 down: %d %s, want the reference's %d %s", code, body, wantCode, wantBody)
+	}
+
+	c.reps[1][0].inj.SetFaults(reset)
+	c.reps[1][1].inj.SetFaults(reset)
+	code, body, _ = chaosGet(t, rts.URL, "/v1/graph/stats")
+	if code != http.StatusBadGateway {
+		t.Fatalf("/v1/graph/stats with every shard down: %d %s, want 502", code, body)
+	}
+	for _, replicas := range c.shardMap {
+		for _, url := range replicas {
+			if !strings.Contains(string(body), url) {
+				t.Fatalf("502 body never names replica %s: %s", url, body)
+			}
+		}
 	}
 }
 

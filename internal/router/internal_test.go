@@ -18,15 +18,15 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 		t.Fatalf("fresh breaker: acquire = (%v, %v), want plain admission", ok, probe)
 	}
 	// threshold-1 failures: still closed.
-	for i := 0; i < DefaultBreakerThreshold-1; i++ {
-		if tripped := b.onFailure(now, DefaultBreakerThreshold); tripped {
-			t.Fatalf("tripped after %d failures, threshold %d", i+1, DefaultBreakerThreshold)
+	for i := 0; i < breakerThreshold-1; i++ {
+		if tripped := b.onFailure(now); tripped {
+			t.Fatalf("tripped after %d failures, threshold %d", i+1, breakerThreshold)
 		}
 	}
 	if ok, _ := b.acquire(now, cooldown); !ok {
 		t.Fatalf("breaker under threshold refused an attempt")
 	}
-	if tripped := b.onFailure(now, DefaultBreakerThreshold); !tripped {
+	if tripped := b.onFailure(now); !tripped {
 		t.Fatalf("threshold-th failure did not report a trip")
 	}
 	if b.stateName() != "open" {
@@ -59,8 +59,8 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 	}
 	// The consecutive counter was reset: threshold-1 new failures must
 	// not trip.
-	for i := 0; i < DefaultBreakerThreshold-1; i++ {
-		if b.onFailure(probeAt, DefaultBreakerThreshold) {
+	for i := 0; i < breakerThreshold-1; i++ {
+		if b.onFailure(probeAt) {
 			t.Fatalf("stale failure count survived recovery")
 		}
 	}
@@ -70,8 +70,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	var b breaker
 	cooldown := int64(time.Second)
 	now := int64(1)
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		b.onFailure(now, DefaultBreakerThreshold)
+	for i := 0; i < breakerThreshold; i++ {
+		b.onFailure(now)
 	}
 	probeAt := now + cooldown + 1
 	if ok, probe := b.acquire(probeAt, cooldown); !ok || !probe {
@@ -79,7 +79,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	}
 	// Probe fails: reopen silently (no second trip), fresh cooldown from
 	// the probe failure's timestamp.
-	if tripped := b.onFailure(probeAt, DefaultBreakerThreshold); tripped {
+	if tripped := b.onFailure(probeAt); tripped {
 		t.Fatalf("failed probe double-counted as a trip")
 	}
 	if b.stateName() != "open" {
@@ -102,8 +102,8 @@ func TestBreakerAbandonedProbeReleases(t *testing.T) {
 	var b breaker
 	cooldown := int64(time.Second)
 	now := int64(1)
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		b.onFailure(now, DefaultBreakerThreshold)
+	for i := 0; i < breakerThreshold; i++ {
+		b.onFailure(now)
 	}
 	probeAt := now + cooldown + 1
 	if ok, probe := b.acquire(probeAt, cooldown); !ok || !probe {
@@ -113,7 +113,7 @@ func TestBreakerAbandonedProbeReleases(t *testing.T) {
 	// outcome. The breaker must be open (not half-open) with the cooldown
 	// restarted at the abandonment time.
 	abandonAt := probeAt + 7
-	if tripped := b.onFailure(abandonAt, DefaultBreakerThreshold); tripped {
+	if tripped := b.onFailure(abandonAt); tripped {
 		t.Fatalf("abandoning the probe double-counted as a trip")
 	}
 	if b.stateName() != "open" {
@@ -132,15 +132,15 @@ func TestBreakerAbandonedProbeReleases(t *testing.T) {
 
 func TestBreakerSuccessResetsCount(t *testing.T) {
 	var b breaker
-	for i := 0; i < DefaultBreakerThreshold-1; i++ {
-		b.onFailure(1, DefaultBreakerThreshold)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.onFailure(1)
 	}
 	if recovered := b.onSuccess(); recovered {
 		t.Fatalf("success on a closed breaker reported recovery")
 	}
 	// The streak restarts: threshold-1 more failures must not trip.
-	for i := 0; i < DefaultBreakerThreshold-1; i++ {
-		if b.onFailure(1, DefaultBreakerThreshold) {
+	for i := 0; i < breakerThreshold-1; i++ {
+		if b.onFailure(1) {
 			t.Fatalf("failure streak survived an intervening success")
 		}
 	}

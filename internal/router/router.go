@@ -14,21 +14,26 @@
 // from real shards rather than synthesised here. The cluster harness
 // test pins exactly that.
 //
-// Failure handling is layered (see DESIGN.md §12). First attempts
-// rotate across a shard's replicas, skipping replicas whose per-replica
-// circuit breaker is open (consecutive-failure trip, cooldown, single
-// half-open probe), so no replica absorbs every first attempt and a dead
-// replica is probed, not hammered. A transport error or gateway-ish
-// status (502/503/504) costs an exponential-backoff-with-jitter pause
-// and moves the request to the next allowed replica, at most
-// Config.Retries extra attempts, each attempt bounded by Config.Timeout.
-// A 421 (Misdirected Request) is NOT retried: it means the shard map
-// disagrees with the shard's own spec, which no other replica of the
-// same shard will fix. When every attempt at a shard is exhausted and
-// Config.StaleEntries is set, the router serves the last known good body
-// for that exact request URI, marked X-Trustd-Degraded: stale — honest
-// staleness instead of a 502. Readiness, for /readyz and WaitReady
-// alike, is one concurrent probe of every replica.
+// Failure handling is layered (see DESIGN.md §12), and every request
+// reaches a shard through one attempt loop: a per-source request runs it
+// at its owning shard, and the fan-out endpoints (/v1/stats,
+// /v1/graph/stats, /v1/rank, /v1/anomaly*) run it at every shard
+// concurrently. First attempts rotate across a shard's replicas,
+// skipping replicas whose per-replica circuit breaker is open (five
+// consecutive failures trip it, then a cooldown and a single half-open
+// probe), so no replica absorbs every first attempt and a dead replica
+// is probed, not hammered. A transport error or gateway-ish status
+// (502/503/504) costs an exponential-backoff-with-jitter pause (25 ms
+// base) and moves the request to the next allowed replica, at most
+// Config.Retries extra attempts, each attempt's wait for response
+// headers bounded by Config.Timeout. A 421 (Misdirected Request) is NOT
+// retried: it means the shard map disagrees with the shard's own spec,
+// which no other replica of the same shard will fix. When every attempt
+// at a shard is exhausted and Config.StaleEntries is set, the router
+// serves the last known good body for that exact request URI, marked
+// X-Trustd-Degraded: stale — honest staleness instead of a 502.
+// Readiness, for /readyz and WaitReady alike, is one concurrent probe of
+// every replica.
 //
 // The proxy hot path is deliberately allocation-lean: routed, a cached
 // /v1/topk hit costs 2.16× a direct one (BenchmarkRouterTopK in
@@ -63,24 +68,15 @@ type Config struct {
 	// the outer length IS the cluster's shard count and must match the
 	// -shard i/N the shards were started with.
 	Shards [][]string
-	// Timeout bounds each upstream attempt (time to response headers).
-	// 0 means DefaultTimeout.
+	// Timeout bounds one upstream attempt's wait for response headers
+	// (the transport's ResponseHeaderTimeout), not the request: a
+	// request, per-source or fan-out, makes up to 1+Retries attempts
+	// with backoff between them, so it can take (1+Retries)×Timeout plus
+	// backoff. 0 means DefaultTimeout.
 	Timeout time.Duration
 	// Retries caps the extra replica attempts after a transport error or
 	// 502/503/504. 0 means DefaultRetries; negative disables retrying.
 	Retries int
-	// MaxIdleConnsPerHost sizes the per-replica connection pool. 0 means
-	// DefaultMaxIdleConnsPerHost.
-	MaxIdleConnsPerHost int
-	// RetryBackoff is the base pause before the first retry attempt,
-	// doubled per further attempt and jittered ±50% so synchronized
-	// routers don't stampede a recovering shard. 0 means
-	// DefaultRetryBackoff; negative retries immediately (the tests' knob).
-	RetryBackoff time.Duration
-	// BreakerThreshold trips a replica's circuit breaker after this many
-	// consecutive failures. 0 means DefaultBreakerThreshold; negative
-	// disables breakers.
-	BreakerThreshold int
 	// BreakerCooldown is how long a tripped replica rests before a single
 	// half-open probe is allowed through. 0 means DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
@@ -100,12 +96,13 @@ const DefaultTimeout = 5 * time.Second
 // DefaultRetries is the extra replica attempts on retryable failures.
 const DefaultRetries = 1
 
-// DefaultMaxIdleConnsPerHost keeps a small warm pool per replica.
-const DefaultMaxIdleConnsPerHost = 16
+// maxIdleConnsPerHost keeps a small warm pool per replica.
+const maxIdleConnsPerHost = 16
 
-// DefaultRetryBackoff is the base retry pause (doubled per attempt,
-// jittered ±50%).
-const DefaultRetryBackoff = 25 * time.Millisecond
+// retryBackoff is the base pause before the first retry attempt, doubled
+// per further attempt and jittered to 50–150% so synchronized routers
+// don't stampede a recovering shard.
+const retryBackoff = 25 * time.Millisecond
 
 // maxRetryBackoff caps the exponential retry pause.
 const maxRetryBackoff = 250 * time.Millisecond
@@ -122,10 +119,9 @@ type Router struct {
 	// parsed mirrors shards with pre-parsed URLs, so the per-request path
 	// never re-parses a base URL.
 	parsed  [][]url.URL
-	timeout time.Duration
 	retries int
-	// transport is the pooled upstream path every attempt, fan-out and
-	// readiness probe takes (through fetch).
+	// transport is the pooled upstream path every attempt and readiness
+	// probe takes (through fetch).
 	transport *http.Transport
 	start     time.Time
 	// rr rotates unroutable requests (no parsable source user) across
@@ -136,14 +132,11 @@ type Router struct {
 	// skipped on top of the rotation). Indexed by shard.
 	replicaRR []atomic.Uint64
 	// breakers holds one circuit breaker per replica, mirroring parsed.
-	// breakerThreshold < 0 disables them (every acquire passes).
-	breakers         [][]breaker
-	breakerThreshold int32
-	breakerCooldown  int64 // nanos
-	retryBackoff     time.Duration
+	breakers        [][]breaker
+	breakerCooldown int64 // nanos
 	// stale is the flag-gated last-known-good cache; nil when disabled.
 	stale *staleCache
-	// jitterSeq feeds the cheap backoff-jitter mixer (no rand state, no
+	// jitterSeq feeds sleepJittered's mixer (no rand state, no
 	// allocation).
 	jitterSeq atomic.Uint64
 	metrics   routerMetrics
@@ -190,33 +183,17 @@ func New(cfg Config) (*Router, error) {
 	} else if retries < 0 {
 		retries = 0
 	}
-	maxIdle := cfg.MaxIdleConnsPerHost
-	if maxIdle == 0 {
-		maxIdle = DefaultMaxIdleConnsPerHost
-	}
 	// The transport enforces the per-attempt timeout itself
 	// (ResponseHeaderTimeout), so the hot path never allocates a
 	// per-request timer.
 	transport := &http.Transport{
-		MaxIdleConnsPerHost:   maxIdle,
-		MaxIdleConns:          maxIdle * len(cfg.Shards) * 2,
+		MaxIdleConnsPerHost:   maxIdleConnsPerHost,
+		MaxIdleConns:          maxIdleConnsPerHost * len(cfg.Shards) * 2,
 		ResponseHeaderTimeout: timeout,
 		// The shards serve small JSON bodies over the local network;
 		// transparent gzip would cost latency on every hop to save bytes
 		// nobody is short of — and the router must relay bodies verbatim.
 		DisableCompression: true,
-	}
-	backoff := cfg.RetryBackoff
-	if backoff == 0 {
-		backoff = DefaultRetryBackoff
-	} else if backoff < 0 {
-		backoff = 0
-	}
-	threshold := int32(cfg.BreakerThreshold)
-	if threshold == 0 {
-		threshold = DefaultBreakerThreshold
-	} else if threshold < 0 {
-		threshold = -1
 	}
 	cooldown := cfg.BreakerCooldown
 	if cooldown == 0 {
@@ -227,17 +204,14 @@ func New(cfg Config) (*Router, error) {
 		breakers[i] = make([]breaker, len(replicas))
 	}
 	rt := &Router{
-		shards:           cfg.Shards,
-		parsed:           parsed,
-		timeout:          timeout,
-		retries:          retries,
-		transport:        transport,
-		start:            time.Now(),
-		replicaRR:        make([]atomic.Uint64, len(cfg.Shards)),
-		breakers:         breakers,
-		breakerThreshold: threshold,
-		breakerCooldown:  int64(cooldown),
-		retryBackoff:     backoff,
+		shards:          cfg.Shards,
+		parsed:          parsed,
+		retries:         retries,
+		transport:       transport,
+		start:           time.Now(),
+		replicaRR:       make([]atomic.Uint64, len(cfg.Shards)),
+		breakers:        breakers,
+		breakerCooldown: int64(cooldown),
 	}
 	if cfg.StaleEntries > 0 {
 		rt.stale = newStaleCache(cfg.StaleEntries)
@@ -266,10 +240,10 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/expertise", byUser("user"))
 	mux.HandleFunc("GET /v1/neighbors", byUser("user"))
 	mux.HandleFunc("GET /v1/propagate", byUser("user"))
-	mux.HandleFunc("GET /v1/rank", rt.handleRank)
-	mux.HandleFunc("GET /v1/anomaly", rt.handleAnomaly)
-	mux.HandleFunc("GET /v1/anomaly/top", rt.handleAnomalyTop)
-	mux.HandleFunc("GET /v1/graph/stats", rt.handleGraphStats)
+	mux.HandleFunc("GET /v1/rank", rt.proxyFreshest)
+	mux.HandleFunc("GET /v1/anomaly", rt.proxyFreshest)
+	mux.HandleFunc("GET /v1/anomaly/top", rt.proxyFreshest)
+	mux.HandleFunc("GET /v1/graph/stats", rt.proxyFreshest)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
@@ -320,162 +294,157 @@ func pair0(q string) (string, string) {
 	return q, ""
 }
 
-// proxy forwards the request to shard idx. The attempt loop rotates over
-// the shard's replicas from a per-shard round-robin start, skipping
-// replicas whose circuit breaker is open; a transport error or retryable
-// gateway status records a breaker failure and costs a jittered
-// exponential backoff before the next attempt (up to Config.Retries
-// extra attempts — same-replica retries are meaningful now that they are
-// spaced, so single-replica shards retry too). The first non-retryable
-// response is streamed back verbatim (status, content type, body). When
-// every attempt fails and degraded serving is enabled, the last known
-// good body for this exact request URI is served marked
-// X-Trustd-Degraded: stale; otherwise the per-replica failures are
-// aggregated into the 502 body.
+// proxy forwards the request to shard idx through the attempt loop and
+// streams the first non-retryable response back verbatim (status,
+// content type, body). When every attempt fails and degraded serving is
+// enabled, the last known good body for this exact request URI is served
+// marked X-Trustd-Degraded: stale; otherwise an out-of-attempts gateway
+// status is relayed as the shard sent it, and silence from every replica
+// becomes a 502 listing each failed attempt.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, idx int) {
-	replicas := rt.parsed[idx]
-	n := len(replicas)
-	attempts := 1 + rt.retries
-	ctx := r.Context()
 	var staleKey string
 	if rt.stale != nil {
 		staleKey = r.URL.Path + "?" + r.URL.RawQuery
 	}
+	a := rt.try(r.Context(), idx, r.URL)
+	if a.resp != nil && !retryableStatus(a.resp.StatusCode) {
+		if a.resp.StatusCode == http.StatusMisdirectedRequest {
+			rt.metrics.misdirected.Add(1)
+		}
+		rt.metrics.proxied.Add(1)
+		rt.relay(w, a.resp, staleKey)
+		return
+	}
+	// Out of attempts: labeled stale beats relaying an unavailable
+	// shard's error, when we have it.
+	if rt.serveStale(w, staleKey) {
+		if a.resp != nil {
+			a.resp.Body.Close()
+		}
+		return
+	}
+	rt.metrics.upstreamErrors.Add(1)
+	if a.resp != nil {
+		// The shard's own gateway error is still the most honest answer.
+		rt.relay(w, a.resp, "")
+		return
+	}
+	writeJSON(w, http.StatusBadGateway, map[string]any{
+		"error":    a.unavailable(idx),
+		"attempts": a.errs,
+	})
+}
 
-	// errs aggregates every failed attempt for the 502 body — earlier
-	// replicas can fail differently than the last one, and the operator
-	// debugging an outage wants all of them. Allocated only off the
-	// success path.
-	var errs []string
+// attempts is the outcome of one attempt loop at one shard.
+type attempts struct {
+	// resp is the first non-retryable response, or the gateway-ish one
+	// the last attempt got; nil when no replica answered. The caller
+	// owns its body.
+	resp    *http.Response
+	replica int // index of the replica that sent resp
+	fetched int // upstream requests sent
+	// errs aggregates every failed attempt — earlier replicas can fail
+	// differently than the last one, and the operator debugging an
+	// outage wants all of them. Allocated only off the success path.
+	errs []string
+}
+
+// unavailable names a shard none of whose replicas answered.
+func (a *attempts) unavailable(idx int) string {
+	return fmt.Sprintf("shard %d unavailable after %d attempts", idx, a.fetched)
+}
+
+// try is the router's one attempt loop, run by every per-source request
+// and by every shard's leg of a fan-out. It rotates over shard idx's
+// replicas from a per-shard round-robin start, skipping replicas whose
+// circuit breaker is open; a transport error or retryable gateway status
+// records a breaker failure and costs a jittered exponential backoff
+// before the next attempt, up to 1+retries attempts. Same-replica
+// retries are meaningful because they are spaced, so single-replica
+// shards retry too. u supplies the upstream path and query.
+func (rt *Router) try(ctx context.Context, idx int, u *url.URL) (a attempts) {
+	replicas := rt.parsed[idx]
+	n := len(replicas)
+	limit := 1 + rt.retries
 	now := time.Now().UnixNano()
 	start := 0
 	if n > 1 {
 		start = int(rt.replicaRR[idx].Add(1) % uint64(n))
 	}
-	fetched, consecSkips := 0, 0
-	for step := 0; fetched < attempts; step++ {
+	consecSkips := 0
+	for step := 0; a.fetched < limit; step++ {
 		ri := (start + step) % n
-		ok, probe := rt.acquireReplica(idx, ri, now)
+		ok, probe := rt.breakers[idx][ri].acquire(now, rt.breakerCooldown)
 		if !ok {
 			consecSkips++
 			if consecSkips >= n {
 				// Every replica is tripped and cooling down: fail fast
 				// into stale serving (or the 502) — that is the point of
 				// the breaker.
-				errs = append(errs, "all replica circuit breakers open")
-				break
+				a.errs = append(a.errs, "all replica circuit breakers open")
+				return a
 			}
 			continue
 		}
 		consecSkips = 0
-		if fetched > 0 {
+		if a.fetched > 0 {
 			rt.metrics.retries.Add(1)
-			if !rt.backoffSleep(ctx, fetched) {
+			d := retryBackoff << (a.fetched - 1)
+			if d > maxRetryBackoff || d <= 0 {
+				d = maxRetryBackoff
+			}
+			if !rt.sleepJittered(ctx, d) {
 				if probe {
 					// The granted half-open probe was never issued: give the
 					// outcome back (reopen, fresh cooldown) or the breaker
 					// wedges half-open forever.
 					rt.recordFailure(idx, ri)
 				}
-				errs = append(errs, "request ended during retry backoff")
-				break
+				a.errs = append(a.errs, "request ended during retry backoff")
+				return a
 			}
 			now = time.Now().UnixNano()
 		}
-		fetched++
-		resp, err := rt.fetch(ctx, &replicas[ri], r.URL)
+		a.fetched++
+		resp, err := rt.fetch(ctx, &replicas[ri], u)
+		if err == nil && !retryableStatus(resp.StatusCode) {
+			// Any real response, even an application error, proves the
+			// replica alive.
+			if rt.breakers[idx][ri].onSuccess() {
+				rt.metrics.breakerRecoveries.Add(1)
+			}
+			a.resp, a.replica = resp, ri
+			return a
+		}
+		rt.recordFailure(idx, ri)
 		if err != nil {
-			rt.recordFailure(idx, ri)
-			errs = append(errs, rt.shards[idx][ri]+": "+err.Error())
+			a.errs = append(a.errs, rt.shards[idx][ri]+": "+err.Error())
 			continue
 		}
-		if retryableStatus(resp.StatusCode) {
-			rt.recordFailure(idx, ri)
-			if fetched < attempts {
-				errs = append(errs, rt.shards[idx][ri]+": "+resp.Status)
-				resp.Body.Close()
-				continue
-			}
-			// Out of attempts on a gateway-ish status: labeled stale beats
-			// relaying an unavailable shard's error, when we have it.
-			if rt.serveStale(w, staleKey) {
-				resp.Body.Close()
-				return
-			}
-			// No stale fallback: the shard's own error body is still the
-			// most honest answer, but this request DID exhaust its
-			// attempts — count it as an upstream error, not a proxied
-			// success.
-			rt.metrics.upstreamErrors.Add(1)
-			rt.relay(w, resp, "")
-			return
+		if a.fetched == limit {
+			a.resp, a.replica = resp, ri
+			return a
 		}
-		rt.recordSuccess(idx, ri)
-		if resp.StatusCode == http.StatusMisdirectedRequest {
-			rt.metrics.misdirected.Add(1)
-		}
-		rt.metrics.proxied.Add(1)
-		rt.relay(w, resp, staleKey)
-		return
+		a.errs = append(a.errs, rt.shards[idx][ri]+": "+resp.Status)
+		resp.Body.Close()
 	}
-	if rt.serveStale(w, staleKey) {
-		return
-	}
-	rt.metrics.upstreamErrors.Add(1)
-	writeJSON(w, http.StatusBadGateway, map[string]any{
-		"error":    fmt.Sprintf("shard %d unavailable after %d attempts", idx, fetched),
-		"attempts": errs,
-	})
-}
-
-// acquireReplica asks replica ri's breaker for permission to attempt.
-// probe reports that the caller was granted the replica's single
-// half-open probe and MUST resolve it (recordSuccess or recordFailure)
-// on every path, including abandonment.
-func (rt *Router) acquireReplica(idx, ri int, now int64) (ok, probe bool) {
-	if rt.breakerThreshold < 0 {
-		return true, false
-	}
-	return rt.breakers[idx][ri].acquire(now, rt.breakerCooldown)
-}
-
-// recordSuccess closes the replica's breaker (any real response, even an
-// application error, proves the replica alive).
-func (rt *Router) recordSuccess(idx, ri int) {
-	if rt.breakerThreshold < 0 {
-		return
-	}
-	if rt.breakers[idx][ri].onSuccess() {
-		rt.metrics.breakerRecoveries.Add(1)
-	}
+	return a
 }
 
 // recordFailure feeds the replica's breaker a transport error or
 // gateway-ish status.
 func (rt *Router) recordFailure(idx, ri int) {
-	if rt.breakerThreshold < 0 {
-		return
-	}
-	if rt.breakers[idx][ri].onFailure(time.Now().UnixNano(), rt.breakerThreshold) {
+	if rt.breakers[idx][ri].onFailure(time.Now().UnixNano()) {
 		rt.metrics.breakerTrips.Add(1)
 	}
 }
 
-// backoffSleep pauses before extra attempt k (1-based): base·2^(k-1)
-// capped at maxRetryBackoff, jittered to 50–150% so synchronized routers
-// spread their retries. Returns false when the request context ended
-// first.
-func (rt *Router) backoffSleep(ctx context.Context, k int) bool {
-	if rt.retryBackoff <= 0 {
-		return ctx.Err() == nil
-	}
-	d := rt.retryBackoff << (k - 1)
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
+// sleepJittered pauses for 50–150% of d, the jitter drawn from a
+// splitmix64 mix of a counter so synchronized routers spread their
+// retries and readiness sweeps. Returns false when ctx ended first.
+func (rt *Router) sleepJittered(ctx context.Context, d time.Duration) bool {
 	u := splitmix64(rt.jitterSeq.Add(1))
-	d = time.Duration(float64(d) * (0.5 + float64(u>>11)/(1<<53)))
-	t := time.NewTimer(d)
+	t := time.NewTimer(time.Duration(float64(d) * (0.5 + float64(u>>11)/(1<<53))))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -559,7 +528,7 @@ func (rt *Router) serveStale(w http.ResponseWriter, staleKey string) bool {
 	return true
 }
 
-// splitmix64 feeds the backoff jitter: a full-avalanche mix of a plain
+// splitmix64 feeds sleepJittered: a full-avalanche mix of a plain
 // counter, no rand state and no allocation.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -611,115 +580,87 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	copyBufs.Put(buf)
 }
 
-// handleGraphStats fans /v1/graph/stats out to every shard and returns
-// the freshest body: the replicated graph is identical on every shard at
-// a given model version, so the response with the highest version (ties
-// to the lowest shard index) is THE cluster answer, byte-identical to an
-// unsharded server at that version.
-func (rt *Router) handleGraphStats(w http.ResponseWriter, r *http.Request) {
-	rt.proxyFreshest(w, r, "/v1/graph/stats")
-}
-
-// handleRank serves the global EigenTrust ranking the same way: the rank
-// vector is solved cold over the replicated graph, so every shard at a
-// given version serves byte-identical bodies and the freshest one is the
-// cluster answer. The query string (k= or user=) rides along on the
-// fan-out; first non-OK freshest body (e.g. a 404 for an out-of-range
-// user) is relayed verbatim.
-func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
-	rt.proxyFreshest(w, r, "/v1/rank")
-}
-
-// handleAnomaly and handleAnomalyTop relay the suspicion scores the same
-// way: internal/anomaly is a pure function of the replicated (dataset,
-// web) pair, so every shard at a version serves byte-identical bodies
-// and any one of them is the cluster answer.
-func (rt *Router) handleAnomaly(w http.ResponseWriter, r *http.Request) {
-	rt.proxyFreshest(w, r, "/v1/anomaly")
-}
-
-func (rt *Router) handleAnomalyTop(w http.ResponseWriter, r *http.Request) {
-	rt.proxyFreshest(w, r, "/v1/anomaly/top")
-}
-
-// proxyFreshest fans a replicated-state endpoint out to every shard and
-// relays the highest-version OK body (ties to the lowest shard index),
-// preserving the request's query string. When no shard answers 200, the
-// first real non-OK shard response is relayed instead (the shards agree
-// on parameter validation), and only transport-level silence on every
-// shard produces a router-synthesised 502.
-func (rt *Router) proxyFreshest(w http.ResponseWriter, r *http.Request, path string) {
+// proxyFreshest serves the replicated-state endpoints — /v1/graph/stats,
+// /v1/rank and /v1/anomaly* — from a fan-out to every shard. The graph,
+// the cold-solved EigenTrust vector and the suspicion scores are pure
+// functions of the replicated model, so every shard at a version serves
+// byte-identical bodies, and the highest-version OK body (ties to the
+// lowest shard index) is THE cluster answer, byte-identical to an
+// unsharded server at that version. When no shard answers 200, the
+// lowest-index real shard response is relayed instead (the shards agree
+// on parameter validation, e.g. a 404 for an out-of-range user), and
+// only silence from every replica of every shard produces a
+// router-synthesised 502, which lists each failed attempt.
+func (rt *Router) proxyFreshest(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.requests.Add(1)
-	type result struct {
-		idx     int
-		status  int
-		body    []byte
-		version uint64
-		ct      string
-	}
-	results := rt.fanOut(r, path, func(idx, status int, ct string, body []byte) any {
+	replies := rt.fanOut(r)
+	best := -1
+	var bestVersion uint64
+	for idx, rep := range replies {
+		if rep.resp == nil || rep.resp.StatusCode != http.StatusOK {
+			continue
+		}
 		var v struct {
 			Version uint64 `json:"version"`
 		}
-		if status == http.StatusOK {
-			_ = json.Unmarshal(body, &v)
-		}
-		return result{idx: idx, status: status, body: body, version: v.Version, ct: ct}
-	})
-	best := -1
-	var bestRes result
-	for _, a := range results {
-		res, ok := a.(result)
-		if !ok || res.status != http.StatusOK {
-			continue
-		}
-		if best == -1 || res.version > bestRes.version ||
-			(res.version == bestRes.version && res.idx < bestRes.idx) {
-			best, bestRes = res.idx, res
+		_ = json.Unmarshal(rep.body, &v)
+		if best == -1 || v.Version > bestVersion {
+			best, bestVersion = idx, v.Version
 		}
 	}
 	if best == -1 {
-		// No shard answered 200: relay the lowest-index real response so
-		// error bodies stay shard-authored (all shards validate parameters
-		// identically).
-		for _, a := range results {
-			res, ok := a.(result)
-			if !ok || res.status == 0 {
-				continue
+		var errs []string
+		for idx, rep := range replies {
+			if rep.resp != nil {
+				best = idx
+				break
 			}
-			rt.metrics.proxied.Add(1)
-			if res.ct != "" {
-				w.Header().Set("Content-Type", res.ct)
-			}
-			w.WriteHeader(res.status)
-			_, _ = w.Write(res.body)
+			errs = append(errs, rep.errs...)
+		}
+		if best == -1 {
+			rt.metrics.upstreamErrors.Add(1)
+			writeJSON(w, http.StatusBadGateway, map[string]any{
+				"error":    "no shard answered " + r.URL.Path,
+				"attempts": errs,
+			})
 			return
 		}
-		rt.metrics.upstreamErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway, map[string]string{"error": "no shard answered " + path})
-		return
 	}
 	rt.metrics.proxied.Add(1)
-	if bestRes.ct != "" {
-		w.Header().Set("Content-Type", bestRes.ct)
+	rep := replies[best]
+	if ct := rep.resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(bestRes.body)
+	w.WriteHeader(rep.resp.StatusCode)
+	_, _ = w.Write(rep.body)
 }
 
 // handleStats aggregates every shard's /v1/stats under the router's own
 // envelope: per-shard bodies keyed by index, plus router-level counters.
 // (Unlike graph stats, per-shard stats genuinely differ — owned users,
-// cache fill — so they are reported side by side, not merged.)
+// cache fill — so they are reported side by side, not merged.) Each
+// shard block names the replica that answered, since rotation picks it
+// per request, and lists every failed attempt; a shard no replica of
+// which answered carries the 502 account a per-source request would get.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.requests.Add(1)
-	shards := rt.fanOut(r, "/v1/stats", func(idx, status int, ct string, body []byte) any {
-		if status != http.StatusOK {
-			return map[string]any{"shard": idx, "error": fmt.Sprintf("status %d", status)}
+	replies := rt.fanOut(r)
+	shards := make([]map[string]any, len(replies))
+	for idx, rep := range replies {
+		b := map[string]any{"shard": idx}
+		switch {
+		case rep.resp == nil:
+			b["error"] = rep.unavailable(idx)
+		case rep.resp.StatusCode != http.StatusOK:
+			b["replica"], b["error"] = rt.shards[idx][rep.replica], rep.resp.Status
+		default:
+			b["replica"], b["stats"] = rt.shards[idx][rep.replica], json.RawMessage(rep.body)
 		}
-		var v json.RawMessage = body
-		return map[string]any{"shard": idx, "stats": v}
-	})
+		if len(rep.errs) > 0 {
+			b["attempts"] = rep.errs
+		}
+		shards[idx] = b
+	}
 	// breakers reports every replica's circuit state so an operator can
 	// see which replica of which shard is tripped at a glance.
 	breakers := make([][]string, len(rt.breakers))
@@ -751,38 +692,35 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fanOut queries one replica chain per shard concurrently and maps each
-// shard's best response through fn (status 0 and nil body when no
-// replica answered). The original request's query string is preserved on
-// every upstream call. Results are indexed by shard.
-func (rt *Router) fanOut(r *http.Request, path string, fn func(idx, status int, ct string, body []byte) any) []any {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.timeout)
-	defer cancel()
-	out := make([]any, len(rt.shards))
+// shardReply is one shard's leg of a fan-out: the outcome of its attempt
+// loop with resp's body read into body and closed. A body that failed to
+// read counts as one more failed attempt, and resp is nil.
+type shardReply struct {
+	attempts
+	body []byte
+}
+
+// fanOut runs the attempt loop once per shard, concurrently, for r's path
+// and query. Replies are indexed by shard.
+func (rt *Router) fanOut(r *http.Request) []shardReply {
+	out := make([]shardReply, len(rt.shards))
 	var wg sync.WaitGroup
 	for idx := range rt.shards {
 		wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer wg.Done()
-			u := &url.URL{Path: path, RawQuery: r.URL.RawQuery}
-			replicas := rt.parsed[idx]
-			attempts := min(1+rt.retries, len(replicas))
-			for a := 0; a < attempts; a++ {
-				resp, err := rt.fetch(ctx, &replicas[a], u)
+			rep := shardReply{attempts: rt.try(r.Context(), idx, r.URL)}
+			if rep.resp != nil {
+				var err error
+				rep.body, err = io.ReadAll(rep.resp.Body)
+				rep.resp.Body.Close()
 				if err != nil {
-					continue
+					rep.errs = append(rep.errs, rt.shards[idx][rep.replica]+": "+err.Error())
+					rep.resp = nil
 				}
-				body, rerr := io.ReadAll(resp.Body)
-				ct := resp.Header.Get("Content-Type")
-				resp.Body.Close()
-				if rerr != nil || (retryableStatus(resp.StatusCode) && a+1 < attempts) {
-					continue
-				}
-				out[idx] = fn(idx, resp.StatusCode, ct, body)
-				return
 			}
-			out[idx] = fn(idx, 0, "", nil)
-		}(idx)
+			out[idx] = rep
+		}()
 	}
 	wg.Wait()
 	return out
@@ -862,14 +800,8 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 		if _, ready := rt.probeReady(ctx); ready {
 			return nil
 		}
-		u := splitmix64(rt.jitterSeq.Add(1))
-		d := time.Duration(float64(backoff) * (0.5 + float64(u>>11)/(1<<53)))
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if !rt.sleepJittered(ctx, backoff) {
 			return fmt.Errorf("router: cluster not ready: %w", ctx.Err())
-		case <-t.C:
 		}
 		if backoff < maxBackoff {
 			backoff *= 2
