@@ -123,6 +123,54 @@ func TestTidalTrustInferAllAndCoverage(t *testing.T) {
 	_ = TidalTrust{MaxDepth: 3}.String()
 }
 
+// Property: InferAll answers every sink exactly as the per-pair Infer
+// does — the same OK flag and the same float bits — at every source and
+// depth, on random graphs with cycles, self-loops, isolated nodes,
+// sources without out-edges and tied weights.
+func TestTidalTrustInferAllMatchesInferQuick(t *testing.T) {
+	ties := []float64{0, 0.25, 0.5, 0.5, 0.75, 1}
+	f := func(seed uint64) bool {
+		rng := stats.NewRand(seed)
+		n := 1 + rng.IntN(24)
+		// Nodes from active on are isolated; node leaf has no out-edges.
+		active := 1 + rng.IntN(n)
+		leaf := rng.IntN(active)
+		var edges []graph.Edge
+		for k := rng.IntN(5 * active); k > 0; k-- {
+			from, to := rng.IntN(active), rng.IntN(active)
+			if from == leaf {
+				continue
+			}
+			w := rng.Float64()
+			if rng.IntN(2) == 0 {
+				w = ties[rng.IntN(len(ties))]
+			}
+			edges = append(edges, graph.Edge{From: from, To: to, Weight: w})
+		}
+		g, err := graph.New(n, edges)
+		if err != nil {
+			return false
+		}
+		for _, depth := range []int{0, 1, 2, 3, 4, 6} {
+			tt := TidalTrust{MaxDepth: depth}
+			for s := 0; s < n; s++ {
+				res := tt.InferAll(g, s)
+				for k, r := range res {
+					v, ok := tt.Infer(g, s, k)
+					if r.OK != ok || math.Float64bits(r.Value) != math.Float64bits(v) {
+						t.Logf("seed %d depth %d: InferAll(%d)[%d] = %+v, Infer = %v, %v", seed, depth, s, k, r, v, ok)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestEigenTrustUniformOnSymmetric(t *testing.T) {
 	// A symmetric cycle should rank everyone equally.
 	g := mustGraph(t, 3, []graph.Edge{

@@ -30,7 +30,9 @@ var ErrBadConfig = errors.New("propagation: invalid configuration")
 // predict best; both principles are what the threshold encodes.
 type TidalTrust struct {
 	// MaxDepth caps the BFS search depth (path length). Zero or negative
-	// means unlimited, which on large graphs can be slow.
+	// means unlimited. A deeper search costs InferAll only the nodes it
+	// adds: one forward visit each and, per added sink, a backward pass
+	// over that sink's shortest-path ancestors.
 	MaxDepth int
 }
 
@@ -136,23 +138,146 @@ func (tt TidalTrust) Infer(g *graph.Graph, source, sink int) (value float64, ok 
 	return value2[source], true
 }
 
-// InferAll runs Infer for every sink from one source, reusing the BFS
-// where profitable. The result slice has one entry per node; entries for
-// unreachable sinks (or the source itself) have OK=false.
+// InferResult is one sink's entry of InferAll: Infer's value and ok.
 type InferResult struct {
 	Value float64
 	OK    bool
 }
 
-// InferAll computes trust from source to every other node.
+// InferAll computes trust from source to every node: entry sink holds
+// exactly what Infer(g, source, sink) returns, bit for bit, and entries
+// for unreachable sinks (or the source itself) have OK=false.
+//
+// It runs one BFS and one forward strength pass for all sinks, because a
+// node's strength depends only on shallower nodes, never on the sink.
+// Only the backward pass is per sink, and it visits just the nodes that
+// can become known there: level by level up from the sink, the
+// shortest-path predecessors (over In edges) of the previous level's
+// known nodes. Each such node sums its Out row in Infer's order under
+// Infer's conditions, so the values are Infer's to the bit. Scratch is
+// allocated once per call and stamped per sink.
 func (tt TidalTrust) InferAll(g *graph.Graph, source int) []InferResult {
-	out := make([]InferResult, g.NumNodes())
-	for sink := 0; sink < g.NumNodes(); sink++ {
-		if sink == source {
+	n := g.NumNodes()
+	out := make([]InferResult, n)
+	if source < 0 || source >= n {
+		return out
+	}
+
+	// BFS from the source, as Infer's BFSDepths; order lists the reached
+	// nodes by nondecreasing depth.
+	depth := make([]int32, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	order := make([]int32, 1, n)
+	order[0] = int32(source)
+	depth[source] = 0
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		if tt.MaxDepth > 0 && int(depth[u]) >= tt.MaxDepth {
 			continue
 		}
-		v, ok := tt.Infer(g, source, sink)
-		out[sink] = InferResult{Value: v, OK: ok}
+		to, _ := g.Out(int(u))
+		for _, v := range to {
+			if depth[v] < 0 {
+				depth[v] = depth[u] + 1
+				order = append(order, v)
+			}
+		}
+	}
+
+	// Forward pass, as Infer's, over every reached node at once. max and
+	// min are exact, so the visiting order cannot change a strength.
+	const inf = 1e18
+	strength := make([]float64, n)
+	for i := range strength {
+		strength[i] = -1
+	}
+	strength[source] = inf
+	for _, u := range order {
+		su := strength[u]
+		if su < 0 {
+			continue
+		}
+		to, w := g.Out(int(u))
+		for i, v := range to {
+			if depth[v] != depth[u]+1 {
+				continue
+			}
+			s := su
+			if w[i] < s {
+				s = w[i]
+			}
+			if s > strength[v] {
+				strength[v] = s
+			}
+		}
+	}
+
+	// A direct edge answers with its weight before any search, as in
+	// Infer.
+	to, w := g.Out(source)
+	for i, v := range to {
+		if int(v) != source {
+			out[v] = InferResult{Value: w[i], OK: true}
+		}
+	}
+
+	// Backward pass per sink. seen and known hold the stamp of the sink
+	// whose pass collected a node as a candidate and found it known.
+	value := make([]float64, n)
+	seen := make([]int32, n)
+	known := make([]int32, n)
+	var level, cand []int32
+	for _, t := range order[1:] {
+		sink := int(t)
+		threshold := strength[sink]
+		if out[sink].OK || threshold < 0 {
+			continue
+		}
+		stamp := t + 1
+		level = append(level[:0], t)
+		for d := depth[sink] - 1; d >= 0 && len(level) > 0; d-- {
+			// Only a shortest-path predecessor of a known node can
+			// become known at depth d.
+			cand = cand[:0]
+			for _, v := range level {
+				from, _ := g.In(int(v))
+				for _, u := range from {
+					if depth[u] == d && seen[u] != stamp && strength[u] >= 0 {
+						seen[u] = stamp
+						cand = append(cand, u)
+					}
+				}
+			}
+			level = level[:0]
+			for _, u := range cand {
+				var num, den float64
+				to, w := g.Out(int(u))
+				for i, v := range to {
+					if int(v) == sink {
+						num += w[i] * w[i]
+						den += w[i]
+						continue
+					}
+					// Infer's conditions, known first: it rejects
+					// nearly every edge.
+					if known[v] != stamp || depth[v] != d+1 || w[i] < threshold {
+						continue
+					}
+					num += w[i] * value[v]
+					den += w[i]
+				}
+				if den > 0 {
+					value[u] = num / den
+					known[u] = stamp
+					level = append(level, u)
+				}
+			}
+		}
+		if known[source] == stamp {
+			out[sink] = InferResult{Value: value[source], OK: true}
+		}
 	}
 	return out
 }

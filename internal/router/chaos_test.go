@@ -612,6 +612,32 @@ func TestChaosExhaustedRetryableCountsUpstreamError(t *testing.T) {
 	}
 }
 
+// TestChaosFanOutExhaustedCountsUpstreamError holds the fan-out
+// endpoints to the same contract: with every replica of every shard
+// answering 503, /v1/graph/stats relays a shard's 503 and counts it as
+// one upstream error and no proxied success.
+func TestChaosFanOutExhaustedCountsUpstreamError(t *testing.T) {
+	c := getChaosCluster(t)
+	t.Cleanup(c.clearFaults)
+	rts := newChaosRouter(t, c, nil)
+	for i := range c.reps {
+		for j := range c.reps[i] {
+			c.reps[i][j].inj.SetFaults(faulty.Fault{Probability: 1, Status: http.StatusServiceUnavailable})
+		}
+	}
+
+	code, body, _ := chaosGet(t, rts.URL, "/v1/graph/stats")
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("/v1/graph/stats with every replica answering 503: %d (%s), want a shard's 503 relayed", code, body)
+	}
+	if v := metricValue(t, rts.URL, "trustrouter_upstream_errors_total"); v != 1 {
+		t.Fatalf("upstream_errors_total = %d after one exhausted fan-out, want 1", v)
+	}
+	if v := metricValue(t, rts.URL, "trustrouter_proxied_total"); v != 0 {
+		t.Fatalf("proxied_total = %d, want 0 (an exhausted-attempts relay is not a proxied success)", v)
+	}
+}
+
 // TestChaosShardDeathDegradedServing kills BOTH replicas of shard 0 and
 // pins graceful degradation end to end: warmed request URIs serve their
 // last known good body as 200 + X-Trustd-Degraded: stale (byte-identical

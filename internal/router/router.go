@@ -590,7 +590,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 // lowest-index real shard response is relayed instead (the shards agree
 // on parameter validation, e.g. a 404 for an out-of-range user), and
 // only silence from every replica of every shard produces a
-// router-synthesised 502, which lists each failed attempt.
+// router-synthesised 502, which lists each failed attempt. As in proxy,
+// a relayed out-of-attempts gateway status counts as an upstream error,
+// not a proxied success.
 func (rt *Router) proxyFreshest(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.requests.Add(1)
 	replies := rt.fanOut(r)
@@ -626,8 +628,12 @@ func (rt *Router) proxyFreshest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.metrics.proxied.Add(1)
 	rep := replies[best]
+	if retryableStatus(rep.resp.StatusCode) {
+		rt.metrics.upstreamErrors.Add(1)
+	} else {
+		rt.metrics.proxied.Add(1)
+	}
 	if ct := rep.resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}

@@ -1,0 +1,123 @@
+package weboftrust
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+
+	"weboftrust/internal/propagation"
+	"weboftrust/internal/synth"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden digest files under testdata")
+
+// propagateGolden holds one SHA-256 per propagation algorithm.
+const propagateGolden = "testdata/propagate.golden"
+
+// sampledModel is a seed-1 community and the stride of its sampled
+// sources.
+type sampledModel struct {
+	name  string
+	m     *TrustModel
+	every int
+}
+
+// sampledModels derives the Small and Medium communities at seed 1,
+// sampling every Small source and every mediumEvery-th Medium source.
+func sampledModels(t *testing.T, mediumEvery int) []sampledModel {
+	t.Helper()
+	derive := func(cfg synth.Config) *TrustModel {
+		cfg.Seed = 1
+		d, _, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Derive(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	return []sampledModel{
+		{"small", derive(synth.Small()), 1},
+		{"medium", derive(synth.Medium()), mediumEvery},
+	}
+}
+
+// TestPropagateGolden pins the exact vectors of every propagation
+// algorithm to testdata/propagate.golden: per algorithm, one SHA-256 over
+// the little-endian Float64bits of PropagateInto for every Small source
+// and every 50th Medium source, in that order. A change that means to
+// move a digest rewrites the file with -update and says which and why.
+// Other architectures may fuse multiply-adds, so only amd64 checks.
+func TestPropagateGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("propagation bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	models := sampledModels(t, 50)
+	var got []byte
+	for _, algo := range []PropagationAlgo{PropagateAppleseed, PropagateMoleTrust, PropagateTidalTrust} {
+		h := sha256.New()
+		var word [8]byte
+		for _, c := range models {
+			dst := make([]float64, c.m.Dataset().NumUsers())
+			for u := 0; u < len(dst); u += c.every {
+				if err := c.m.PropagateInto(algo, UserID(u), dst); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range dst {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(x))
+					h.Write(word[:])
+				}
+			}
+		}
+		got = fmt.Appendf(got, "%s %x\n", algo, h.Sum(nil))
+	}
+	if *updateGolden {
+		if err := os.WriteFile(propagateGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(propagateGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("propagation digests moved:\n got:\n%s want:\n%s", got, want)
+	}
+}
+
+// TestPropagateTidalTrustMatchesInfer checks the served TidalTrust vector
+// against the per-pair oracle, bit for bit: entry j of PropagateInto is
+// Infer(source, j) at propagateDepth where that answers a positive value,
+// and 0 elsewhere and at the source. Every Small source and every 200th
+// Medium source.
+func TestPropagateTidalTrustMatchesInfer(t *testing.T) {
+	tt := propagation.TidalTrust{MaxDepth: propagateDepth}
+	for _, c := range sampledModels(t, 200) {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			g := c.m.WebOfTrust().Graph()
+			dst := make([]float64, g.NumNodes())
+			for u := 0; u < len(dst); u += c.every {
+				if err := c.m.PropagateInto(PropagateTidalTrust, UserID(u), dst); err != nil {
+					t.Fatal(err)
+				}
+				for j, got := range dst {
+					var want float64
+					if v, ok := tt.Infer(g, u, j); ok && v > 0 {
+						want = v
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("source %d sink %d: PropagateInto = %v, Infer = %v", u, j, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check_allocs.sh is the CI bench guard. It fails if the serving hot
 # path's allocs/op regress above their recorded baselines, or if the
-# ingest tick's or the propagate miss's time regresses against the
-# pipeline, so no win can silently erode as the serving surface grows.
+# ingest tick's, the propagate miss's or the exact TidalTrust vector's
+# time regresses against the pipeline, so no win can silently erode as
+# the serving surface grows.
 # Guarded:
 #   BenchmarkServerTopK      allocs/op vs BENCH_pr3.json  (34 — pooled
 #                            scratch + heap selection)
@@ -19,6 +20,11 @@
 #                            ns/op against the same reference and baseline
 #                            file, under the same rule: an uncached
 #                            Appleseed /v1/propagate.
+#   BenchmarkPropagateExact/tidaltrust
+#                            ns/op against the same reference under the
+#                            same rule, vs BENCH_pr21.json: one exact
+#                            TidalTrust vector (one BFS and one forward
+#                            pass per source).
 #
 # Usage: scripts/check_allocs.sh
 set -euo pipefail
@@ -113,6 +119,7 @@ guard ServerTopK BENCH_pr3.json || fail=$?
 guard ServerPropagate BENCH_pr10.json || fail=$?
 time_guard IngestSwap PipelineRun/workers=1 BENCH_pr16.json || fail=$?
 time_guard ServerPropagateMiss PipelineRun/workers=1 BENCH_pr16.json || fail=$?
+time_guard PropagateExact/tidaltrust PipelineRun/workers=1 BENCH_pr21.json || fail=$?
 
 if [ "$fail" -ne 0 ]; then
 	exit "$fail"
