@@ -32,9 +32,10 @@ bench-smoke:
 # their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached
 # /v1/propagate hit vs BENCH_pr10.json), or if a gated benchmark's time
 # as a multiple of BenchmarkPipelineRun/workers=1 grows over 1.25× its
-# multiple in the baseline: BenchmarkIngestSwap and
-# BenchmarkServerPropagateMiss vs BENCH_pr16.json,
-# BenchmarkPropagateExact/tidaltrust vs BENCH_pr21.json.
+# multiple in the baseline: BenchmarkIngestSwap vs BENCH_pr16.json,
+# BenchmarkPropagateExact/tidaltrust vs BENCH_pr21.json,
+# BenchmarkIngestSwapWarm and BenchmarkServerPropagateMiss vs
+# BENCH_pr22.json.
 bench-guard:
 	./scripts/check_allocs.sh
 

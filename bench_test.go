@@ -612,7 +612,24 @@ func BenchmarkServerPropagateLarge(b *testing.B) {
 // anomaly or landmark artifact to warm: this is the freshness cost a
 // community pays per ingest tick before any of those is asked for.
 // make bench-guard gates its time against BenchmarkPipelineRun.
-func BenchmarkIngestSwap(b *testing.B) {
+func BenchmarkIngestSwap(b *testing.B) { benchIngestSwap(b) }
+
+// BenchmarkIngestSwapWarm is BenchmarkIngestSwap on a daemon whose boot
+// state answered one /v1/rank, one /v1/anomaly/top and one appleseed
+// approx=landmark query, as ingest-mixed's traffic does. Every tick's
+// swap then warms the rank vector, the anomaly scores, the landmark
+// selection and the appleseed sketch before it publishes (the warm rule,
+// DESIGN.md §11): the swap whose time ingest-mixed reports as freshness.
+// make bench-guard gates its time against BenchmarkPipelineRun.
+func BenchmarkIngestSwapWarm(b *testing.B) {
+	benchIngestSwap(b, "/v1/rank?k=10", "/v1/anomaly/top?k=10",
+		"/v1/propagate?approx=landmark&algo=appleseed&user=17&k=10")
+}
+
+// benchIngestSwap times Tailer.Poll over one appended tick per
+// iteration, after GETting each of the given paths once on the boot
+// state to force the artifacts they read.
+func benchIngestSwap(b *testing.B, paths ...string) {
 	e := env(b)
 	path := filepath.Join(b.TempDir(), "events.log")
 	f, err := os.Create(path)
@@ -630,7 +647,14 @@ func BenchmarkIngestSwap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = srv
+	h := srv.Handler()
+	for _, p := range paths {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d %s", p, rec.Code, rec.Body.String())
+		}
+	}
 	users := e.Dataset.NumUsers()
 	objects := e.Dataset.NumObjects()
 	reviews := e.Dataset.NumReviews()
@@ -995,7 +1019,8 @@ func BenchmarkPropagateExact(b *testing.B) {
 // against the cold full pass (anomaly.Compute, O(users)). trustd scores
 // cold: a swap whose predecessor had scores runs Compute before it
 // publishes, because the tick dirties most users and warm costs about
-// what cold does.
+// what cold does: 25–31 ms each at Medium in BENCH_pr22.json, where
+// only users with a reciprocated out-edge pay for clustering.
 func BenchmarkAnomalySwap(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)

@@ -43,9 +43,10 @@ const (
 )
 
 // maxClusterNeighbors caps the neighborhood size the clustering term
-// inspects: local clustering is quadratic in degree, and a hub with
-// hundreds of neighbours is the opposite of a small tight ring, so
-// over-cap users take clustering 0 instead of an O(deg²) scan.
+// inspects: local clustering merges every neighbour's rows against the
+// neighbour list, O(deg²) and more for a hub, and a hub with hundreds of
+// neighbours is the opposite of a small tight ring, so over-cap users
+// take clustering 0 instead.
 const maxClusterNeighbors = 128
 
 // defaultCatMean is the category rating mean assumed for a category
@@ -291,7 +292,8 @@ func ratingSignals(d *ratings.Dataset, catMean []float64, u ratings.UserID) (rat
 
 // graphSignal computes the ring signal: the fraction of u's web
 // out-edges that are reciprocated, amplified by how internally connected
-// u's (capped) neighbourhood is.
+// u's (capped) neighbourhood is. A user none of whose out-edges is
+// reciprocated scores 0 without the clustering pass.
 func graphSignal(g *graph.Graph, u int) float64 {
 	if g == nil || u >= g.NumNodes() {
 		return 0
@@ -305,6 +307,10 @@ func graphSignal(g *graph.Graph, u int) float64 {
 		if _, ok := g.Weight(int(v), u); ok {
 			recip++
 		}
+	}
+	if recip == 0 {
+		// conf·0·(0.35+0.65·clust) is +0 whatever the clustering.
+		return 0
 	}
 	recipFrac := float64(recip) / float64(len(to))
 	clust := 0.0

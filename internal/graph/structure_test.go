@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +106,126 @@ func TestStructureRangesQuick(t *testing.T) {
 		return m >= 0 && m <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// pairwiseClustering is LocalClustering as it was before the merge: the
+// neighbour set gathered through a map and sorted, then two Weight
+// lookups per neighbour pair. It is the oracle for the merge.
+func pairwiseClustering(g *Graph, v int) float64 {
+	set := make(map[int]bool)
+	to, _ := g.Out(v)
+	from, _ := g.In(v)
+	for _, u := range append(append([]int32(nil), to...), from...) {
+		if int(u) != v {
+			set[int(u)] = true
+		}
+	}
+	neighbours := make([]int, 0, len(set))
+	for u := range set {
+		neighbours = append(neighbours, u)
+	}
+	sort.Ints(neighbours)
+	k := len(neighbours)
+	if k < 2 {
+		return 0
+	}
+	links := 0
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			a, b := neighbours[i], neighbours[j]
+			if _, ok := g.Weight(a, b); ok {
+				links++
+				continue
+			}
+			if _, ok := g.Weight(b, a); ok {
+				links++
+			}
+		}
+	}
+	return float64(links) / float64(k*(k-1)/2)
+}
+
+// randomStructureGraph draws a graph with the shapes clustering has to
+// get right: nodes from active on are isolated, the first few active
+// nodes are hubs that take a quarter of the edge ends, a third of the
+// edges are reciprocated, and some nodes carry self-loops.
+func randomStructureGraph(seed uint64) (*Graph, error) {
+	rng := stats.NewRand(seed)
+	n := 2 + rng.IntN(40)
+	active := 1 + rng.IntN(n)
+	hubs := min(1+rng.IntN(3), active)
+	var edges []Edge
+	for k := rng.IntN(6 * active); k > 0; k-- {
+		from, to := rng.IntN(active), rng.IntN(active)
+		if rng.IntN(4) == 0 {
+			from = rng.IntN(hubs)
+		}
+		if rng.IntN(4) == 0 {
+			to = rng.IntN(hubs)
+		}
+		edges = append(edges, Edge{From: from, To: to, Weight: 1})
+		if rng.IntN(3) == 0 {
+			edges = append(edges, Edge{From: to, To: from, Weight: 1})
+		}
+	}
+	for k := rng.IntN(4); k > 0; k-- {
+		v := rng.IntN(active)
+		edges = append(edges, Edge{From: v, To: v, Weight: 1})
+	}
+	return New(n, edges)
+}
+
+// Property: the merge-based LocalClustering returns the pairwise
+// oracle's bits at every node of random graphs with self-loops,
+// reciprocal pairs, hubs and isolated nodes.
+func TestLocalClusteringMatchesPairwiseQuick(t *testing.T) {
+	f := func(seed uint64) bool {
+		g, err := randomStructureGraph(seed)
+		if err != nil {
+			return false
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			got, want := g.LocalClustering(v), pairwiseClustering(g, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d node %d: LocalClustering = %v, pairwise = %v", seed, v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: undirectedNeighbours is the sorted union of Out and In,
+// without v itself.
+func TestUndirectedNeighboursIsSortedUnionQuick(t *testing.T) {
+	f := func(seed uint64) bool {
+		g, err := randomStructureGraph(seed)
+		if err != nil {
+			return false
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			to, _ := g.Out(v)
+			from, _ := g.In(v)
+			var want []int32
+			for _, u := range append(append([]int32(nil), to...), from...) {
+				if int(u) != v && !slices.Contains(want, u) {
+					want = append(want, u)
+				}
+			}
+			slices.Sort(want)
+			if got := g.undirectedNeighbours(v); !slices.Equal(got, want) {
+				t.Logf("seed %d node %d: undirectedNeighbours = %v, want %v", seed, v, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -49,8 +49,13 @@ func (as Appleseed) Rank(g *graph.Graph, source int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: source %d out of range %d", ErrBadConfig, source, n)
 	}
 	trust := make([]float64, n)
-	in := make([]float64, n)
-	nextIn := make([]float64, n)
+	// One allocation holds the per-call scratch. outSum[v] is v's
+	// self-loop-free out-weight, summed in edge order the first time v
+	// forwards energy and reused by every later iteration, so a source
+	// with a small reach pays only for the rows it reaches. 0 means not
+	// yet summed; a row that sums to 0 is summed again, to the same bits.
+	scratch := make([]float64, 3*n)
+	in, nextIn, outSum := scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
 	in[source] = as.Injection
 
 	for iter := 0; iter < as.MaxIter; iter++ {
@@ -71,14 +76,17 @@ func (as Appleseed) Rank(g *graph.Graph, source int) ([]float64, error) {
 			}
 			forward := as.Spreading * e
 			to, w := g.Out(v)
+			total := outSum[v]
+			if total == 0 {
+				for i2, u := range to {
+					if int(u) != v {
+						total += w[i2]
+					}
+				}
+				outSum[v] = total
+			}
 			// Virtual backward edge to the source with weight 1,
 			// excluded for the source itself.
-			total := 0.0
-			for i2, u := range to {
-				if int(u) != v {
-					total += w[i2]
-				}
-			}
 			backWeight := 0.0
 			if v != source {
 				backWeight = 1

@@ -415,3 +415,106 @@ func TestAppleseedEnergyBoundQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// appleseedOracle is Appleseed.Rank as it was before out-weights were
+// summed once per call: every iteration re-sums each active node's
+// self-loop-free out-weight. Parameters are assumed valid.
+func appleseedOracle(as Appleseed, g *graph.Graph, source int) []float64 {
+	n := g.NumNodes()
+	trust := make([]float64, n)
+	in := make([]float64, n)
+	nextIn := make([]float64, n)
+	in[source] = as.Injection
+	for iter := 0; iter < as.MaxIter; iter++ {
+		active := false
+		for i := range nextIn {
+			nextIn[i] = 0
+		}
+		for v := 0; v < n; v++ {
+			e := in[v]
+			if e <= 0 {
+				continue
+			}
+			if e > as.Tol {
+				active = true
+			}
+			if v != source {
+				trust[v] += (1 - as.Spreading) * e
+			}
+			forward := as.Spreading * e
+			to, w := g.Out(v)
+			total := 0.0
+			for i, u := range to {
+				if int(u) != v {
+					total += w[i]
+				}
+			}
+			backWeight := 0.0
+			if v != source {
+				backWeight = 1
+				total += backWeight
+			}
+			if total <= 0 {
+				if v != source {
+					nextIn[source] += forward
+				}
+				continue
+			}
+			for i, u := range to {
+				if int(u) == v {
+					continue
+				}
+				nextIn[u] += forward * w[i] / total
+			}
+			if backWeight > 0 {
+				nextIn[source] += forward * backWeight / total
+			}
+		}
+		in, nextIn = nextIn, in
+		if !active {
+			break
+		}
+	}
+	return trust
+}
+
+// Property: Rank returns the per-iteration oracle's bits for every
+// source of random graphs with self-loops, dead ends (nodes whose only
+// out-edge is a self-loop, or none) and isolated nodes.
+func TestAppleseedMatchesOracleQuick(t *testing.T) {
+	as := DefaultAppleseed()
+	f := func(seed uint64) bool {
+		rng := stats.NewRand(seed)
+		n := 1 + rng.IntN(30)
+		active := 1 + rng.IntN(n)
+		var edges []graph.Edge
+		for k := rng.IntN(4 * active); k > 0; k-- {
+			from, to := rng.IntN(active), rng.IntN(active)
+			if rng.IntN(5) == 0 {
+				to = from
+			}
+			edges = append(edges, graph.Edge{From: from, To: to, Weight: rng.Float64()})
+		}
+		g, err := graph.New(n, edges)
+		if err != nil {
+			return false
+		}
+		for s := 0; s < n; s++ {
+			got, err := as.Rank(g, s)
+			if err != nil {
+				return false
+			}
+			want := appleseedOracle(as, g, s)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Logf("seed %d source %d node %d: Rank = %v, oracle = %v", seed, s, v, got[v], want[v])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -10,14 +10,20 @@ import (
 	"runtime"
 	"testing"
 
+	"weboftrust/internal/anomaly"
 	"weboftrust/internal/propagation"
+	"weboftrust/internal/ratings"
 	"weboftrust/internal/synth"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden digest files under testdata")
 
-// propagateGolden holds one SHA-256 per propagation algorithm.
-const propagateGolden = "testdata/propagate.golden"
+// propagateGolden holds one SHA-256 per propagation algorithm, and
+// anomalyGolden one per anomaly signal.
+const (
+	propagateGolden = "testdata/propagate.golden"
+	anomalyGolden   = "testdata/anomaly.golden"
+)
 
 // sampledModel is a seed-1 community and the stride of its sampled
 // sources.
@@ -78,17 +84,61 @@ func TestPropagateGolden(t *testing.T) {
 		}
 		got = fmt.Appendf(got, "%s %x\n", algo, h.Sum(nil))
 	}
+	checkGolden(t, propagateGolden, got)
+}
+
+// TestAnomalyGolden pins anomaly.Compute's scores to
+// testdata/anomaly.golden: per signal (rating, graph, burst, total), one
+// SHA-256 over the little-endian Float64bits of every user's value at
+// Small and then Medium, seed 1, scored against the model's web. The
+// amd64 rule and -update work as in TestPropagateGolden.
+func TestAnomalyGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("anomaly bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	models := sampledModels(t, 1)
+	scores := make([]*anomaly.Scores, len(models))
+	for i, c := range models {
+		scores[i] = anomaly.Compute(c.m.Dataset(), c.m.WebOfTrust().Graph())
+	}
+	var got []byte
+	for _, sig := range []struct {
+		name string
+		of   func(s *anomaly.Scores, u ratings.UserID) float64
+	}{
+		{"rating", func(s *anomaly.Scores, u ratings.UserID) float64 { r, _, _ := s.Signals(u); return r }},
+		{"graph", func(s *anomaly.Scores, u ratings.UserID) float64 { _, g, _ := s.Signals(u); return g }},
+		{"burst", func(s *anomaly.Scores, u ratings.UserID) float64 { _, _, b := s.Signals(u); return b }},
+		{"total", (*anomaly.Scores).Score},
+	} {
+		h := sha256.New()
+		var word [8]byte
+		for _, s := range scores {
+			for u := 0; u < s.NumUsers(); u++ {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(sig.of(s, ratings.UserID(u))))
+				h.Write(word[:])
+			}
+		}
+		got = fmt.Appendf(got, "%s %x\n", sig.name, h.Sum(nil))
+	}
+	checkGolden(t, anomalyGolden, got)
+}
+
+// checkGolden compares got with the digest file at path, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(propagateGolden, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(propagateGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("propagation digests moved:\n got:\n%s want:\n%s", got, want)
+		t.Fatalf("%s digests moved:\n got:\n%s want:\n%s", path, got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check_allocs.sh is the CI bench guard. It fails if the serving hot
 # path's allocs/op regress above their recorded baselines, or if the
-# ingest tick's, the propagate miss's or the exact TidalTrust vector's
-# time regresses against the pipeline, so no win can silently erode as
-# the serving surface grows.
+# ingest tick's (bare or warming what queries forced), the propagate
+# miss's or the exact TidalTrust vector's time regresses against the
+# pipeline, so no win can silently erode as the serving surface grows.
 # Guarded:
 #   BenchmarkServerTopK      allocs/op vs BENCH_pr3.json  (34 — pooled
 #                            scratch + heap selection)
@@ -16,9 +16,14 @@
 #                            5 adjacent pairs of 20 iterations, so the
 #                            runner's speed cancels; the ratio of medians
 #                            may grow by at most 1.25×.
+#   BenchmarkIngestSwapWarm  ns/op against the same reference under the
+#                            same rule, vs BENCH_pr22.json: the tick of a
+#                            daemon whose rank, anomaly scores and
+#                            appleseed landmark sketch were queried, so
+#                            every swap rebuilds them before it publishes.
 #   BenchmarkServerPropagateMiss
-#                            ns/op against the same reference and baseline
-#                            file, under the same rule: an uncached
+#                            ns/op against the same reference under the
+#                            same rule, vs BENCH_pr22.json: an uncached
 #                            Appleseed /v1/propagate.
 #   BenchmarkPropagateExact/tidaltrust
 #                            ns/op against the same reference under the
@@ -118,7 +123,8 @@ time_guard() {
 guard ServerTopK BENCH_pr3.json || fail=$?
 guard ServerPropagate BENCH_pr10.json || fail=$?
 time_guard IngestSwap PipelineRun/workers=1 BENCH_pr16.json || fail=$?
-time_guard ServerPropagateMiss PipelineRun/workers=1 BENCH_pr16.json || fail=$?
+time_guard IngestSwapWarm PipelineRun/workers=1 BENCH_pr22.json || fail=$?
+time_guard ServerPropagateMiss PipelineRun/workers=1 BENCH_pr22.json || fail=$?
 time_guard PropagateExact/tidaltrust PipelineRun/workers=1 BENCH_pr21.json || fail=$?
 
 if [ "$fail" -ne 0 ]; then
