@@ -17,8 +17,9 @@ race: build
 	$(GO) test -race ./...
 
 # bench runs the pipeline, incremental-update and serving benchmarks with
-# -benchmem -count=$(BENCH_COUNT) and records the parsed results in
-# $(BENCH_OUT) alongside the machine's shape. BENCH_OUT has no default:
+# -benchmem in $(BENCH_COUNT) interleaved passes (each pass times every
+# benchmark once) and records the parsed results in $(BENCH_OUT)
+# alongside the machine's shape. BENCH_OUT has no default:
 # name the file per change, e.g. make bench BENCH_OUT=BENCH_pr16.json.
 bench:
 	BENCH_COUNT=$(BENCH_COUNT) BENCH_FILTER='$(BENCH_FILTER)' ./scripts/bench.sh $(BENCH_OUT)

@@ -788,7 +788,7 @@ func benchWarmRestart(b *testing.B, e *experiments.Env) {
 	env := setupBootEnv(b, e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv, _, info, err := server.OpenCheckpointed(env.logPath, env.ckptDir, 0, server.Options{})
+		srv, _, info, err := server.OpenCheckpointedInto(nil, env.logPath, env.ckptDir, 0, server.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

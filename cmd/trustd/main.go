@@ -4,13 +4,11 @@
 // Usage:
 //
 //	trustd serve   -log events.log [-addr :8080] [-shard i/N] [-poll 500ms] [-cache-results 512]
-//	               [-workers N] [-checkpoint-dir DIR] [-checkpoint-interval 5m] [-checkpoint-keep 2]
-//	               [-web-tau T] [-web-cold-generosity K] [-max-inflight N]
+//	               [-cache-bytes B] [-workers N] [-checkpoint-dir DIR] [-checkpoint-interval 5m]
+//	               [-checkpoint-keep 2] [-web-tau T] [-web-cold-generosity K] [-max-inflight N]
 //	               [-landmarks L] [-pprof-addr :6060]
-//	trustd serve   -snapshot data.wot [-addr :8080]            (static serving)
 //	trustd route   -shards URL,URL,... [-addr :8090] [-timeout 5s] [-retries 1] [-wait-ready 30s]
 //	               [-breaker-cooldown 1s] [-stale-entries N]
-//	trustd chaosproxy -target URL [-addr :8095] [-latency-p P] [-error-p P] [-blackhole-p P] [-reset-p P]
 //
 // With -shard i/N the daemon serves shard i of an N-way source-partitioned
 // cluster: it replays the same log and keeps the same complete model as
@@ -25,15 +23,13 @@
 // or fanned out to all shards, reaches a shard through one attempt loop.
 // First attempts rotate across a shard's replicas skipping tripped circuit
 // breakers (5 consecutive failures open a replica for -breaker-cooldown,
-// then one half-open probe), transient failures retry with jittered
-// exponential backoff (25ms base), each attempt waits at most -timeout for
-// response headers, and with -stale-entries set a fully unreachable shard
-// serves its last known good responses marked X-Trustd-Degraded: stale
-// instead of 502. On the shard side -max-inflight bounds concurrently
-// served compute queries, shedding the excess with 429 + Retry-After.
-// `trustd chaosproxy` fronts any shard with a deterministic fault injector
-// (latency, error statuses, blackholes, connection resets) so all of the
-// above can be rehearsed against a real cluster.
+// then the router probes the replica's /readyz itself), transient failures
+// retry with jittered exponential backoff (25ms base), each attempt waits
+// at most -timeout for response headers, and with -stale-entries set a
+// fully unreachable shard serves its last known good responses marked
+// X-Trustd-Degraded: stale instead of 502. On the shard side -max-inflight
+// bounds concurrently served compute queries, shedding the excess with
+// 429 + Retry-After.
 //
 // The daemon binds its listen address BEFORE booting: while the replay or
 // checkpoint restore runs, /healthz answers 200 (liveness), /readyz answers
@@ -41,12 +37,15 @@
 // process instead of connection refused. /readyz flips to 200 once the boot
 // model is swapped in at the log offset observed at boot.
 //
-// In log mode the daemon boots warm when -checkpoint-dir holds a usable
-// checkpoint: the persisted model is restored and only the log suffix
-// past its offset is replayed through the incremental pipeline, so
-// startup cost is O(checkpoint load + tail) instead of O(whole history).
-// Without a usable checkpoint it replays the whole log (tolerating a torn
-// final record from a crashed writer) and derives from scratch. Either
+// The daemon boots through checkpoint.Load, the path `trustctl checkpoint`
+// and `trustctl compact` take too. It boots warm when -checkpoint-dir
+// holds a usable checkpoint: the persisted model is restored and only the
+// log suffix past its offset is replayed through the incremental
+// pipeline, so startup cost is O(checkpoint load + tail) instead of
+// O(whole history). Without a usable checkpoint it replays the whole log
+// (tolerating a torn final record from a crashed writer) and derives from
+// scratch. A snapshot is served by exporting it to a log first
+// (`trustctl exportlog -in data.wot -log events.log`). Either
 // way it then polls for appended events: each batch is folded in with the
 // incremental pipeline update and swapped in atomically, so queries never
 // block on ingest and always see a complete, consistent model. With
@@ -80,20 +79,16 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"weboftrust"
-	"weboftrust/internal/faulty"
 	"weboftrust/internal/router"
 	"weboftrust/internal/server"
 	"weboftrust/internal/shard"
-	"weboftrust/internal/store"
 )
 
 func main() {
@@ -105,15 +100,13 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: trustd <serve|route|chaosproxy> [flags]")
+		return fmt.Errorf("usage: trustd <serve|route> [flags]")
 	}
 	switch args[0] {
 	case "serve":
 		return cmdServe(args[1:])
 	case "route":
 		return cmdRoute(args[1:])
-	case "chaosproxy":
-		return cmdChaosProxy(args[1:])
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
@@ -123,7 +116,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	logPath := fs.String("log", "", "event log to replay and tail")
-	snapshot := fs.String("snapshot", "", "snapshot to serve statically (alternative to -log)")
 	poll := fs.Duration("poll", server.DefaultPoll, "event log polling interval")
 	cacheResults := fs.Int("cache-results", server.DefaultCacheResults, "ranked top-k result LRU capacity (-1 disables)")
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "result cache byte budget (-1 unbounded)")
@@ -140,14 +132,11 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*logPath == "") == (*snapshot == "") {
-		return fmt.Errorf("serve: exactly one of -log or -snapshot is required")
+	if *logPath == "" {
+		return fmt.Errorf("serve: -log is required")
 	}
 	if *workers < 0 {
 		return fmt.Errorf("serve: -workers %d < 0", *workers)
-	}
-	if *ckptDir != "" && *logPath == "" {
-		return fmt.Errorf("serve: -checkpoint-dir requires -log (snapshots already boot from durable state)")
 	}
 	if *ckptInterval <= 0 {
 		return fmt.Errorf("serve: -checkpoint-interval %v must be positive (only the SIGTERM flush cannot be disabled)", *ckptInterval)
@@ -216,59 +205,38 @@ func cmdServe(args []string) error {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "trustd: listening on %s (booting)\n", ln.Addr())
 
+	_, tailer, info, err := server.OpenCheckpointedInto(srv, *logPath, *ckptDir, *poll, opts, derive...)
+	if err != nil {
+		httpSrv.Close()
+		return err
+	}
+	// Readiness gates on the offset the boot reached: a shard still
+	// replaying backlog past this point reports catching-up, not ready.
+	srv.SetReadyTarget(info.Offset)
 	tailErr := make(chan error, 1)
-	var ckptDone chan error
-	if *logPath != "" {
-		_, tailer, info, err := server.OpenCheckpointedInto(srv, *logPath, *ckptDir, *poll, opts, derive...)
-		if err != nil {
-			httpSrv.Close()
-			return err
-		}
-		// Readiness gates on the offset the boot reached: a shard still
-		// replaying backlog past this point reports catching-up, not ready.
-		srv.SetReadyTarget(info.Offset)
-		go func() { tailErr <- tailer.Run(ctx) }()
-		if info.Warm {
-			fmt.Fprintf(os.Stderr, "trustd: warm boot from %s (offset %d), tailed %d events to offset %d, tailing every %v\n",
-				info.CheckpointPath, info.CheckpointOffset, info.TailedEvents, info.Offset, *poll)
-		} else {
-			fmt.Fprintf(os.Stderr, "trustd: replayed %s to offset %d, tailing every %v\n", *logPath, info.Offset, *poll)
-			if info.FallbackReason != "" {
-				fmt.Fprintf(os.Stderr, "trustd: cold boot: %s\n", info.FallbackReason)
-			}
-		}
-		if *shardFlag != "" {
-			model, _, _ := srv.Current()
-			idx, count := model.ShardSpec()
-			numU := model.Dataset().NumUsers()
-			fmt.Fprintf(os.Stderr, "trustd: serving shard %d/%d (%d of %d users owned)\n",
-				idx, count, shard.Spec{Index: idx, Count: count}.CountOwned(numU), numU)
-		}
-		if *ckptDir != "" {
-			ck := server.NewCheckpointer(srv, *ckptDir, *ckptInterval, *ckptKeep)
-			ckptDone = make(chan error, 1)
-			go func() { ckptDone <- ck.Run(ctx) }()
-			fmt.Fprintf(os.Stderr, "trustd: checkpointing to %s every %v (keep %d)\n", *ckptDir, *ckptInterval, *ckptKeep)
-		}
+	go func() { tailErr <- tailer.Run(ctx) }()
+	if info.Warm {
+		fmt.Fprintf(os.Stderr, "trustd: warm boot from %s (offset %d), tailed %d events to offset %d, tailing every %v\n",
+			info.CheckpointPath, info.CheckpointOffset, info.TailedEvents, info.Offset, *poll)
 	} else {
-		f, err := os.Open(*snapshot)
-		if err != nil {
-			httpSrv.Close()
-			return err
+		fmt.Fprintf(os.Stderr, "trustd: replayed %s to offset %d, tailing every %v\n", *logPath, info.Offset, *poll)
+		if info.FallbackReason != "" {
+			fmt.Fprintf(os.Stderr, "trustd: cold boot: %s\n", info.FallbackReason)
 		}
-		d, err := store.ReadSnapshot(f)
-		f.Close()
-		if err != nil {
-			httpSrv.Close()
-			return err
-		}
-		model, err := weboftrust.Derive(d, derive...)
-		if err != nil {
-			httpSrv.Close()
-			return err
-		}
-		srv.Swap(model, 0)
-		fmt.Fprintf(os.Stderr, "trustd: serving snapshot %s (%v)\n", *snapshot, d)
+	}
+	if *shardFlag != "" {
+		model, _, _ := srv.Current()
+		idx, count := model.ShardSpec()
+		numU := model.Dataset().NumUsers()
+		fmt.Fprintf(os.Stderr, "trustd: serving shard %d/%d (%d of %d users owned)\n",
+			idx, count, shard.Spec{Index: idx, Count: count}.CountOwned(numU), numU)
+	}
+	var ckptDone chan error
+	if *ckptDir != "" {
+		ck := server.NewCheckpointer(srv, *ckptDir, *ckptInterval, *ckptKeep)
+		ckptDone = make(chan error, 1)
+		go func() { ckptDone <- ck.Run(ctx) }()
+		fmt.Fprintf(os.Stderr, "trustd: checkpointing to %s every %v (keep %d)\n", *ckptDir, *ckptInterval, *ckptKeep)
 	}
 
 	// awaitCheckpointer waits for the shutdown flush so process death
@@ -320,7 +288,7 @@ func cmdRoute(args []string) error {
 	timeout := fs.Duration("timeout", router.DefaultTimeout, "per-attempt wait for a replica's response headers; a request makes up to 1+retries attempts with backoff between them, so it can take (1+retries)×timeout plus backoff")
 	retries := fs.Int("retries", router.DefaultRetries, "extra replica attempts after a transport error or 502/503/504 (0 = no retries)")
 	waitReady := fs.Duration("wait-ready", 0, "block until every shard reports ready before serving (0 = serve immediately)")
-	breakerCooldown := fs.Duration("breaker-cooldown", router.DefaultBreakerCooldown, "rest before a tripped replica gets a half-open probe")
+	breakerCooldown := fs.Duration("breaker-cooldown", router.DefaultBreakerCooldown, "rest before the router probes a tripped replica's /readyz")
 	staleEntries := fs.Int("stale-entries", 0, "last-known-good responses to cache for degraded serving when a whole shard is down, marked "+router.DegradedHeader+" (0 = disabled, serve 502)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -372,78 +340,6 @@ func cmdRoute(args []string) error {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		return httpSrv.Shutdown(shutdownCtx)
-	case err := <-serveErr:
-		return err
-	}
-}
-
-// cmdChaosProxy runs a fault-injecting reverse proxy in front of one
-// trustd process: point a router replica at the proxy instead of the
-// shard and the cluster's failure handling can be exercised against a
-// real deployment — added latency, injected gateway errors, blackholed
-// requests and abrupt connection resets, each with its own probability,
-// drawn from a deterministic seeded sequence.
-func cmdChaosProxy(args []string) error {
-	fs := flag.NewFlagSet("chaosproxy", flag.ContinueOnError)
-	addr := fs.String("addr", ":8095", "listen address")
-	target := fs.String("target", "", "base URL of the trustd process to front (required)")
-	match := fs.String("match", "", "restrict faults to request paths with this prefix (empty = all)")
-	seed := fs.Uint64("seed", 1, "deterministic fault-draw seed")
-	latency := fs.Duration("latency", 50*time.Millisecond, "latency added by a drawn latency fault")
-	latencyP := fs.Float64("latency-p", 0, "probability a request draws the latency fault")
-	errStatus := fs.Int("error-status", http.StatusServiceUnavailable, "status served by a drawn error fault")
-	errP := fs.Float64("error-p", 0, "probability a request draws the error fault")
-	blackholeP := fs.Float64("blackhole-p", 0, "probability a request is accepted and never answered")
-	resetP := fs.Float64("reset-p", 0, "probability a request's connection is reset abruptly")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *target == "" {
-		return fmt.Errorf("chaosproxy: -target is required")
-	}
-	tu, err := url.Parse(*target)
-	if err != nil || tu.Scheme == "" || tu.Host == "" {
-		return fmt.Errorf("chaosproxy: -target %q is not an absolute URL", *target)
-	}
-	for name, p := range map[string]float64{"latency-p": *latencyP, "error-p": *errP, "blackhole-p": *blackholeP, "reset-p": *resetP} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("chaosproxy: -%s %g outside [0, 1]", name, p)
-		}
-	}
-	// Destructive faults first so the latency fault cannot shadow them;
-	// each request draws at most one fault.
-	var faults []faulty.Fault
-	if *resetP > 0 {
-		faults = append(faults, faulty.Fault{PathPrefix: *match, Probability: *resetP, Reset: true})
-	}
-	if *blackholeP > 0 {
-		faults = append(faults, faulty.Fault{PathPrefix: *match, Probability: *blackholeP, Blackhole: true})
-	}
-	if *errP > 0 {
-		faults = append(faults, faulty.Fault{PathPrefix: *match, Probability: *errP, Status: *errStatus})
-	}
-	if *latencyP > 0 {
-		faults = append(faults, faulty.Fault{PathPrefix: *match, Probability: *latencyP, Latency: *latency})
-	}
-	injector := faulty.New(*seed, faults...)
-	proxy := httputil.NewSingleHostReverseProxy(tu)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: injector.Wrap(proxy)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "trustd: chaosproxy %s -> %s (%d fault rules, seed %d)\n", *addr, *target, len(faults), *seed)
-
-	select {
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := httpSrv.Shutdown(shutdownCtx)
-		c := injector.Counts()
-		fmt.Fprintf(os.Stderr, "trustd: chaosproxy injected: %d delayed, %d errored, %d blackholed, %d reset (%d passed)\n",
-			c.Delayed, c.Errored, c.Blackholed, c.Resets, c.Passed)
-		return err
 	case err := <-serveErr:
 		return err
 	}

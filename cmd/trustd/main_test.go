@@ -21,10 +21,9 @@ func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
 		{"bogus"},
-		{"serve"},                                // neither -log nor -snapshot
-		{"serve", "-log", "a", "-snapshot", "b"}, // both
+		{"chaosproxy"},                           // deleted subcommand
+		{"serve"},                                // no -log
 		{"serve", "-log", "/does/not/exist.log"}, // unreadable log
-		{"serve", "-snapshot", "/does/not/exist.wot"}, // unreadable snapshot
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%q) accepted", args)
@@ -282,63 +281,5 @@ func TestServeCheckpointWarmRestart(t *testing.T) {
 	}()
 	if stats3.Dataset.Users != d.NumUsers()+1 {
 		t.Fatalf("third boot lost the tail: %+v", stats3)
-	}
-}
-
-func TestServeCheckpointDirRequiresLog(t *testing.T) {
-	if err := run([]string{"serve", "-snapshot", "x.wot", "-checkpoint-dir", "y"}); err == nil {
-		t.Fatal("snapshot mode accepted -checkpoint-dir")
-	}
-}
-
-func TestServeSnapshotMode(t *testing.T) {
-	cfg := synth.Small()
-	cfg.NumUsers = 40
-	cfg.TotalObjects = 20
-	d, _, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := filepath.Join(t.TempDir(), "data.wot")
-	f, err := os.Create(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteSnapshot(f, d); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	addr := freePort(t)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"serve", "-addr", addr, "-snapshot", snap})
-	}()
-	base := "http://" + addr
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/topk?user=3&k=5")
-		if err == nil && resp.StatusCode == http.StatusOK {
-			resp.Body.Close()
-			break
-		}
-		if err == nil {
-			resp.Body.Close()
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot serve never came up: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve exited with %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no graceful shutdown")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"weboftrust"
-	"weboftrust/internal/ratings"
 	"weboftrust/internal/store"
 )
 
@@ -50,9 +49,8 @@ func faultAt(stage string) error {
 // The protocol is ordered so that an interruption at any point leaves a
 // state that boots to the same model (see DESIGN.md §8):
 //
-//  1. Build the model for the log's complete prefix — restoring the
-//     newest usable checkpoint and tailing from its offset when
-//     possible, else replaying cold.
+//  1. Build the model for the log's complete prefix with Load — warm
+//     from the newest usable checkpoint when dir holds one, else cold.
 //  2. Write a checkpoint at the prefix-end offset and read it back to
 //     verify it, so the log's information provably exists twice before
 //     anything is deleted.
@@ -80,14 +78,9 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 	}
 	defer f.Close()
 
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: compact: %w", err)
-	}
-
 	// Stage 1: model for the complete prefix, warm when a checkpoint
 	// already covers part of it.
-	model, goodOffset, folded, warm, err := loadPrefix(f, dir, allowTruncated, opts...)
+	l, err := loadOffline(logPath, dir, allowTruncated, opts)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: compact: %w", err)
 	}
@@ -101,7 +94,7 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 	// exceeds whatever remainder the swap leaves behind whenever a
 	// non-empty prefix is folded, which is exactly what Info.Resume
 	// needs to recognise the crash window between stages 4 and 5.
-	foldPath, err := WriteDir(dir, model, goodOffset, st.Size())
+	foldPath, err := WriteDir(dir, l.Model, l.Offset, l.LogSize)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +118,7 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 	}
 
 	// Stage 4: swap the log for its suffix past the fold.
-	if _, err := f.Seek(goodOffset, io.SeekStart); err != nil {
+	if _, err := f.Seek(l.Offset, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("checkpoint: compact: %w", err)
 	}
 	remainder, err := io.ReadAll(f)
@@ -140,7 +133,7 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 	}
 
 	// Stage 5: rebase — same model, offset 0 against the rewritten log.
-	finalPath, err := WriteDir(dir, model, 0, int64(len(remainder)))
+	finalPath, err := WriteDir(dir, l.Model, 0, int64(len(remainder)))
 	if err != nil {
 		return nil, err
 	}
@@ -150,62 +143,25 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 
 	return &CompactResult{
 		Path:           finalPath,
-		FoldedEvents:   folded,
-		FoldedBytes:    goodOffset,
+		FoldedEvents:   l.Replayed,
+		FoldedBytes:    l.Offset,
 		RemainderBytes: int64(len(remainder)),
-		Warm:           warm,
+		Warm:           l.Warm(),
 	}, nil
 }
 
-// loadPrefix builds the model reflecting the log's complete prefix,
-// restoring the newest usable checkpoint in dir and tailing from its
-// (rebased) offset when possible, else replaying cold. It returns the
-// model, the byte offset the intact prefix ends at, how many records
-// were replayed, and whether a checkpoint seeded the load. A torn final
-// record fails the load unless allowTruncated is set.
-func loadPrefix(f *os.File, dir string, allowTruncated bool, opts ...weboftrust.Option) (*weboftrust.TrustModel, int64, int, bool, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, 0, false, err
+// loadOffline is Load for the offline tools: cold only when dir holds
+// no usable checkpoint, and a torn final record refused unless
+// allowTruncated.
+func loadOffline(logPath, dir string, allowTruncated bool, opts []weboftrust.Option) (*Loaded, error) {
+	l, err := Load(logPath, dir, opts...)
+	if errors.Is(err, ErrNoCheckpoint) {
+		l, err = Load(logPath, "", opts...)
 	}
-	model, info, restoreErr := Restore(dir, opts...)
-	warm := restoreErr == nil
-	var resume int64
-	if warm {
-		resume = info.Resume(st.Size())
-	} else if !errors.Is(restoreErr, ErrNoCheckpoint) {
-		return nil, 0, 0, false, restoreErr
+	if err == nil && l.Torn && !allowTruncated {
+		err = fmt.Errorf("%w (re-run with truncation allowed to fold the intact prefix)", &store.TruncatedError{Offset: l.Offset})
 	}
-
-	events, goodOffset, err := store.ReadLogFrom(f, resume)
-	if err != nil {
-		if !errors.Is(err, store.ErrTruncated) {
-			return nil, 0, 0, false, fmt.Errorf("read log: %w", err)
-		}
-		if !allowTruncated {
-			return nil, 0, 0, false, fmt.Errorf("%w (re-run with truncation allowed to fold the intact prefix)", err)
-		}
-	}
-	if len(events) > 0 || !warm {
-		var builder *ratings.Builder
-		if warm {
-			builder = ratings.NewBuilderFrom(model.Dataset())
-		} else {
-			builder = ratings.NewBuilder()
-		}
-		if err := store.Replay(events, builder); err != nil {
-			return nil, 0, 0, false, err
-		}
-		if warm {
-			model, err = model.Update(builder.Snapshot())
-		} else {
-			model, err = weboftrust.Derive(builder.Snapshot(), opts...)
-		}
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-	}
-	return model, goodOffset, len(events), warm, nil
+	return l, err
 }
 
 // WriteResult reports what WriteFromLog did.
@@ -228,24 +184,15 @@ type WriteResult struct {
 // Compact it is warm when dir already holds a usable checkpoint: only the
 // log suffix past it is replayed.
 func WriteFromLog(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option) (*WriteResult, error) {
-	f, err := os.Open(logPath)
+	l, err := loadOffline(logPath, dir, allowTruncated, opts)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	defer f.Close()
-	model, goodOffset, tailed, warm, err := loadPrefix(f, dir, allowTruncated, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	path, err := WriteDir(dir, model, goodOffset, st.Size())
+	path, err := WriteDir(dir, l.Model, l.Offset, l.LogSize)
 	if err != nil {
 		return nil, err
 	}
-	return &WriteResult{Path: path, Offset: goodOffset, TailedEvents: tailed, Warm: warm}, nil
+	return &WriteResult{Path: path, Offset: l.Offset, TailedEvents: l.Replayed, Warm: l.Warm()}, nil
 }
 
 // replaceFile atomically replaces path's contents via a same-directory

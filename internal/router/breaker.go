@@ -9,11 +9,13 @@ import (
 // cooldown, single half-open probe. All state is atomic — acquire sits
 // on the proxy hot path and must stay lock- and allocation-free.
 //
-// States: closed (healthy, requests flow), open (tripped; requests are
-// skipped until the cooldown elapses), half-open (exactly one probe
-// request is in flight; everyone else keeps skipping). A successful
-// response — any response at all that is not a retryable gateway status —
-// closes the breaker; a failed probe reopens it for a fresh cooldown.
+// States: closed (healthy, requests flow), open (tripped; requests skip
+// the replica), half-open (the cooldown elapsed and the router's own
+// readiness probe of the replica is in flight; requests still skip it).
+// A successful response — any response at all that is not a retryable
+// gateway status — or a passed probe closes the breaker; a failed probe
+// reopens it for a fresh cooldown. No client request ever waits on a
+// tripped replica.
 type breaker struct {
 	state    atomic.Int32 // bClosed | bOpen | bHalfOpen
 	consec   atomic.Int32 // consecutive failures while closed
@@ -31,33 +33,24 @@ const (
 const breakerThreshold = 5
 
 // DefaultBreakerCooldown is how long a tripped replica rests before the
-// half-open probe.
+// router probes its readiness.
 const DefaultBreakerCooldown = time.Second
 
-// acquire reports whether an attempt may be sent to this replica now.
-// While open it returns false until the cooldown elapses, then grants
-// exactly one caller the half-open probe (CAS-arbitrated); while
-// half-open every non-probe caller keeps skipping. probe reports that
-// THIS caller holds the half-open probe: it then owes the breaker an
-// outcome — onSuccess, or onFailure on every abandonment path — or the
-// breaker wedges half-open and blacklists the replica forever.
-func (b *breaker) acquire(now int64, cooldown int64) (ok, probe bool) {
-	switch b.state.Load() {
-	case bClosed:
-		return true, false
-	case bOpen:
-		if now-b.openedAt.Load() < cooldown {
-			return false, false
-		}
-		ok = b.state.CompareAndSwap(bOpen, bHalfOpen)
-		return ok, ok
-	default: // half-open: the probe is in flight
-		return false, false
-	}
+// acquire reports whether an attempt may be sent to this replica now:
+// only while the breaker is closed.
+func (b *breaker) acquire() bool { return b.state.Load() == bClosed }
+
+// claimProbe moves an open breaker whose cooldown has elapsed to
+// half-open, reporting whether this caller won that move (CAS-arbitrated,
+// so exactly one caller does). The winner owes the breaker one readiness
+// probe, whose outcome closes or reopens it.
+func (b *breaker) claimProbe(now, cooldown int64) bool {
+	return b.state.Load() == bOpen && now-b.openedAt.Load() >= cooldown &&
+		b.state.CompareAndSwap(bOpen, bHalfOpen)
 }
 
-// onSuccess records a healthy response, reporting whether it recovered a
-// previously tripped breaker (the half-open probe succeeding).
+// onSuccess records a healthy response or a passed probe, reporting
+// whether it recovered a previously tripped breaker.
 func (b *breaker) onSuccess() (recovered bool) {
 	// Load-before-store keeps the steady-state happy path to two reads
 	// and zero read-modify-writes on the shared breaker cache line.

@@ -425,9 +425,9 @@ func TestChaosFanOutHungReplica(t *testing.T) {
 	const timeout = 500 * time.Millisecond
 	rts := newChaosRouter(t, c, func(cfg *router.Config) {
 		cfg.Timeout = timeout
-		// A half-open probe is a real request, and at a hung replica it
-		// waits out the timeout: keep the tripped breaker open for the
-		// whole test, which pins the skip, not the probe cadence.
+		// Keep the tripped breaker open for the whole test, which pins
+		// the skip; TestChaosTrippedReplicaProbedOffRequestPath pins the
+		// probe cadence.
 		cfg.BreakerCooldown = time.Minute
 	})
 
@@ -505,6 +505,82 @@ func TestChaosFanOutHungReplica(t *testing.T) {
 	}
 	if served := c.reps[0][1].inj.Counts().Passed - passedBefore; served != int64(gets) {
 		t.Fatalf("shard 0 replica 1 served %d of %d fan-out GETs, want every one", served, gets)
+	}
+}
+
+// TestChaosTrippedReplicaProbedOffRequestPath blackholes replica 0 of
+// shard 0 behind a router with a 500 ms per-attempt timeout and the
+// 50 ms chaos cooldown, and sends sequential per-source GETs to shard 0.
+// Until the hung replica's breaker trips, a GET may wait it out once.
+// After the trip the cooldown elapses about 20 times in the next second,
+// and each time the router probes the replica's /readyz on its own
+// goroutine, so no GET may take over 250 ms. Once the blackhole lifts, a
+// probe closes the breaker, again with no GET over 250 ms, and replica 0
+// serves again.
+func TestChaosTrippedReplicaProbedOffRequestPath(t *testing.T) {
+	c := getChaosCluster(t)
+	t.Cleanup(c.clearFaults)
+	rts := newChaosRouter(t, c, func(cfg *router.Config) { cfg.Timeout = 500 * time.Millisecond })
+	paths := chaosPaths(c.users[0])
+	want := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		code, body, _ := chaosGet(t, c.ref.URL, p)
+		if code != http.StatusOK {
+			t.Fatalf("reference %s: %d", p, code)
+		}
+		want[p] = body
+	}
+	const limit = 250 * time.Millisecond
+	gets := 0
+	get := func() time.Duration {
+		t.Helper()
+		p := paths[gets%len(paths)]
+		gets++
+		start := time.Now()
+		code, body, _ := chaosGet(t, rts.URL, p)
+		took := time.Since(start)
+		if code != http.StatusOK || string(body) != string(want[p]) {
+			t.Fatalf("GET %s: %d, body match=%v", p, code, string(body) == string(want[p]))
+		}
+		return took
+	}
+
+	c.reps[0][0].inj.SetFaults(faulty.Fault{Probability: 1, Blackhole: true})
+	blackholed := c.reps[0][0].inj.Counts().Blackholed
+	deadline := time.Now().Add(10 * time.Second)
+	for metricValue(t, rts.URL, "trustrouter_breaker_trips_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the hung replica's breaker never tripped in %d GETs", gets)
+		}
+		get()
+	}
+	for end := time.Now().Add(time.Second); time.Now().Before(end); {
+		if took := get(); took > limit {
+			t.Fatalf("GET %d took %v after the trip, over %v", gets, took, limit)
+		}
+	}
+	// Five consecutive failures trip a breaker; everything past them
+	// was a probe.
+	if n := c.reps[0][0].inj.Counts().Blackholed - blackholed; n <= 5 {
+		t.Fatalf("replica 0 saw %d blackholed requests, want its 5 tripping attempts and then probes", n)
+	}
+
+	c.reps[0][0].inj.SetFaults()
+	deadline = time.Now().Add(5 * time.Second)
+	for metricValue(t, rts.URL, "trustrouter_breaker_recoveries_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the revived replica's breaker never closed")
+		}
+		if took := get(); took > limit {
+			t.Fatalf("GET %d took %v while the breaker recovered, over %v", gets, took, limit)
+		}
+	}
+	passed := c.reps[0][0].inj.Counts().Passed
+	for range 4 {
+		get()
+	}
+	if c.reps[0][0].inj.Counts().Passed == passed {
+		t.Fatal("replica 0 served none of 4 GETs after its breaker closed")
 	}
 }
 

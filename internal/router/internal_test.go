@@ -14,8 +14,8 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 	now := time.Now().UnixNano()
 	cooldown := int64(time.Second)
 
-	if ok, probe := b.acquire(now, cooldown); !ok || probe {
-		t.Fatalf("fresh breaker: acquire = (%v, %v), want plain admission", ok, probe)
+	if !b.acquire() {
+		t.Fatalf("fresh breaker refused an attempt")
 	}
 	// threshold-1 failures: still closed.
 	for i := 0; i < breakerThreshold-1; i++ {
@@ -23,7 +23,7 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 			t.Fatalf("tripped after %d failures, threshold %d", i+1, breakerThreshold)
 		}
 	}
-	if ok, _ := b.acquire(now, cooldown); !ok {
+	if !b.acquire() {
 		t.Fatalf("breaker under threshold refused an attempt")
 	}
 	if tripped := b.onFailure(now); !tripped {
@@ -32,20 +32,24 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 	if b.stateName() != "open" {
 		t.Fatalf("state after trip = %q, want open", b.stateName())
 	}
-	// Open + cooldown not elapsed: everyone is refused.
-	if ok, _ := b.acquire(now+cooldown/2, cooldown); ok {
-		t.Fatalf("open breaker admitted before cooldown")
+	// Open + cooldown not elapsed: everyone is refused, and nobody probes.
+	if b.acquire() || b.claimProbe(now+cooldown/2, cooldown) {
+		t.Fatalf("open breaker admitted or granted a probe before cooldown")
 	}
-	// Cooldown elapsed: exactly one caller wins the half-open probe.
+	// Cooldown elapsed: exactly one caller wins the probe, and requests
+	// keep skipping the replica while it runs.
 	probeAt := now + cooldown + 1
-	if ok, probe := b.acquire(probeAt, cooldown); !ok || !probe {
-		t.Fatalf("cooldown elapsed: acquire = (%v, %v), want the probe grant", ok, probe)
+	if !b.claimProbe(probeAt, cooldown) {
+		t.Fatalf("cooldown elapsed: no caller won the probe")
 	}
 	if b.stateName() != "half-open" {
 		t.Fatalf("state during probe = %q, want half-open", b.stateName())
 	}
-	if ok, _ := b.acquire(probeAt, cooldown); ok {
-		t.Fatalf("second caller also got the half-open probe")
+	if b.claimProbe(probeAt, cooldown) {
+		t.Fatalf("second caller also won the probe")
+	}
+	if b.acquire() {
+		t.Fatalf("half-open breaker admitted a request")
 	}
 	// Probe succeeds: recovered, closed, failure count reset.
 	if recovered := b.onSuccess(); !recovered {
@@ -54,8 +58,8 @@ func TestBreakerTripCooldownProbeRecover(t *testing.T) {
 	if b.stateName() != "closed" {
 		t.Fatalf("state after recovery = %q, want closed", b.stateName())
 	}
-	if ok, probe := b.acquire(probeAt, cooldown); !ok || probe {
-		t.Fatalf("recovered breaker: acquire = (%v, %v), want plain admission", ok, probe)
+	if !b.acquire() || b.claimProbe(probeAt+cooldown+1, cooldown) {
+		t.Fatalf("recovered breaker refused an attempt or granted a probe")
 	}
 	// The consecutive counter was reset: threshold-1 new failures must
 	// not trip.
@@ -74,8 +78,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		b.onFailure(now)
 	}
 	probeAt := now + cooldown + 1
-	if ok, probe := b.acquire(probeAt, cooldown); !ok || !probe {
-		t.Fatalf("probe refused after cooldown: (%v, %v)", ok, probe)
+	if !b.claimProbe(probeAt, cooldown) {
+		t.Fatalf("probe refused after cooldown")
 	}
 	// Probe fails: reopen silently (no second trip), fresh cooldown from
 	// the probe failure's timestamp.
@@ -85,48 +89,11 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if b.stateName() != "open" {
 		t.Fatalf("state after failed probe = %q, want open", b.stateName())
 	}
-	if ok, _ := b.acquire(probeAt+cooldown/2, cooldown); ok {
-		t.Fatalf("reopened breaker admitted before the fresh cooldown")
+	if b.claimProbe(probeAt+cooldown/2, cooldown) {
+		t.Fatalf("reopened breaker granted a probe before the fresh cooldown")
 	}
-	if ok, _ := b.acquire(probeAt+cooldown+1, cooldown); !ok {
+	if !b.claimProbe(probeAt+cooldown+1, cooldown) {
 		t.Fatalf("reopened breaker refused the next probe")
-	}
-}
-
-// TestBreakerAbandonedProbeReleases pins the wedge regression: a granted
-// half-open probe that is abandoned (the request ended during retry
-// backoff) must be resolved via onFailure — the breaker reopens for a
-// fresh cooldown and a LATER caller gets to probe, instead of the
-// breaker sticking half-open and blacklisting the replica until restart.
-func TestBreakerAbandonedProbeReleases(t *testing.T) {
-	var b breaker
-	cooldown := int64(time.Second)
-	now := int64(1)
-	for i := 0; i < breakerThreshold; i++ {
-		b.onFailure(now)
-	}
-	probeAt := now + cooldown + 1
-	if ok, probe := b.acquire(probeAt, cooldown); !ok || !probe {
-		t.Fatalf("probe refused after cooldown: (%v, %v)", ok, probe)
-	}
-	// The probe is abandoned: the holder records a failure in lieu of an
-	// outcome. The breaker must be open (not half-open) with the cooldown
-	// restarted at the abandonment time.
-	abandonAt := probeAt + 7
-	if tripped := b.onFailure(abandonAt); tripped {
-		t.Fatalf("abandoning the probe double-counted as a trip")
-	}
-	if b.stateName() != "open" {
-		t.Fatalf("state after abandoned probe = %q, want open", b.stateName())
-	}
-	if ok, _ := b.acquire(abandonAt+cooldown/2, cooldown); ok {
-		t.Fatalf("admitted before the refreshed cooldown elapsed")
-	}
-	if ok, probe := b.acquire(abandonAt+cooldown+1, cooldown); !ok || !probe {
-		t.Fatalf("breaker wedged after an abandoned probe: (%v, %v)", ok, probe)
-	}
-	if recovered := b.onSuccess(); !recovered {
-		t.Fatalf("successful re-probe did not recover the breaker")
 	}
 }
 

@@ -20,13 +20,14 @@
 // /v1/graph/stats, /v1/rank, /v1/anomaly*) run it at every shard
 // concurrently. First attempts rotate across a shard's replicas,
 // skipping replicas whose per-replica circuit breaker is open (five
-// consecutive failures trip it, then a cooldown and a single half-open
-// probe), so no replica absorbs every first attempt and a dead replica
-// is probed, not hammered. A transport error or gateway-ish status
-// (502/503/504) costs an exponential-backoff-with-jitter pause (25 ms
-// base) and moves the request to the next allowed replica, at most
-// Config.Retries extra attempts, each attempt's wait for response
-// headers bounded by Config.Timeout. A 421 (Misdirected Request) is NOT
+// consecutive failures trip it; after a cooldown the router probes the
+// replica's /readyz itself, off the request path), so no replica absorbs
+// every first attempt and a dead replica is probed, not hammered. A
+// transport error or gateway-ish status (502/503/504) costs an
+// exponential-backoff-with-jitter pause (25 ms base) and moves the
+// request to the next allowed replica, at most Config.Retries extra
+// attempts, each attempt's wait for response headers bounded by
+// Config.Timeout. A 421 (Misdirected Request) is NOT
 // retried: it means the shard map disagrees with the shard's own spec,
 // which no other replica of the same shard will fix. When every attempt
 // at a shard is exhausted and Config.StaleEntries is set, the router
@@ -77,8 +78,8 @@ type Config struct {
 	// Retries caps the extra replica attempts after a transport error or
 	// 502/503/504. 0 means DefaultRetries; negative disables retrying.
 	Retries int
-	// BreakerCooldown is how long a tripped replica rests before a single
-	// half-open probe is allowed through. 0 means DefaultBreakerCooldown.
+	// BreakerCooldown is how long a tripped replica rests before the
+	// router sends it one readiness probe. 0 means DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
 	// StaleEntries, when positive, bounds a last-known-good response
 	// cache: per-source requests that exhaust every replica serve their
@@ -374,8 +375,10 @@ func (rt *Router) try(ctx context.Context, idx int, u *url.URL) (a attempts) {
 	consecSkips := 0
 	for step := 0; a.fetched < limit; step++ {
 		ri := (start + step) % n
-		ok, probe := rt.breakers[idx][ri].acquire(now, rt.breakerCooldown)
-		if !ok {
+		if b := &rt.breakers[idx][ri]; !b.acquire() {
+			if b.claimProbe(now, rt.breakerCooldown) {
+				go rt.probe(idx, ri)
+			}
 			consecSkips++
 			if consecSkips >= n {
 				// Every replica is tripped and cooling down: fail fast
@@ -394,12 +397,6 @@ func (rt *Router) try(ctx context.Context, idx int, u *url.URL) (a attempts) {
 				d = maxRetryBackoff
 			}
 			if !rt.sleepJittered(ctx, d) {
-				if probe {
-					// The granted half-open probe was never issued: give the
-					// outcome back (reopen, fresh cooldown) or the breaker
-					// wedges half-open forever.
-					rt.recordFailure(idx, ri)
-				}
 				a.errs = append(a.errs, "request ended during retry backoff")
 				return a
 			}
@@ -429,6 +426,27 @@ func (rt *Router) try(ctx context.Context, idx int, u *url.URL) (a attempts) {
 		resp.Body.Close()
 	}
 	return a
+}
+
+// probe fetches replica ri of shard idx's /readyz for its half-open
+// breaker, on its own goroutine so no client request waits on a replica
+// that tripped. One attempt's timeout bounds the fetch, connect included.
+// A 200 closes the breaker; anything else reopens it for a fresh
+// cooldown.
+func (rt *Router) probe(idx, ri int) {
+	ctx, cancel := context.WithTimeout(context.Background(), rt.transport.ResponseHeaderTimeout)
+	defer cancel()
+	resp, err := rt.fetch(ctx, &rt.parsed[idx][ri], readyzURL)
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			if rt.breakers[idx][ri].onSuccess() {
+				rt.metrics.breakerRecoveries.Add(1)
+			}
+			return
+		}
+	}
+	rt.recordFailure(idx, ri)
 }
 
 // recordFailure feeds the replica's breaker a transport error or
@@ -557,6 +575,9 @@ func (rt *Router) fetch(ctx context.Context, base *url.URL, orig *url.URL) (*htt
 	}).WithContext(ctx)
 	return rt.transport.RoundTrip(req)
 }
+
+// readyzURL is the path every readiness fetch asks a replica for.
+var readyzURL = &url.URL{Path: "/readyz"}
 
 func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable || code == http.StatusGatewayTimeout
@@ -825,7 +846,6 @@ func (rt *Router) WaitReady(ctx context.Context) error {
 func (rt *Router) probeReady(ctx context.Context) (perShard []bool, all bool) {
 	sctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
-	u := &url.URL{Path: "/readyz"}
 	ready := make([]atomic.Bool, len(rt.parsed))
 	var unreadyShards atomic.Int32
 	unreadyShards.Store(int32(len(rt.parsed)))
@@ -835,7 +855,7 @@ func (rt *Router) probeReady(ctx context.Context) (perShard []bool, all bool) {
 			wg.Add(1)
 			go func(si, ri int) {
 				defer wg.Done()
-				resp, err := rt.fetch(sctx, &rt.parsed[si][ri], u)
+				resp, err := rt.fetch(sctx, &rt.parsed[si][ri], readyzURL)
 				if err != nil {
 					return
 				}

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"time"
 
 	"weboftrust"
 	"weboftrust/internal/checkpoint"
-	"weboftrust/internal/ratings"
-	"weboftrust/internal/store"
 )
 
 // BootInfo reports how a serving stack came up, for operator logs.
@@ -32,124 +29,69 @@ type BootInfo struct {
 	FallbackReason string
 }
 
-// OpenCheckpointed bootstraps a serving stack like Open, but restores the
-// newest usable checkpoint in ckptDir first and replays only the log
-// suffix past it through the incremental pipeline — converting boot cost
-// from O(whole history) to O(checkpoint load + tail). Any problem with
-// the checkpoint path (no usable checkpoint, stale fingerprint, a tail
-// that no longer matches the log) falls back to the cold path, so a bad
-// checkpoint directory can delay a boot but never prevent one. An empty
-// ckptDir is exactly Open.
-//
-// The returned Tailer is positioned at the end of the log's intact
-// prefix, whichever path built the model.
-func OpenCheckpointed(logPath, ckptDir string, poll time.Duration, opts Options, derive ...weboftrust.Option) (*Server, *Tailer, *BootInfo, error) {
-	return OpenCheckpointedInto(nil, logPath, ckptDir, poll, opts, derive...)
+// Open bootstraps a serving stack from an event log: it replays the
+// whole log (tolerating a torn final record), derives the model, and
+// returns a Server plus a Tailer positioned at the end of the intact
+// prefix. Start the tailer with go tailer.Run(ctx).
+func Open(path string, poll time.Duration, opts Options, derive ...weboftrust.Option) (*Server, *Tailer, error) {
+	srv, tailer, _, err := OpenCheckpointedInto(nil, path, "", poll, opts, derive...)
+	return srv, tailer, err
 }
 
-// OpenCheckpointedInto is OpenCheckpointed, but publishes the booted
-// model into an existing pending server (NewPending) instead of creating
-// one — the early-listen shape: the daemon binds its address and serves
-// 503s/liveness first, boots, and the first Swap flips it live. A nil
-// into behaves exactly like OpenCheckpointed.
+// OpenCheckpointedInto bootstraps a serving stack through checkpoint.Load:
+// it restores the newest usable checkpoint in ckptDir and replays only
+// the log suffix past it through the incremental pipeline, converting
+// boot cost from O(whole history) to O(checkpoint load + tail). Any
+// failure of the warm load (no usable checkpoint, a stale fingerprint, a
+// tail that no longer matches the log) retries cold and says why in
+// FallbackReason, so a bad checkpoint directory can delay a boot but never
+// prevent one. An empty ckptDir boots cold.
+//
+// A non-nil into is a pending server (NewPending) the booted model is
+// published into by its first Swap — the early-listen shape: the daemon
+// binds its address and serves 503s/liveness first, boots, and the first
+// Swap flips it live. A nil into creates the server. The returned Tailer
+// is positioned at the end of the log's intact prefix.
 func OpenCheckpointedInto(into *Server, logPath, ckptDir string, poll time.Duration, opts Options, derive ...weboftrust.Option) (*Server, *Tailer, *BootInfo, error) {
-	cold := func(reason string) (*Server, *Tailer, *BootInfo, error) {
-		srv, tailer, err := openInto(into, logPath, poll, opts, derive...)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		_, offset, _ := srv.Current()
-		return srv, tailer, &BootInfo{Offset: offset, FallbackReason: reason}, nil
+	if ckptDir != "" {
+		// No writer can be mid-checkpoint at boot; clear crashed-write debris.
+		_ = checkpoint.RemoveTemps(ckptDir)
 	}
-	if ckptDir == "" {
-		return cold("")
+	var reason string
+	l, err := checkpoint.Load(logPath, ckptDir, derive...)
+	if err != nil && ckptDir != "" {
+		reason = err.Error()
+		l, err = checkpoint.Load(logPath, "", derive...)
 	}
-	// No writer can be mid-checkpoint at boot; clear crashed-write debris.
-	_ = checkpoint.RemoveTemps(ckptDir)
-
-	// Any restore failure — no usable checkpoint, or a directory that
-	// cannot even be scanned (wrong permissions, a file where a dir was
-	// expected) — goes cold: a bad checkpoint setup may delay a boot but
-	// must never prevent one.
-	model, info, err := checkpoint.Restore(ckptDir, derive...)
 	if err != nil {
-		return cold(err.Error())
+		return nil, nil, nil, fmt.Errorf("server: %w", err)
 	}
-
-	srv, tailer, tailed, offset, err := resumeFrom(into, model, logPath, poll, opts, info)
-	if err != nil {
-		// The checkpoint restored but the log disagrees with it (swapped
-		// out from under the directory, or corrupt past the offset in a
-		// way a fresh replay may tolerate differently). Serving data
-		// beats serving nothing: replay from scratch.
-		return cold(fmt.Sprintf("checkpoint %s unusable against log: %v", info.Path, err))
+	// Publish by the first Swap into the pending server, or by
+	// constructing one; both stamp the state version 1.
+	srv := into
+	if srv == nil {
+		srv = New(l.Model, l.Offset, opts)
+	} else {
+		srv.Swap(l.Model, l.Offset)
+	}
+	if !l.Warm() {
+		return srv, newTailer(srv, logPath, poll, l), &BootInfo{Offset: l.Offset, FallbackReason: reason}, nil
 	}
 	// Seed the durability surface from the restored file: /v1/stats and
 	// /metrics report it immediately, and a Checkpointer's first
 	// skip-idle check can recognise the on-disk checkpoint instead of
 	// rewriting a byte-identical one.
-	status := &CheckpointStatus{Path: info.Path, Offset: info.Offset}
-	if st, err := os.Stat(info.Path); err == nil {
+	status := &CheckpointStatus{Path: l.Info.Path, Offset: l.Info.Offset}
+	if st, err := os.Stat(l.Info.Path); err == nil {
 		status.SizeBytes = st.Size()
 		status.WrittenAt = st.ModTime()
 	}
 	srv.setCheckpointStatus(status)
-	return srv, tailer, &BootInfo{
+	return srv, newTailer(srv, logPath, poll, l), &BootInfo{
 		Warm:             true,
-		CheckpointPath:   info.Path,
-		CheckpointOffset: info.Offset,
-		TailedEvents:     tailed,
-		Offset:           offset,
+		CheckpointPath:   l.Info.Path,
+		CheckpointOffset: l.Info.Offset,
+		TailedEvents:     l.Replayed,
+		Offset:           l.Offset,
 	}, nil
-}
-
-// resumeFrom builds the serving stack on top of a restored model: tail
-// the log from the checkpoint's (rebased) offset, fold the suffix in with
-// the incremental pipeline, and position the tailer at the end of the
-// intact prefix.
-func resumeFrom(into *Server, model *weboftrust.TrustModel, logPath string, poll time.Duration, opts Options, info checkpoint.Info) (*Server, *Tailer, int, int64, error) {
-	st, err := os.Stat(logPath)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	resume := info.Resume(st.Size())
-
-	f, err := os.Open(logPath)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	defer f.Close()
-	events, offset, err := store.ReadLogFrom(f, resume)
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		return nil, nil, 0, 0, err
-	}
-
-	if len(events) == 0 {
-		// Nothing past the checkpoint: serve the restored model as-is and
-		// let the tailer materialise its builder lazily, keeping the
-		// dedup-map reconstruction off the time-to-serving path.
-		srv := adoptOrNew(into, model, offset, opts)
-		return srv, NewTailerFromDataset(srv, logPath, poll, model.Dataset(), offset), 0, offset, nil
-	}
-	builder := ratings.NewBuilderFrom(model.Dataset())
-	if err := store.Replay(events, builder); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	model, err = model.Update(builder.Snapshot())
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	srv := adoptOrNew(into, model, offset, opts)
-	return srv, NewTailer(srv, logPath, poll, builder, offset), len(events), offset, nil
-}
-
-// adoptOrNew publishes a freshly booted model: by the first Swap into an
-// early-bound pending server, or by constructing one. Both paths stamp
-// the state version 1.
-func adoptOrNew(into *Server, model *weboftrust.TrustModel, offset int64, opts Options) *Server {
-	if into == nil {
-		return New(model, offset, opts)
-	}
-	into.Swap(model, offset)
-	return into
 }

@@ -98,7 +98,7 @@ func TestOpenCheckpointedColdPaths(t *testing.T) {
 	path, _ := writeLogFile(t)
 
 	// Empty dir string: exactly Open.
-	srv, _, info, err := OpenCheckpointed(path, "", time.Hour, Options{})
+	srv, _, info, err := OpenCheckpointedInto(nil, path, "", time.Hour, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestOpenCheckpointedColdPaths(t *testing.T) {
 	}
 
 	// A directory with no checkpoints: cold with a reason.
-	srv2, _, info2, err := OpenCheckpointed(path, filepath.Join(t.TempDir(), "ckpts"), time.Hour, Options{})
+	srv2, _, info2, err := OpenCheckpointedInto(nil, path, filepath.Join(t.TempDir(), "ckpts"), time.Hour, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOpenCheckpointedWarmMatchesCold(t *testing.T) {
 	// tail the difference.
 	tailed := appendGrowth(t, path, d, 0)
 
-	warm, warmTailer, info, err := OpenCheckpointed(path, dir, time.Hour, Options{})
+	warm, warmTailer, info, err := OpenCheckpointedInto(nil, path, dir, time.Hour, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestWarmBootIdleCheckpointerSkipsFirstWrite(t *testing.T) {
 		t.Fatalf("WriteNow = (%v, %v)", wrote, err)
 	}
 
-	warm, _, info, err := OpenCheckpointed(path, dir, time.Hour, Options{})
+	warm, _, info, err := OpenCheckpointedInto(nil, path, dir, time.Hour, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestOpenCheckpointedSkipsStaleFingerprint(t *testing.T) {
 		t.Fatalf("WriteNow = (%v, %v)", wrote, err)
 	}
 
-	srv, _, info, err := OpenCheckpointed(path, dir, time.Hour, Options{})
+	srv, _, info, err := OpenCheckpointedInto(nil, path, dir, time.Hour, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestOpenCheckpointedVersion2Bundles(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000001.wck"), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, bi, err := OpenCheckpointed(path, dir, time.Hour, Options{}, weboftrust.WithShard(1, 3))
+		_, _, bi, err := OpenCheckpointedInto(nil, path, dir, time.Hour, Options{}, weboftrust.WithShard(1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

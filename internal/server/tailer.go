@@ -7,7 +7,7 @@ import (
 	"os"
 	"time"
 
-	"weboftrust"
+	"weboftrust/internal/checkpoint"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/store"
 )
@@ -64,25 +64,20 @@ func (e *TransientPollError) Error() string {
 }
 func (e *TransientPollError) Unwrap() error { return e.Err }
 
-// NewTailer resumes tailing path from offset. builder must hold exactly
-// the events in [0, offset) — the builder used to construct the server's
-// current model. The Tailer takes ownership of it.
-func NewTailer(srv *Server, path string, poll time.Duration, builder *ratings.Builder, offset int64) *Tailer {
+// newTailer positions a tailer at the end of the prefix l loaded, taking
+// ownership of l.Builder. When Load replayed nothing on top of a restored
+// checkpoint there is no builder: the tailer keeps the restored dataset
+// and builds one from it on the first poll that finds events, keeping
+// the dedup-map reconstruction off the time-to-serving path.
+func newTailer(srv *Server, path string, poll time.Duration, l *checkpoint.Loaded) *Tailer {
 	if poll <= 0 {
 		poll = DefaultPoll
 	}
-	return &Tailer{srv: srv, path: path, poll: poll, builder: builder, offset: offset}
-}
-
-// NewTailerFromDataset is NewTailer for callers that hold the dataset at
-// offset but no live Builder — the warm-restore boot path. The builder is
-// reconstructed from the dataset on the first poll that actually finds
-// events, keeping that cost off the time-to-serving path.
-func NewTailerFromDataset(srv *Server, path string, poll time.Duration, d *ratings.Dataset, offset int64) *Tailer {
-	if poll <= 0 {
-		poll = DefaultPoll
+	t := &Tailer{srv: srv, path: path, poll: poll, builder: l.Builder, offset: l.Offset}
+	if t.builder == nil {
+		t.base = l.Model.Dataset()
 	}
-	return &Tailer{srv: srv, path: path, poll: poll, base: d, offset: offset}
+	return t
 }
 
 // Offset returns the event-log offset of the last ingested record.
@@ -180,36 +175,4 @@ func (t *Tailer) Run(ctx context.Context) error {
 		}
 		timer.Reset(delay)
 	}
-}
-
-// Open bootstraps a serving stack from an event log: it replays the whole
-// log (tolerating a torn final record), derives the model, and returns a
-// Server plus a Tailer checkpointed at the end of the intact prefix. Start
-// the tailer with go tailer.Run(ctx).
-func Open(path string, poll time.Duration, opts Options, derive ...weboftrust.Option) (*Server, *Tailer, error) {
-	return openInto(nil, path, poll, opts, derive...)
-}
-
-// openInto is Open publishing into an existing pending server when into
-// is non-nil (the early-listen boot path; see OpenCheckpointedInto).
-func openInto(into *Server, path string, poll time.Duration, opts Options, derive ...weboftrust.Option) (*Server, *Tailer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: open log: %w", err)
-	}
-	defer f.Close()
-	events, offset, err := store.ReadLogFrom(f, 0)
-	if err != nil && !errors.Is(err, store.ErrTruncated) {
-		return nil, nil, fmt.Errorf("server: read log: %w", err)
-	}
-	builder := ratings.NewBuilder()
-	if err := store.Replay(events, builder); err != nil {
-		return nil, nil, err
-	}
-	model, err := weboftrust.Derive(builder.Snapshot(), derive...)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := adoptOrNew(into, model, offset, opts)
-	return srv, NewTailer(srv, path, poll, builder, offset), nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"weboftrust/internal/anomaly"
+	"weboftrust/internal/mat"
 	"weboftrust/internal/propagation"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/synth"
@@ -18,11 +19,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden digest files under testdata")
 
-// propagateGolden holds one SHA-256 per propagation algorithm, and
-// anomalyGolden one per anomaly signal.
+// propagateGolden holds one SHA-256 per propagation algorithm,
+// anomalyGolden one per anomaly signal, and modelGolden one per model
+// artifact.
 const (
 	propagateGolden = "testdata/propagate.golden"
 	anomalyGolden   = "testdata/anomaly.golden"
+	modelGolden     = "testdata/model.golden"
 )
 
 // sampledModel is a seed-1 community and the stride of its sampled
@@ -122,6 +125,87 @@ func TestAnomalyGolden(t *testing.T) {
 		got = fmt.Appendf(got, "%s %x\n", sig.name, h.Sum(nil))
 	}
 	checkGolden(t, anomalyGolden, got)
+}
+
+// TestModelGolden pins the derived model to testdata/model.golden: per
+// seed-1 Small and Medium model, one SHA-256 per artifact over its
+// little-endian words — Riggs quality and rater reputation (each
+// category's ids and value bits, in category order), E and A (row-major
+// bits), the web's generosity vector, and the web's CSR rows (each row's
+// length and target ids; then every weight's bits). The amd64 rule and
+// -update work as in TestPropagateGolden.
+func TestModelGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("model bits are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	var got []byte
+	for _, c := range sampledModels(t, 1) {
+		art := c.m.Artifacts()
+		g := c.m.WebOfTrust().Graph()
+		for _, a := range []struct {
+			name  string
+			write func(word func(uint64))
+		}{
+			{"quality", func(word func(uint64)) {
+				for _, cr := range art.RiggsResults {
+					for k, r := range cr.Reviews {
+						word(uint64(r))
+						word(math.Float64bits(cr.Quality[k]))
+					}
+				}
+			}},
+			{"reputation", func(word func(uint64)) {
+				for _, cr := range art.RiggsResults {
+					for k, u := range cr.Raters {
+						word(uint64(u))
+						word(math.Float64bits(cr.RaterRep[k]))
+					}
+				}
+			}},
+			{"expertise", func(word func(uint64)) { denseWords(art.Expertise, word) }},
+			{"affinity", func(word func(uint64)) { denseWords(art.Affinity, word) }},
+			{"generosity", func(word func(uint64)) {
+				for _, k := range c.m.WebOfTrust().GenerosityVector() {
+					word(math.Float64bits(k))
+				}
+			}},
+			{"web.ids", func(word func(uint64)) {
+				for v := 0; v < g.NumNodes(); v++ {
+					to, _ := g.Out(v)
+					word(uint64(len(to)))
+					for _, j := range to {
+						word(uint64(j))
+					}
+				}
+			}},
+			{"web.weights", func(word func(uint64)) {
+				for v := 0; v < g.NumNodes(); v++ {
+					_, w := g.Out(v)
+					for _, x := range w {
+						word(math.Float64bits(x))
+					}
+				}
+			}},
+		} {
+			h := sha256.New()
+			var buf [8]byte
+			a.write(func(x uint64) {
+				binary.LittleEndian.PutUint64(buf[:], x)
+				h.Write(buf[:])
+			})
+			got = fmt.Appendf(got, "%s/%s %x\n", c.name, a.name, h.Sum(nil))
+		}
+	}
+	checkGolden(t, modelGolden, got)
+}
+
+// denseWords feeds m's entries' bits to word in row-major order.
+func denseWords(m *mat.Dense, word func(uint64)) {
+	for i := 0; i < m.Rows(); i++ {
+		for _, x := range m.Row(i) {
+			word(math.Float64bits(x))
+		}
+	}
 }
 
 // checkGolden compares got with the digest file at path, rewriting the

@@ -8,7 +8,9 @@
 #   OUTPUT.json   required: name it per change (BENCH_prN.json), so a run
 #                 never overwrites a baseline scripts/check_allocs.sh reads
 #   BENCH_SUITE   suite label recorded in the JSON (default: output basename)
-#   BENCH_COUNT   repetitions per benchmark (default 5)
+#   BENCH_COUNT   passes over the suite (default 5); each pass times every
+#                 benchmark once, so a slow stretch of the host lands on
+#                 the reference benchmark and the gated ones alike
 #   BENCH_FILTER  benchmark regexp (default: scripts/bench_filter.txt, the list
 #                 make bench-smoke also runs)
 set -euo pipefail
@@ -23,10 +25,16 @@ suite="${BENCH_SUITE:-$(basename "$out" .json)}"
 count="${BENCH_COUNT:-5}"
 filter="${BENCH_FILTER:-$(cat scripts/bench_filter.txt)}"
 
-raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+raw="$tmp/raw.txt"
 
-go test -run '^$' -bench "$filter" -benchmem -count="$count" . | tee "$raw"
+# Compile once, then interleave: pass i runs every benchmark once before
+# pass i+1 starts, instead of -count running each one count times in a row.
+go test -c -o "$tmp/bench.test" .
+for _ in $(seq "$count"); do
+	"$tmp/bench.test" -test.run '^$' -test.bench "$filter" -test.benchmem -test.count 1 -test.timeout 10m | tee -a "$raw"
+done
 
 awk -v out="$out" -v suite="$suite" -v count="$count" '
 /^goos:/    { goos = $2 }
