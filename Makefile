@@ -75,12 +75,12 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/faulty
 	$(GO) test -race -count=50 -run 'TestResultCache|TestOversizedKSharesOneEntry|TestLeaderPanic|TestSingleflight' ./internal/server
 
-# fuzz-smoke gives each binary-decoder fuzz target (plus the graph
+# fuzz-smoke gives each binary-decoder fuzz target (the event log, the one
+# fuzzed dataset input, and the checkpoint bundle; plus the graph
 # constructor's edge validation) a short adversarial run ($(FUZZTIME)
 # apiece); a panic or over-allocation fails CI. go test accepts one -fuzz
 # pattern per package invocation, hence one run per target.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzLogReader$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz 'FuzzGraphNew$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -9,7 +9,6 @@
 package weboftrust_test
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -366,34 +365,6 @@ func BenchmarkGraphBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.BuildWeb(e.Dataset, e.Artifacts.Trust, core.DefaultWebPolicy(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotWrite measures dataset serialisation.
-func BenchmarkSnapshotWrite(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.WriteSnapshot(io.Discard, e.Dataset); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotRead measures dataset deserialisation including full
-// re-validation and index building.
-func BenchmarkSnapshotRead(b *testing.B) {
-	e := env(b)
-	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, e.Dataset); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := store.ReadSnapshot(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}

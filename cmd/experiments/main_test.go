@@ -2,9 +2,31 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+
+	"weboftrust/internal/golden"
 )
+
+// timingLine matches the lines run prints with wall-clock times:
+// "setup in …", "[<experiment> in …]" and "total …".
+var timingLine = regexp.MustCompile(`^(setup in .*|\[[a-z0-9-]+ in .*\]|total .*)$`)
+
+// stripTimings drops run's timing lines from out, keeping every other
+// line, table rows such as "in T ∩ R" included.
+func stripTimings(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !timingLine.MatchString(line) {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
 
 func TestRunSelectedExperiments(t *testing.T) {
 	var buf bytes.Buffer
@@ -66,19 +88,30 @@ func TestRunDeterministic(t *testing.T) {
 	if err := run([]string{"-preset", "small", "-seed", "9", "-run", "table2"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	// Strip timing lines before comparing.
-	strip := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, " in ") || strings.HasPrefix(line, "total") ||
-				strings.HasPrefix(line, "setup") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(a.String()) != strip(b.String()) {
+	if stripTimings(a.String()) != stripTimings(b.String()) {
 		t.Error("same seed produced different output")
+	}
+}
+
+// TestRunGolden pins the output of -preset small -seed 9 -run all,
+// timing lines stripped, to one SHA-256 in testdata/run.golden. -update
+// rewrites it. Other architectures may fuse multiply-adds, which moves
+// printed digits, so only amd64 checks.
+func TestRunGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("experiment output is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-preset", "small", "-seed", "9", "-run", "all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := stripTimings(buf.String())
+	golden.Check(t, "testdata/run.golden", fmt.Appendf(nil, "small/seed9/all %x\n", sha256.Sum256([]byte(out))))
+}
+
+func TestStripTimings(t *testing.T) {
+	in := "setup in 17ms\n| in T ∩ R | 669 |\n[table4 in 7ms]\n| in R − T | 1355 |\n[ablation-binarize in 0s]\ntotal 374ms"
+	if got, want := stripTimings(in), "| in T ∩ R | 669 |\n| in R − T | 1355 |"; got != want {
+		t.Errorf("stripTimings = %q, want %q", got, want)
 	}
 }

@@ -3,22 +3,24 @@
 //
 // Usage:
 //
-//	trustctl generate -preset small|medium|paper [-seed N] -out data.wot
-//	trustctl stats    -in data.wot
-//	trustctl topk     -in data.wot -user ID [-k N]
-//	trustctl expertise -in data.wot -user ID
-//	trustctl export   -in data.wot -dir DIR
-//	trustctl ingest   -log events.log -out data.wot [-allow-truncated]
-//	trustctl exportlog -in data.wot -log events.log
+//	trustctl generate -preset small|medium|paper [-seed N] -out events.log
+//	trustctl stats    -log events.log
+//	trustctl topk     -log events.log -user ID [-k N]
+//	trustctl expertise -log events.log -user ID
+//	trustctl export   -log events.log -dir DIR
 //	trustctl checkpoint -log events.log -dir DIR [-workers N] [-allow-truncated]
 //	trustctl compact    -log events.log -dir DIR [-workers N] [-allow-truncated]
-//	trustctl exportgraph (-in data.wot | -log events.log | -checkpoint FILE)
+//	trustctl exportgraph (-log events.log | -checkpoint FILE)
 //	                     [-format csv|json] [-out FILE] [-tau T] [-cold-generosity K]
 //	                     [-workers N] [-allow-truncated]
 //	trustctl attack   (-scenario FILE | -dir DIR) [-json OUT] [-export-log FILE]
 //
-// Datasets are stored in the snapshot format of internal/store (CRC-32
-// checked); "ingest" replays an append-only event log into a snapshot.
+// A dataset is an append-only event log (internal/store, each record
+// CRC-32C checked), the file trustd tails: "generate" writes one, and
+// "stats", "topk", "expertise" and "export" replay one and refuse it if
+// its final record is torn. "exportgraph", "checkpoint" and "compact"
+// replay one too, using its intact prefix under -allow-truncated.
+//
 // "checkpoint" folds the log's complete prefix into a warm-restart
 // checkpoint (internal/checkpoint) offline, so the next trustd boot
 // restores instead of re-deriving; "compact" additionally truncates the
@@ -33,13 +35,13 @@
 // attack cohorts to inject, and pinned resistance assertions. The
 // command renders the resistance metrics as tables, optionally writes
 // the JSON report CI archives, exits non-zero when any assertion fails,
-// and with -export-log renders the attacked dataset as an event log,
-// written like "exportlog" writes a snapshot's.
+// and with -export-log writes the attacked dataset as an event log, as
+// "generate" writes a clean one.
 //
 // "exportgraph" dumps the binarised web of trust — the same graph trustd
 // serves at /v1/neighbors and propagates at /v1/propagate — as a
 // from,to,weight edge list (CSV or JSON) for offline analysis, built from
-// a snapshot, an event log, or a warm-restart checkpoint file.
+// an event log or a warm-restart checkpoint file.
 package main
 
 import (
@@ -68,13 +70,11 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: trustctl <generate|stats|topk|expertise|export|ingest|exportlog|exportgraph|checkpoint|compact|attack> [flags]")
+		return fmt.Errorf("usage: trustctl <generate|stats|topk|expertise|export|exportgraph|checkpoint|compact|attack> [flags]")
 	}
 	switch args[0] {
 	case "generate":
 		return cmdGenerate(args[1:])
-	case "exportlog":
-		return cmdExportLog(args[1:])
 	case "exportgraph":
 		return cmdExportGraph(args[1:])
 	case "checkpoint":
@@ -89,8 +89,6 @@ func run(args []string) error {
 		return cmdExpertise(args[1:])
 	case "export":
 		return cmdExport(args[1:])
-	case "ingest":
-		return cmdIngest(args[1:])
 	case "attack":
 		return cmdAttack(args[1:])
 	default:
@@ -111,27 +109,6 @@ func presetConfig(name string) (synth.Config, error) {
 	}
 }
 
-func loadDataset(path string) (*ratings.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return store.ReadSnapshot(f)
-}
-
-func saveDataset(path string, d *ratings.Dataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := store.WriteSnapshot(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeLog writes d's event stream as a new event log at path.
 func writeLog(path string, d *ratings.Dataset) error {
 	f, err := os.Create(path)
@@ -149,7 +126,7 @@ func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	preset := fs.String("preset", "medium", "dataset preset: small, medium or paper")
 	seed := fs.Uint64("seed", 1, "generator seed")
-	out := fs.String("out", "", "output snapshot path (required)")
+	out := fs.String("out", "", "output event log path (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -165,7 +142,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := saveDataset(*out, d); err != nil {
+	if err := writeLog(*out, d); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %v\n", *out, d)
@@ -174,14 +151,14 @@ func cmdGenerate(args []string) error {
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path (required)")
+	logPath := fs.String("log", "", "input event log path (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("stats: -in is required")
+	if *logPath == "" {
+		return fmt.Errorf("stats: -log is required")
 	}
-	d, err := loadDataset(*in)
+	d, err := loadLogDataset(*logPath, false)
 	if err != nil {
 		return err
 	}
@@ -191,16 +168,19 @@ func cmdStats(args []string) error {
 
 func cmdTopK(args []string) error {
 	fs := flag.NewFlagSet("topk", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path (required)")
+	logPath := fs.String("log", "", "input event log path (required)")
 	user := fs.Int("user", -1, "source user id (required)")
-	k := fs.Int("k", 10, "how many users to return")
+	k := fs.Int("k", 10, "how many users to return (at least 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *user < 0 {
-		return fmt.Errorf("topk: -in and -user are required")
+	if *logPath == "" || *user < 0 {
+		return fmt.Errorf("topk: -log and -user are required")
 	}
-	d, err := loadDataset(*in)
+	if *k < 1 {
+		return fmt.Errorf("topk: -k %d: must be at least 1", *k)
+	}
+	d, err := loadLogDataset(*logPath, false)
 	if err != nil {
 		return err
 	}
@@ -222,15 +202,15 @@ func cmdTopK(args []string) error {
 
 func cmdExpertise(args []string) error {
 	fs := flag.NewFlagSet("expertise", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path (required)")
+	logPath := fs.String("log", "", "input event log path (required)")
 	user := fs.Int("user", -1, "user id (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *user < 0 {
-		return fmt.Errorf("expertise: -in and -user are required")
+	if *logPath == "" || *user < 0 {
+		return fmt.Errorf("expertise: -log and -user are required")
 	}
-	d, err := loadDataset(*in)
+	d, err := loadLogDataset(*logPath, false)
 	if err != nil {
 		return err
 	}
@@ -254,15 +234,15 @@ func cmdExpertise(args []string) error {
 
 func cmdExport(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path (required)")
+	logPath := fs.String("log", "", "input event log path (required)")
 	dir := fs.String("dir", "", "output directory for CSV files (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *dir == "" {
-		return fmt.Errorf("export: -in and -dir are required")
+	if *logPath == "" || *dir == "" {
+		return fmt.Errorf("export: -log and -dir are required")
 	}
-	d, err := loadDataset(*in)
+	d, err := loadLogDataset(*logPath, false)
 	if err != nil {
 		return err
 	}
@@ -292,57 +272,30 @@ func cmdExport(args []string) error {
 	return nil
 }
 
-func cmdIngest(args []string) error {
-	fs := flag.NewFlagSet("ingest", flag.ContinueOnError)
-	logPath := fs.String("log", "", "input event log path (required)")
-	out := fs.String("out", "", "output snapshot path (required)")
-	allowTruncated := fs.Bool("allow-truncated", false,
-		"ingest the intact prefix of a log whose final record is torn (crash during append)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *logPath == "" || *out == "" {
-		return fmt.Errorf("ingest: -log and -out are required")
-	}
-	return ingestLog(*logPath, *out, *allowTruncated)
-}
-
-func ingestLog(logPath, out string, allowTruncated bool) error {
-	d, n, err := loadLogDataset(logPath, allowTruncated, "ingest")
-	if err != nil {
-		return err
-	}
-	if err := saveDataset(out, d); err != nil {
-		return err
-	}
-	fmt.Printf("replayed %d events into %s: %v\n", n, out, d)
-	return nil
-}
-
-// loadLogDataset replays an event log into a dataset, tolerating a torn
-// final record when allowTruncated is set (the shared torn-record
-// semantics of every log-consuming subcommand). cmd labels the warning.
-func loadLogDataset(logPath string, allowTruncated bool, cmd string) (*ratings.Dataset, int, error) {
+// loadLogDataset replays an event log into a dataset. A torn final
+// record fails with its *store.TruncatedError unless allowTruncated is
+// set, when the intact prefix is used with a warning.
+func loadLogDataset(logPath string, allowTruncated bool) (*ratings.Dataset, error) {
 	f, err := os.Open(logPath)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer f.Close()
 	events, err := store.ReadLog(f)
 	if err != nil {
 		var trunc *store.TruncatedError
 		if errors.As(err, &trunc) && allowTruncated {
-			fmt.Fprintf(os.Stderr, "%s: torn final record; using %d events up to offset %d\n",
-				cmd, len(events), trunc.Offset)
+			fmt.Fprintf(os.Stderr, "trustctl: torn final record; using %d events up to offset %d\n",
+				len(events), trunc.Offset)
 		} else {
-			return nil, 0, fmt.Errorf("reading log: %w", err)
+			return nil, fmt.Errorf("reading log: %w", err)
 		}
 	}
 	b := ratings.NewBuilder()
 	if err := store.Replay(events, b); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return b.Build(), len(events), nil
+	return b.Build(), nil
 }
 
 func cmdCheckpoint(args []string) error {
@@ -399,7 +352,6 @@ func cmdCompact(args []string) error {
 
 func cmdExportGraph(args []string) error {
 	fs := flag.NewFlagSet("exportgraph", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path")
 	logPath := fs.String("log", "", "input event log path (replayed in full)")
 	ckptPath := fs.String("checkpoint", "", "input warm-restart checkpoint file")
 	format := fs.String("format", "csv", "output format: csv or json")
@@ -412,14 +364,8 @@ func cmdExportGraph(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sources := 0
-	for _, s := range []string{*in, *logPath, *ckptPath} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return fmt.Errorf("exportgraph: exactly one of -in, -log or -checkpoint is required")
+	if (*logPath == "") == (*ckptPath == "") {
+		return fmt.Errorf("exportgraph: exactly one of -log or -checkpoint is required")
 	}
 	if *format != "csv" && *format != "json" {
 		return fmt.Errorf("exportgraph: unknown format %q (csv, json)", *format)
@@ -433,24 +379,15 @@ func cmdExportGraph(args []string) error {
 	}
 
 	var model *weboftrust.TrustModel
-	switch {
-	case *in != "":
-		d, err := loadDataset(*in)
+	if *logPath != "" {
+		d, err := loadLogDataset(*logPath, *allowTruncated)
 		if err != nil {
 			return err
 		}
 		if model, err = weboftrust.Derive(d, opts...); err != nil {
 			return err
 		}
-	case *logPath != "":
-		d, _, err := loadLogDataset(*logPath, *allowTruncated, "exportgraph")
-		if err != nil {
-			return err
-		}
-		if model, err = weboftrust.Derive(d, opts...); err != nil {
-			return err
-		}
-	default:
+	} else {
 		var err error
 		if model, _, err = checkpoint.ReadFile(*ckptPath, opts...); err != nil {
 			return err
@@ -513,25 +450,4 @@ func writeGraph(w io.Writer, web *weboftrust.Web, format string) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func cmdExportLog(args []string) error {
-	fs := flag.NewFlagSet("exportlog", flag.ContinueOnError)
-	in := fs.String("in", "", "input snapshot path (required)")
-	logPath := fs.String("log", "", "output event log path (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *logPath == "" {
-		return fmt.Errorf("exportlog: -in and -log are required")
-	}
-	d, err := loadDataset(*in)
-	if err != nil {
-		return err
-	}
-	if err := writeLog(*logPath, d); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s from %s: %v\n", *logPath, *in, d)
-	return nil
 }

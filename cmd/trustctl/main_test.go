@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,53 +16,116 @@ import (
 	"weboftrust/internal/synth"
 )
 
-func generateSnapshot(t *testing.T) string {
+// generateLog writes the Small seed-3 community as an event log through
+// trustctl generate and returns its path.
+func generateLog(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "data.wot")
+	path := filepath.Join(t.TempDir(), "events.log")
 	if err := run([]string{"generate", "-preset", "small", "-seed", "3", "-out", path}); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func TestGenerateAndStats(t *testing.T) {
-	path := generateSnapshot(t)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("snapshot not written: %v", err)
+// datasetRecords lists every record of d, in id order, for comparison.
+type datasetRecords struct {
+	Categories, Users []string
+	Objects           []ratings.Object
+	Reviews           []ratings.Review
+	Ratings           []ratings.Rating
+	Trust             []ratings.TrustEdge
+}
+
+func recordsOf(d *ratings.Dataset) datasetRecords {
+	r := datasetRecords{Ratings: d.Ratings(), Trust: d.TrustEdges()}
+	for c := 0; c < d.NumCategories(); c++ {
+		r.Categories = append(r.Categories, d.CategoryName(ratings.CategoryID(c)))
 	}
-	if err := run([]string{"stats", "-in", path}); err != nil {
+	for u := 0; u < d.NumUsers(); u++ {
+		r.Users = append(r.Users, d.UserName(ratings.UserID(u)))
+	}
+	for o := 0; o < d.NumObjects(); o++ {
+		r.Objects = append(r.Objects, d.Object(ratings.ObjectID(o)))
+	}
+	for v := 0; v < d.NumReviews(); v++ {
+		r.Reviews = append(r.Reviews, d.Review(ratings.ReviewID(v)))
+	}
+	return r
+}
+
+func TestGenerateAndStats(t *testing.T) {
+	path := generateLog(t)
+	if err := run([]string{"stats", "-log", path}); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot must round-trip through the store layer.
-	d, err := loadDataset(path)
+	// The log must replay to the community synth generates for the same
+	// preset and seed, record for record.
+	got, err := loadLogDataset(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumUsers() != synth.Small().NumUsers {
-		t.Errorf("users = %d, want %d", d.NumUsers(), synth.Small().NumUsers)
+	cfg := synth.Small()
+	cfg.Seed = 3
+	want, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recordsOf(got), recordsOf(want)) {
+		t.Errorf("generated log replays to %v, synth generates %v, or their records differ", got, want)
+	}
+}
+
+func TestExportLogRoundTrip(t *testing.T) {
+	path := generateLog(t)
+	// Log → dataset → log must give back the same bytes and records.
+	first, err := loadLogDataset(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(t.TempDir(), "again.log")
+	if err := writeLog(again, first); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("rewritten log has %d bytes, generated log %d, or their bytes differ", len(got), len(want))
+	}
+	second, err := loadLogDataset(again, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recordsOf(second), recordsOf(first)) {
+		t.Errorf("round trip differs: %v vs %v", second, first)
 	}
 }
 
 func TestTopKAndExpertise(t *testing.T) {
-	path := generateSnapshot(t)
-	if err := run([]string{"topk", "-in", path, "-user", "5", "-k", "3"}); err != nil {
+	path := generateLog(t)
+	if err := run([]string{"topk", "-log", path, "-user", "5", "-k", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"expertise", "-in", path, "-user", "5"}); err != nil {
+	if err := run([]string{"expertise", "-log", path, "-user", "5"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"topk", "-in", path, "-user", "999999"}); err == nil {
+	if err := run([]string{"topk", "-log", path, "-user", "999999"}); err == nil {
 		t.Error("out-of-range user accepted")
 	}
-	if err := run([]string{"expertise", "-in", path, "-user", "999999"}); err == nil {
+	if err := run([]string{"expertise", "-log", path, "-user", "999999"}); err == nil {
 		t.Error("out-of-range user accepted")
 	}
 }
 
 func TestExportCSV(t *testing.T) {
-	path := generateSnapshot(t)
+	path := generateLog(t)
 	dir := filepath.Join(t.TempDir(), "csv")
-	if err := run([]string{"export", "-in", path, "-dir", dir}); err != nil {
+	if err := run([]string{"export", "-log", path, "-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"users", "objects", "reviews", "ratings", "trust"} {
@@ -76,75 +140,63 @@ func TestExportCSV(t *testing.T) {
 	}
 }
 
-func TestIngest(t *testing.T) {
-	// Write an event log with the store layer, replay via the CLI.
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.log")
-	f, err := os.Create(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := synth.Small()
-	cfg.NumUsers = 50
-	cfg.TotalObjects = 20
-	d, _, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lw := store.NewLogWriter(f)
-	if err := store.AppendDataset(lw, d); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "replayed.wot")
-	if err := run([]string{"ingest", "-log", logPath, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadDataset(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRatings() != d.NumRatings() || got.NumTrustEdges() != d.NumTrustEdges() {
-		t.Errorf("replayed dataset differs: %v vs %v", got, d)
+// readingCommands runs each subcommand that reads a whole log and refuses
+// a torn one, against the log at path.
+func readingCommands(path string) map[string][]string {
+	return map[string][]string{
+		"stats":     {"stats", "-log", path},
+		"topk":      {"topk", "-log", path, "-user", "5"},
+		"expertise": {"expertise", "-log", path, "-user", "5"},
+		"export":    {"export", "-log", path, "-dir", filepath.Join(filepath.Dir(path), "csv")},
 	}
 }
 
-func TestExportLogRoundTrip(t *testing.T) {
-	snap := generateSnapshot(t)
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.log")
-	if err := run([]string{"exportlog", "-in", snap, "-log", logPath}); err != nil {
-		t.Fatal(err)
-	}
-	// Log → snapshot → dataset must equal the original.
-	out := filepath.Join(dir, "replayed.wot")
-	if err := run([]string{"ingest", "-log", logPath, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := loadDataset(snap)
+func TestTornLogRefused(t *testing.T) {
+	path := generateLog(t)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadDataset(out)
+	// Tear the final record.
+	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range readingCommands(path) {
+		err := run(args)
+		var trunc *store.TruncatedError
+		if !errors.Is(err, store.ErrTruncated) || !errors.As(err, &trunc) {
+			t.Errorf("%s over a torn log: error = %v, want a *store.TruncatedError", name, err)
+		}
+	}
+	csvPath := filepath.Join(t.TempDir(), "graph.csv")
+	if err := run([]string{"exportgraph", "-log", path, "-out", csvPath}); !errors.Is(err, store.ErrTruncated) {
+		t.Errorf("exportgraph over a torn log: error = %v, want ErrTruncated", err)
+	}
+	if err := run([]string{"exportgraph", "-log", path, "-out", csvPath, "-allow-truncated"}); err != nil {
+		t.Fatalf("exportgraph -allow-truncated: %v", err)
+	}
+}
+
+func TestCorruptLogRejected(t *testing.T) {
+	path := generateLog(t)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumUsers() != want.NumUsers() || got.NumRatings() != want.NumRatings() ||
-		got.NumTrustEdges() != want.NumTrustEdges() {
-		t.Errorf("round trip differs: %v vs %v", got, want)
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range readingCommands(path) {
+		if err := run(args); !errors.Is(err, store.ErrChecksum) && !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s over a corrupted log: error = %v, want ErrChecksum or ErrCorrupt", name, err)
+		}
 	}
 }
 
 func TestCheckpointAndCompact(t *testing.T) {
-	snap := generateSnapshot(t)
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.log")
-	if err := run([]string{"exportlog", "-in", snap, "-log", logPath}); err != nil {
-		t.Fatal(err)
-	}
-	ckptDir := filepath.Join(dir, "ckpts")
+	logPath := generateLog(t)
+	ckptDir := filepath.Join(t.TempDir(), "ckpts")
 
 	// checkpoint: builds a warm-restart bundle, leaves the log alone.
 	if err := run([]string{"checkpoint", "-log", logPath, "-dir", ckptDir}); err != nil {
@@ -161,7 +213,7 @@ func TestCheckpointAndCompact(t *testing.T) {
 	if sizeBefore == 0 {
 		t.Fatal("log emptied by checkpoint")
 	}
-	want, err := loadDataset(snap)
+	want, err := loadLogDataset(logPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,68 +255,33 @@ func TestCheckpointAndCompact(t *testing.T) {
 	}
 }
 
-func TestIngestTruncatedLog(t *testing.T) {
-	snap := generateSnapshot(t)
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "events.log")
-	if err := run([]string{"exportlog", "-in", snap, "-log", logPath}); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final record.
-	raw, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "replayed.wot")
-	err = run([]string{"ingest", "-log", logPath, "-out", out})
-	if !errors.Is(err, store.ErrTruncated) {
-		t.Fatalf("torn log ingest error = %v, want ErrTruncated", err)
-	}
-	if err := run([]string{"ingest", "-log", logPath, "-out", out, "-allow-truncated"}); err != nil {
-		t.Fatalf("tolerant ingest failed: %v", err)
-	}
-	if _, err := loadDataset(out); err != nil {
-		t.Fatalf("prefix snapshot unreadable: %v", err)
-	}
-}
-
 func TestArgumentErrors(t *testing.T) {
-	cases := [][]string{
-		nil,
-		{"bogus"},
-		{"generate"}, // missing -out
-		{"generate", "-preset", "nope", "-out", "x"},
-		{"stats"}, // missing -in
-		{"stats", "-in", "/nonexistent/file.wot"},
-		{"topk", "-in", "x"},    // missing -user
-		{"expertise"},           // missing flags
-		{"export", "-in", "x"},  // missing -dir
-		{"ingest", "-log", "x"}, // missing -out
-		{"ingest", "-log", "/nonexistent", "-out", "y"},
+	path := generateLog(t)
+	cases := []struct {
+		args []string
+		want string // a substring of the error, if it must name something
+	}{
+		{nil, ""},
+		{[]string{"bogus"}, ""},
+		{[]string{"generate"}, ""}, // missing -out
+		{[]string{"generate", "-preset", "nope", "-out", "x"}, ""},
+		{[]string{"stats"}, ""}, // missing -log
+		{[]string{"stats", "-log", "/nonexistent/events.log"}, ""},
+		{[]string{"topk", "-log", path}, ""}, // missing -user
+		{[]string{"topk", "-log", path, "-user", "1", "-k", "0"}, "-k 0"},
+		{[]string{"topk", "-log", path, "-user", "1", "-k", "-2"}, "-k -2"},
+		{[]string{"expertise"}, ""},            // missing flags
+		{[]string{"export", "-log", path}, ""}, // missing -dir
+		{[]string{"ingest", "-log", path, "-out", "y"}, "unknown subcommand"},
+		{[]string{"exportlog", "-in", "x", "-log", "y"}, "unknown subcommand"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("args %v: expected error", args)
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("args %v: expected error", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %q does not name %q", c.args, err, c.want)
 		}
-	}
-}
-
-func TestCorruptSnapshotRejected(t *testing.T) {
-	path := generateSnapshot(t)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	bad := filepath.Join(t.TempDir(), "bad.wot")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"stats", "-in", bad}); err == nil {
-		t.Error("corrupted snapshot accepted")
 	}
 }
 
@@ -284,35 +301,38 @@ func TestPresetConfig(t *testing.T) {
 }
 
 func TestLoadDatasetHelpers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.wot")
+	path := filepath.Join(t.TempDir(), "x.log")
 	b := ratings.NewBuilder()
 	b.AddUser("u")
-	if err := saveDataset(path, b.Build()); err != nil {
+	if err := writeLog(path, b.Build()); err != nil {
 		t.Fatal(err)
 	}
-	d, err := loadDataset(path)
+	d, err := loadLogDataset(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumUsers() != 1 {
-		t.Errorf("users = %d, want 1", d.NumUsers())
+	if d.NumUsers() != 1 || d.UserName(0) != "u" {
+		t.Errorf("replayed %v, want the one user \"u\"", d)
 	}
-	if err := saveDataset("/nonexistent-dir/x.wot", b.Build()); err == nil {
+	if err := writeLog("/nonexistent-dir/x.log", b.Build()); err == nil {
 		t.Error("write to bad path accepted")
+	}
+	if _, err := loadLogDataset("/nonexistent-dir/x.log", false); err == nil {
+		t.Error("read of missing log accepted")
 	}
 }
 
 func TestExportGraph(t *testing.T) {
-	snap := generateSnapshot(t)
+	logPath := generateLog(t)
 	dir := t.TempDir()
 
-	// CSV from a snapshot: a header plus one line per edge, matching the
+	// CSV from the log: a header plus one line per edge, matching the
 	// derived model's web exactly.
 	csvPath := filepath.Join(dir, "graph.csv")
-	if err := run([]string{"exportgraph", "-in", snap, "-out", csvPath}); err != nil {
+	if err := run([]string{"exportgraph", "-log", logPath, "-out", csvPath}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := loadDataset(snap)
+	d, err := loadLogDataset(logPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +353,7 @@ func TestExportGraph(t *testing.T) {
 		t.Fatalf("csv has %d edges, web %d", len(lines)-1, web.NumEdges())
 	}
 
-	// JSON from an event log (replay path) must carry the same edges.
-	logPath := filepath.Join(dir, "events.log")
-	if err := run([]string{"exportlog", "-in", snap, "-log", logPath}); err != nil {
-		t.Fatal(err)
-	}
+	// JSON must carry the same edges.
 	jsonPath := filepath.Join(dir, "graph.json")
 	if err := run([]string{"exportgraph", "-log", logPath, "-format", "json", "-out", jsonPath}); err != nil {
 		t.Fatal(err)
@@ -381,12 +397,12 @@ func TestExportGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(craw) != string(raw) {
-		t.Error("checkpoint-sourced graph differs from snapshot-sourced graph")
+		t.Error("checkpoint-sourced graph differs from log-sourced graph")
 	}
 
 	// Threshold policy produces a different (valid) dump.
 	tauCSV := filepath.Join(dir, "tau.csv")
-	if err := run([]string{"exportgraph", "-in", snap, "-tau", "0.5", "-out", tauCSV}); err != nil {
+	if err := run([]string{"exportgraph", "-log", logPath, "-tau", "0.5", "-out", tauCSV}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,10 +410,13 @@ func TestExportGraph(t *testing.T) {
 	if err := run([]string{"exportgraph"}); err == nil {
 		t.Error("no source accepted")
 	}
-	if err := run([]string{"exportgraph", "-in", snap, "-log", logPath}); err == nil {
+	if err := run([]string{"exportgraph", "-log", logPath, "-checkpoint", ckptCSV}); err == nil {
 		t.Error("two sources accepted")
 	}
-	if err := run([]string{"exportgraph", "-in", snap, "-format", "dot"}); err == nil {
+	if err := run([]string{"exportgraph", "-in", logPath}); err == nil {
+		t.Error("deleted -in source accepted")
+	}
+	if err := run([]string{"exportgraph", "-log", logPath, "-format", "dot"}); err == nil {
 		t.Error("unknown format accepted")
 	}
 }

@@ -44,14 +44,13 @@
 // pipeline, so startup cost is O(checkpoint load + tail) instead of
 // O(whole history). Without a usable checkpoint it replays the whole log
 // (tolerating a torn final record from a crashed writer) and derives from
-// scratch. A snapshot is served by exporting it to a log first
-// (`trustctl exportlog -in data.wot -log events.log`). Either
-// way it then polls for appended events: each batch is folded in with the
-// incremental pipeline update and swapped in atomically, so queries never
-// block on ingest and always see a complete, consistent model. With
-// -checkpoint-dir set the daemon also writes a fresh checkpoint every
-// -checkpoint-interval (skipping idle intervals) and once more on
-// SIGTERM, keeping the newest -checkpoint-keep files.
+// scratch (`trustctl generate -out events.log` writes a log to serve).
+// Either way it then polls for appended events: each batch is folded in
+// with the incremental pipeline update and swapped in atomically, so
+// queries never block on ingest and always see a complete, consistent
+// model. With -checkpoint-dir set the daemon also writes a fresh
+// checkpoint every -checkpoint-interval (skipping idle intervals) and
+// once more on SIGTERM, keeping the newest -checkpoint-keep files.
 //
 // The daemon also derives, incrementally maintains and serves the
 // binarised web of trust: by default users select their top ⌈k_i·n_i⌉

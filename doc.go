@@ -34,8 +34,8 @@
 //	edges := model.Neighbors(alice)        // alice's web-of-trust out-edges
 //	far, err := model.Propagate(weboftrust.PropagateAppleseed, alice, 10)
 //
-// Datasets are built with the ratings package's Builder, loaded from a
-// snapshot or event log (internal/store), or generated synthetically
+// Datasets are built with the ratings package's Builder, replayed from
+// an event log (internal/store), or generated synthetically
 // (internal/synth). The internal packages expose every intermediate
 // artifact — Riggs fixed points, expertise and affinity matrices,
 // binarisation, evaluation metrics, and the TidalTrust / EigenTrust /

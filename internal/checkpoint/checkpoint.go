@@ -18,10 +18,10 @@
 //	dataset     byte length, then a ratings dataset image (the trusted
 //	            bulk form — see ratings.AppendImage; integrity comes
 //	            from this bundle's CRC, and decoding rebuilds the
-//	            dataset's indexes without the validating Builder the
-//	            generic snapshot path replays through, which is what
-//	            makes restore-time O(bulk read) instead of
-//	            O(map insert per record))
+//	            dataset's indexes without the validating Builder an
+//	            event-log replay folds through, which is what makes
+//	            restore-time O(bulk read) instead of O(map insert per
+//	            record))
 //	riggs       per category: review ids, qualities, rater ids,
 //	            reputations, rating counts, iterations, converged flag
 //	expertise   U·C float64 cells (8-byte little-endian bits, row-major)
@@ -96,8 +96,8 @@ const formatVersion = 3
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// maxDatasetBytes caps the embedded snapshot's declared length. The
-// snapshot is read through a chunk-growing buffer regardless, so a forged
+// maxDatasetBytes caps the embedded dataset image's declared length. The
+// image is read through a chunk-growing buffer regardless, so a forged
 // length under the cap still cannot allocate more than the bytes actually
 // present — this bound just fails obvious garbage fast.
 const maxDatasetBytes = 1 << 31

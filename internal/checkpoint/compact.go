@@ -70,7 +70,7 @@ func faultAt(stage string) error {
 //
 // A torn final record fails the whole compaction unless allowTruncated is
 // set, in which case the intact prefix is folded and the torn bytes stay
-// in the log for the writer to finish (mirroring trustctl ingest).
+// in the log for the writer to finish.
 func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option) (*CompactResult, error) {
 	f, err := os.Open(logPath)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the dataset *image*: a trusted bulk binary form of
-// a Dataset, built for warm restarts. Where the store snapshot replays
+// a Dataset, built for warm restarts. Where an event-log replay folds
 // every record through a validating Builder (dedup maps, one lookup per
 // record — right for data of unknown provenance, and ~10× slower), the
 // image decodes entity columns straight into the Dataset's slices with
@@ -51,8 +51,8 @@ import (
 //	         columns), trust adjacency (u32 offsets + u32 trustee ids)
 //
 // Rating values are quantized to a level byte only when every value is
-// bitwise float64(level)/RatingLevels (what the Builder's callers, the
-// event log and the snapshot reader all produce); the flag keeps the
+// bitwise float64(level)/RatingLevels (what the Builder's callers and
+// the event log produce); the flag keeps the
 // exact 8-byte form for the off-grid values ValidRating's tolerance
 // admits, so the image never changes a value's bits either way.
 

@@ -208,7 +208,7 @@ var endpointNames = [numEndpoints]string{
 }
 
 // New wraps a derived model for serving. offset is the event-log position
-// the model reflects (0 when serving a snapshot with no log).
+// the model reflects.
 func New(model *weboftrust.TrustModel, offset int64, opts Options) *Server {
 	s := NewPending(opts)
 	s.cur.Store(s.newState(model, offset, 1, nil))

@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"weboftrust/internal/golden"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/store"
 )
@@ -123,7 +128,11 @@ func withoutVersion(t *testing.T, body []byte) string {
 // Derive of the same log prefix: /v1/graph/stats, /v1/rank?k=20 and
 // /v1/anomaly/top, plus /v1/topk, /v1/trust, /v1/expertise,
 // /v1/neighbors, /v1/anomaly, /v1/rank, and /v1/propagate for all three
-// algorithms, exact and approx=landmark, for every 13th user.
+// algorithms, exact and approx=landmark, for every 13th user. The
+// served answers are pinned to testdata/swapchain.golden: one SHA-256
+// per step (the boot, then each swap) over every URL's status and body
+// in URL order. -update rewrites it, and only amd64 checks it, as for
+// the model digests at the repository root.
 func TestSwapChainMatchesColdServer(t *testing.T) {
 	path, d := writeLogFile(t)
 	srv, tailer, err := Open(path, time.Hour, Options{})
@@ -146,16 +155,26 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 		}
 		return urls
 	}
-	warm := func() {
-		for _, url := range urls() {
-			if rec := get(t, h, url); rec.Code != 200 {
-				t.Fatalf("warm %s: %d %s", url, rec.Code, rec.Body.String())
-			}
-		}
+	var digests []byte
+	sum := sha256.New()
+	hashResponse := func(url string, rec *httptest.ResponseRecorder) {
+		fmt.Fprintf(sum, "%s %d %d\n", url, rec.Code, rec.Body.Len())
+		sum.Write(rec.Body.Bytes())
+	}
+	endStep := func(step string) {
+		digests = fmt.Appendf(digests, "%s %x\n", step, sum.Sum(nil))
+		sum.Reset()
 	}
 
 	chain := newChainLog(d, 14)
-	warm()
+	for _, url := range urls() {
+		rec := get(t, h, url)
+		if rec.Code != 200 {
+			t.Fatalf("warm %s: %d %s", url, rec.Code, rec.Body.String())
+		}
+		hashResponse(url, rec)
+	}
+	endStep("boot")
 	for swap := 1; swap <= 8; swap++ {
 		var evs []store.Event
 		if swap%2 == 1 {
@@ -181,7 +200,12 @@ func TestSwapChainMatchesColdServer(t *testing.T) {
 			if g, w := withoutVersion(t, got.Body.Bytes()), withoutVersion(t, want.Body.Bytes()); g != w {
 				t.Fatalf("swap %d %s:\nserved %s\ncold   %s", swap, url, g, w)
 			}
+			hashResponse(url, got)
 		}
+		endStep(fmt.Sprintf("swap%d", swap))
+	}
+	if runtime.GOARCH == "amd64" {
+		golden.Check(t, "testdata/swapchain.golden", digests)
 	}
 }
 

@@ -2,18 +2,13 @@ package store
 
 import (
 	"encoding/csv"
-	"errors"
-	"fmt"
 	"io"
 	"strconv"
 
 	"weboftrust/internal/ratings"
 )
 
-// ErrCSV reports a malformed CSV export during import.
-var ErrCSV = errors.New("store: invalid csv")
-
-// ExportCSV writes the dataset as four CSV documents to the given writers
+// ExportCSV writes the dataset as five CSV documents to the given writers
 // (any may be nil to skip that section):
 //
 //	users:   id,name
@@ -113,117 +108,4 @@ func ExportCSV(ws CSVWriters, d *ratings.Dataset) error {
 		}
 	}
 	return nil
-}
-
-// CSVReaders carries the five sections for import. Users, Objects and
-// Reviews are required; Ratings and Trust may be nil.
-type CSVReaders struct {
-	Users, Objects, Reviews, Ratings, Trust io.Reader
-}
-
-// ImportCSV reconstructs a dataset from CSV sections written by ExportCSV.
-// Categories are created on first reference (in object order).
-func ImportCSV(rs CSVReaders) (*ratings.Dataset, error) {
-	if rs.Users == nil || rs.Objects == nil || rs.Reviews == nil {
-		return nil, fmt.Errorf("%w: users, objects and reviews sections are required", ErrCSV)
-	}
-	b := ratings.NewBuilder()
-
-	users, err := readAll(rs.Users, 2)
-	if err != nil {
-		return nil, fmt.Errorf("users: %w", err)
-	}
-	for i, rec := range users {
-		if rec[0] != strconv.Itoa(i) {
-			return nil, fmt.Errorf("%w: users row %d: id %q out of order", ErrCSV, i, rec[0])
-		}
-		b.AddUser(rec[1])
-	}
-
-	objects, err := readAll(rs.Objects, 3)
-	if err != nil {
-		return nil, fmt.Errorf("objects: %w", err)
-	}
-	catIDs := map[string]ratings.CategoryID{}
-	for i, rec := range objects {
-		if rec[0] != strconv.Itoa(i) {
-			return nil, fmt.Errorf("%w: objects row %d: id %q out of order", ErrCSV, i, rec[0])
-		}
-		cid, ok := catIDs[rec[1]]
-		if !ok {
-			cid = b.AddCategory(rec[1])
-			catIDs[rec[1]] = cid
-		}
-		if _, err := b.AddObject(cid, rec[2]); err != nil {
-			return nil, fmt.Errorf("%w: objects row %d: %v", ErrCSV, i, err)
-		}
-	}
-
-	reviews, err := readAll(rs.Reviews, 3)
-	if err != nil {
-		return nil, fmt.Errorf("reviews: %w", err)
-	}
-	for i, rec := range reviews {
-		if rec[0] != strconv.Itoa(i) {
-			return nil, fmt.Errorf("%w: reviews row %d: id %q out of order", ErrCSV, i, rec[0])
-		}
-		writer, err1 := strconv.Atoi(rec[1])
-		object, err2 := strconv.Atoi(rec[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: reviews row %d: bad ids", ErrCSV, i)
-		}
-		if _, err := b.AddReview(ratings.UserID(writer), ratings.ObjectID(object)); err != nil {
-			return nil, fmt.Errorf("%w: reviews row %d: %v", ErrCSV, i, err)
-		}
-	}
-
-	if rs.Ratings != nil {
-		recs, err := readAll(rs.Ratings, 3)
-		if err != nil {
-			return nil, fmt.Errorf("ratings: %w", err)
-		}
-		for i, rec := range recs {
-			rater, err1 := strconv.Atoi(rec[0])
-			review, err2 := strconv.Atoi(rec[1])
-			value, err3 := strconv.ParseFloat(rec[2], 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("%w: ratings row %d: bad fields", ErrCSV, i)
-			}
-			if err := b.AddRating(ratings.UserID(rater), ratings.ReviewID(review), value); err != nil {
-				return nil, fmt.Errorf("%w: ratings row %d: %v", ErrCSV, i, err)
-			}
-		}
-	}
-	if rs.Trust != nil {
-		recs, err := readAll(rs.Trust, 2)
-		if err != nil {
-			return nil, fmt.Errorf("trust: %w", err)
-		}
-		for i, rec := range recs {
-			from, err1 := strconv.Atoi(rec[0])
-			to, err2 := strconv.Atoi(rec[1])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("%w: trust row %d: bad ids", ErrCSV, i)
-			}
-			if err := b.AddTrust(ratings.UserID(from), ratings.UserID(to)); err != nil {
-				return nil, fmt.Errorf("%w: trust row %d: %v", ErrCSV, i, err)
-			}
-		}
-	}
-	return b.Build(), nil
-}
-
-// readAll reads a CSV document, checks the field count, and strips the
-// header row.
-func readAll(r io.Reader, fields int) ([][]string, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = fields
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCSV, err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%w: missing header", ErrCSV)
-	}
-	return recs[1:], nil
 }

@@ -1,3 +1,11 @@
+// Package store persists datasets as an append-only event log, the shape
+// a crawler or online community writes as it discovers entities: trustd
+// tails one, checkpoint.Load replays one, and every trustctl dataset is
+// one. Each record is framed as its payload length (uvarint), the
+// payload, and the payload's CRC-32C (4 bytes little-endian). Reads
+// verify every frame, and Replay re-validates every record through a
+// ratings.Builder, so a corrupted or inconsistent log never yields a
+// dataset. ExportCSV writes a dataset as CSV for interoperability.
 package store
 
 import (
@@ -26,8 +34,16 @@ const (
 	EvAddTrust
 )
 
-// ErrUnknownEvent reports an unrecognised event kind during replay.
-var ErrUnknownEvent = errors.New("store: unknown event kind")
+var (
+	// ErrUnknownEvent reports an unrecognised event kind during replay.
+	ErrUnknownEvent = errors.New("store: unknown event kind")
+	// ErrChecksum reports a log record whose payload fails its CRC.
+	ErrChecksum = errors.New("store: checksum mismatch")
+	// ErrCorrupt reports a structurally invalid log record.
+	ErrCorrupt = errors.New("store: corrupt data")
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxFrameBytes bounds one log record's payload — the only allocation a
 // log decoder sizes from wire data. Real records are tens of bytes; the

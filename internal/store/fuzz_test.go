@@ -1,10 +1,11 @@
-// Native fuzz targets for the binary decoders, pinning the hardening
-// invariant: no input — however corrupt or adversarial — may panic a
-// decoder or make it allocate meaningfully beyond the input's own length.
-// Any input that does decode must round-trip consistently. CI runs these
-// for a short smoke (`make fuzz-smoke`); longer local runs just work:
+// Native fuzz target for the event-log reader, the one decoder of
+// dataset input: no input, however corrupt or adversarial, may panic the
+// reader or move its offset past the input's end, and whatever decodes
+// replays without panicking. The reader's one allocation sized from wire
+// data, a record's payload, is capped at maxFrameBytes. CI runs it for a
+// short smoke (`make fuzz-smoke`); longer local runs just work:
 //
-//	go test -fuzz FuzzReadSnapshot -fuzztime 60s ./internal/store
+//	go test -fuzz FuzzLogReader -fuzztime 60s ./internal/store
 package store
 
 import (
@@ -53,44 +54,6 @@ func fuzzDataset(t testing.TB) *ratings.Dataset {
 		t.Fatal(err)
 	}
 	return b.Build()
-}
-
-func FuzzReadSnapshot(f *testing.F) {
-	d := fuzzDataset(f)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // torn
-	f.Add(valid[:8])            // magic only
-	f.Add([]byte{})
-	f.Add([]byte("WOTDS001"))
-	mutated := bytes.Clone(valid)
-	mutated[len(mutated)/3] ^= 0x40
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything that decodes must re-encode and decode to the same
-		// shape: the CRC means a successful read is a faithful one.
-		var out bytes.Buffer
-		if err := WriteSnapshot(&out, d); err != nil {
-			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
-		}
-		d2, err := ReadSnapshot(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if d2.NumUsers() != d.NumUsers() || d2.NumRatings() != d.NumRatings() ||
-			d2.NumReviews() != d.NumReviews() || d2.NumTrustEdges() != d.NumTrustEdges() {
-			t.Fatalf("round trip changed shape: %v vs %v", d, d2)
-		}
-	})
 }
 
 func FuzzLogReader(f *testing.F) {

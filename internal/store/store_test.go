@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"io"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,95 +67,59 @@ func datasetsEqual(a, b *ratings.Dataset) bool {
 	return true
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	d := genDataset(t)
+// writeLog returns d's event stream as one log.
+func writeLog(t testing.TB, d *ratings.Dataset) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
+	if err := AppendDataset(NewLogWriter(&buf), d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&buf)
+	return buf.Bytes()
+}
+
+// replayLog reads and replays a whole log into a dataset.
+func replayLog(raw []byte) (*ratings.Dataset, error) {
+	events, err := ReadLog(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if !datasetsEqual(d, got) {
-		t.Error("snapshot round trip lost data")
+	b := ratings.NewBuilder()
+	if err := Replay(events, b); err != nil {
+		return nil, err
 	}
-}
-
-func TestSnapshotEmptyDataset(t *testing.T) {
-	d := ratings.NewBuilder().Build()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumUsers() != 0 {
-		t.Error("empty dataset round trip not empty")
-	}
-}
-
-func TestSnapshotBadMagic(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("NOTMAGIC-extra"))); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("error = %v, want ErrBadMagic", err)
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(nil)); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("empty stream error = %v, want ErrBadMagic", err)
-	}
-}
-
-func TestSnapshotCorruptionDetected(t *testing.T) {
-	d := genDataset(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Flip a byte somewhere in the middle of the payload.
-	corrupted := make([]byte, len(raw))
-	copy(corrupted, raw)
-	corrupted[len(corrupted)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(corrupted)); err == nil {
-		t.Error("corrupted snapshot accepted")
-	}
-	// Truncations must also fail.
-	if _, err := ReadSnapshot(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("truncated snapshot accepted")
-	}
-}
-
-func TestSnapshotChecksumFlip(t *testing.T) {
-	d := genDataset(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0x01 // corrupt the checksum itself
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
-		t.Errorf("error = %v, want ErrChecksum", err)
-	}
+	return b.Build(), nil
 }
 
 func TestEventLogRoundTrip(t *testing.T) {
 	d := genDataset(t)
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	if err := AppendDataset(lw, d); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadLog(&buf)
+	got, err := replayLog(writeLog(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ratings.NewBuilder()
-	if err := Replay(events, b); err != nil {
+	if !datasetsEqual(d, got) {
+		t.Error("event log round trip lost data")
+	}
+}
+
+func TestEventLogEmptyDataset(t *testing.T) {
+	raw := writeLog(t, ratings.NewBuilder().Build())
+	if len(raw) != 0 {
+		t.Fatalf("empty dataset wrote %d bytes", len(raw))
+	}
+	got, err := replayLog(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !datasetsEqual(d, b.Build()) {
-		t.Error("event log round trip lost data")
+	if got.NumUsers() != 0 || got.NumCategories() != 0 {
+		t.Errorf("empty log replayed to %v", got)
+	}
+}
+
+func TestEventLogChecksumFlip(t *testing.T) {
+	raw := writeLog(t, genDataset(t))
+	raw[len(raw)-1] ^= 0x01 // corrupt the final record's checksum itself
+	if _, err := replayLog(raw); !errors.Is(err, ErrChecksum) {
+		t.Errorf("error = %v, want ErrChecksum", err)
 	}
 }
 
@@ -330,6 +298,8 @@ func TestLogWriterUnknownKind(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip parses every section ExportCSV writes back into
+// fields and checks them against the dataset, record for record.
 func TestCSVRoundTrip(t *testing.T) {
 	d := genDataset(t)
 	var users, objects, reviews, ratingsBuf, trust bytes.Buffer
@@ -340,87 +310,87 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ImportCSV(CSVReaders{
-		Users: &users, Objects: &objects, Reviews: &reviews,
-		Ratings: &ratingsBuf, Trust: &trust,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var want [5][][]string
+	for u := 0; u < d.NumUsers(); u++ {
+		want[0] = append(want[0], []string{strconv.Itoa(u), d.UserName(ratings.UserID(u))})
 	}
-	if !datasetsEqual(d, got) {
-		t.Error("csv round trip lost data")
+	for o := 0; o < d.NumObjects(); o++ {
+		obj := d.Object(ratings.ObjectID(o))
+		want[1] = append(want[1], []string{strconv.Itoa(o), d.CategoryName(obj.Category), obj.Name})
+	}
+	for r := 0; r < d.NumReviews(); r++ {
+		rev := d.Review(ratings.ReviewID(r))
+		want[2] = append(want[2], []string{strconv.Itoa(r), strconv.Itoa(int(rev.Writer)), strconv.Itoa(int(rev.Object))})
+	}
+	for _, rt := range d.Ratings() {
+		want[3] = append(want[3], []string{strconv.Itoa(int(rt.Rater)), strconv.Itoa(int(rt.Review)), strconv.FormatFloat(rt.Value, 'g', -1, 64)})
+	}
+	for _, e := range d.TrustEdges() {
+		want[4] = append(want[4], []string{strconv.Itoa(int(e.From)), strconv.Itoa(int(e.To))})
+	}
+	for i, sec := range []struct {
+		name   string
+		buf    *bytes.Buffer
+		header string
+	}{
+		{"users", &users, "id,name"},
+		{"objects", &objects, "id,category,name"},
+		{"reviews", &reviews, "id,writer,object"},
+		{"ratings", &ratingsBuf, "rater,review,value"},
+		{"trust", &trust, "from,to"},
+	} {
+		recs, err := csv.NewReader(sec.buf).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: %v", sec.name, err)
+		}
+		if got := strings.Join(recs[0], ","); got != sec.header {
+			t.Errorf("%s header = %q, want %q", sec.name, got, sec.header)
+		}
+		if !reflect.DeepEqual(recs[1:], want[i]) {
+			t.Errorf("%s: %d rows do not match the dataset's %d records", sec.name, len(recs)-1, len(want[i]))
+		}
 	}
 }
 
-func TestCSVImportErrors(t *testing.T) {
-	if _, err := ImportCSV(CSVReaders{}); !errors.Is(err, ErrCSV) {
-		t.Errorf("missing sections: %v", err)
-	}
-	bad := CSVReaders{
-		Users:   bytes.NewReader([]byte("id,name\n5,x\n")), // out of order
-		Objects: bytes.NewReader([]byte("id,category,name\n")),
-		Reviews: bytes.NewReader([]byte("id,writer,object\n")),
-	}
-	if _, err := ImportCSV(bad); !errors.Is(err, ErrCSV) {
-		t.Errorf("out-of-order ids: %v", err)
-	}
-	empty := CSVReaders{
-		Users:   bytes.NewReader(nil),
-		Objects: bytes.NewReader(nil),
-		Reviews: bytes.NewReader(nil),
-	}
-	if _, err := ImportCSV(empty); !errors.Is(err, ErrCSV) {
-		t.Errorf("empty sections: %v", err)
-	}
-}
-
-// Property: snapshot round trip is lossless for arbitrary random datasets.
-func TestSnapshotRoundTripQuick(t *testing.T) {
+// Property: the log round trip is lossless for arbitrary random
+// datasets.
+func TestEventLogRoundTripQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		d := randomDataset(seed)
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, d); err != nil {
-			return false
-		}
-		got, err := ReadSnapshot(&buf)
-		if err != nil {
-			return false
-		}
-		return datasetsEqual(d, got)
+		got, err := replayLog(writeLog(t, d))
+		return err == nil && datasetsEqual(d, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: every single-byte corruption of a snapshot is rejected.
-func TestSnapshotAnyCorruptionRejectedQuick(t *testing.T) {
+// TestEventLogAnyBitFlipRejected flips every bit of a valid log in turn.
+// Each flip must fail ReadLog with ErrChecksum or ErrCorrupt, read as a
+// torn tail (ErrTruncated), or replay to the very same dataset: no flip
+// may replay to a different one.
+func TestEventLogAnyBitFlipRejected(t *testing.T) {
 	d := randomDataset(7)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	f := func(posRaw uint16, flip uint8) bool {
-		if flip == 0 {
-			return true // no-op flip
+	raw := writeLog(t, d)
+	var rejected, torn int
+	for pos := range raw {
+		for bit := 0; bit < 8; bit++ {
+			flipped := bytes.Clone(raw)
+			flipped[pos] ^= 1 << bit
+			got, err := replayLog(flipped)
+			switch {
+			case errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt):
+				rejected++
+			case errors.Is(err, ErrTruncated):
+				torn++
+			case err != nil:
+				t.Fatalf("byte %d bit %d: error %v is not ErrChecksum, ErrCorrupt or ErrTruncated", pos, bit, err)
+			case !datasetsEqual(d, got):
+				t.Fatalf("byte %d bit %d: flipped log replayed to a different dataset", pos, bit)
+			}
 		}
-		pos := int(posRaw) % len(raw)
-		corrupted := make([]byte, len(raw))
-		copy(corrupted, raw)
-		corrupted[pos] ^= flip
-		got, err := ReadSnapshot(bytes.NewReader(corrupted))
-		if err != nil {
-			return true
-		}
-		// A successful read after corruption is only acceptable if the
-		// data decoded identically (e.g. flip inside a name is caught by
-		// CRC, so this should not happen).
-		return datasetsEqual(d, got)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
+	t.Logf("%d-byte log: %d flips rejected, %d read as torn", len(raw), rejected, torn)
 }
 
 func randomDataset(seed uint64) *ratings.Dataset {

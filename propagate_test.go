@@ -3,21 +3,18 @@ package weboftrust
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 
 	"weboftrust/internal/anomaly"
+	"weboftrust/internal/golden"
 	"weboftrust/internal/mat"
 	"weboftrust/internal/propagation"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/synth"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden digest files under testdata")
 
 // propagateGolden holds one SHA-256 per propagation algorithm,
 // anomalyGolden one per anomaly signal, and modelGolden one per model
@@ -87,7 +84,7 @@ func TestPropagateGolden(t *testing.T) {
 		}
 		got = fmt.Appendf(got, "%s %x\n", algo, h.Sum(nil))
 	}
-	checkGolden(t, propagateGolden, got)
+	golden.Check(t, propagateGolden, got)
 }
 
 // TestAnomalyGolden pins anomaly.Compute's scores to
@@ -124,7 +121,7 @@ func TestAnomalyGolden(t *testing.T) {
 		}
 		got = fmt.Appendf(got, "%s %x\n", sig.name, h.Sum(nil))
 	}
-	checkGolden(t, anomalyGolden, got)
+	golden.Check(t, anomalyGolden, got)
 }
 
 // TestModelGolden pins the derived model to testdata/model.golden: per
@@ -196,7 +193,7 @@ func TestModelGolden(t *testing.T) {
 			got = fmt.Appendf(got, "%s/%s %x\n", c.name, a.name, h.Sum(nil))
 		}
 	}
-	checkGolden(t, modelGolden, got)
+	golden.Check(t, modelGolden, got)
 }
 
 // denseWords feeds m's entries' bits to word in row-major order.
@@ -205,24 +202,6 @@ func denseWords(m *mat.Dense, word func(uint64)) {
 		for _, x := range m.Row(i) {
 			word(math.Float64bits(x))
 		}
-	}
-}
-
-// checkGolden compares got with the digest file at path, rewriting the
-// file first under -update.
-func checkGolden(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("%s digests moved:\n got:\n%s want:\n%s", path, got, want)
 	}
 }
 

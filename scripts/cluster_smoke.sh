@@ -47,8 +47,7 @@ go build -o "$workdir/trustd" ./cmd/trustd
 go build -o "$workdir/trustctl" ./cmd/trustctl
 
 echo "== generating community and event log"
-"$workdir/trustctl" generate -preset small -out "$workdir/data.wot" >/dev/null
-"$workdir/trustctl" exportlog -in "$workdir/data.wot" -log "$workdir/events.log" >/dev/null
+"$workdir/trustctl" generate -preset small -out "$workdir/events.log" >/dev/null
 users=300 # synth.Small community size
 
 echo "== writing one spec-free checkpoint of the log"
