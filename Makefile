@@ -35,8 +35,8 @@ bench-smoke:
 # as a multiple of BenchmarkPipelineRun/workers=1 grows over 1.25× its
 # multiple in the baseline: BenchmarkIngestSwap vs BENCH_pr16.json,
 # BenchmarkPropagateExact/tidaltrust vs BENCH_pr21.json,
-# BenchmarkIngestSwapWarm and BenchmarkServerPropagateMiss vs
-# BENCH_pr22.json.
+# BenchmarkIngestSwapWarm (a tick plus the warm its swap runs after
+# publishing) and BenchmarkServerPropagateMiss vs BENCH_pr22.json.
 bench-guard:
 	./scripts/check_allocs.sh
 
@@ -68,12 +68,13 @@ cluster-smoke:
 # response must be byte-identical to the unsharded reference or
 # explicitly labeled degraded. Includes the fault
 # injector's and failure-layer unit tests, and 50 race-detector runs of
-# the result-cache tests: a scheduling flake seen in 4 of 100 single runs
-# shows up in one run about 4% of the time, in 50 runs about 87%.
+# the result-cache tests and of the post-publish warm's lifecycle tests:
+# a scheduling flake seen in 4 of 100 single runs shows up in one run
+# about 4% of the time, in 50 runs about 87%.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestBreaker|TestAdmission|TestTailer' ./internal/router ./internal/server
 	$(GO) test -race -count=1 ./internal/faulty
-	$(GO) test -race -count=50 -run 'TestResultCache|TestOversizedKSharesOneEntry|TestLeaderPanic|TestSingleflight' ./internal/server
+	$(GO) test -race -count=50 -run 'TestResultCache|TestOversizedKSharesOneEntry|TestLeaderPanic|TestSingleflight|TestWarmDemandSurvivesReplacedState|TestReadsRacingWarmMatchCold' ./internal/server
 
 # fuzz-smoke gives each binary-decoder fuzz target (the event log, the one
 # fuzzed dataset input, and the checkpoint bundle; plus the graph

@@ -17,7 +17,7 @@ import (
 // -export-log the attacked dataset is additionally rendered as an event
 // log, which any trustd serve, sharded or not, replays whole.
 func cmdAttack(args []string) error {
-	fs := flag.NewFlagSet("attack", flag.ExitOnError)
+	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
 	scenario := fs.String("scenario", "", "one scenario JSON file to run")
 	dir := fs.String("dir", "", "directory of scenario JSON files (e.g. scenarios/)")
 	jsonOut := fs.String("json", "", "write the resistance-metrics report JSON to this path")

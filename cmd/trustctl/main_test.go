@@ -274,6 +274,8 @@ func TestArgumentErrors(t *testing.T) {
 		{[]string{"export", "-log", path}, ""}, // missing -dir
 		{[]string{"ingest", "-log", path, "-out", "y"}, "unknown subcommand"},
 		{[]string{"exportlog", "-in", "x", "-log", "y"}, "unknown subcommand"},
+		{[]string{"attack", "-bogus"}, "-bogus"},
+		{[]string{"attack"}, "exactly one of -scenario or -dir"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

@@ -88,8 +88,9 @@ func scrape(t *testing.T, page, base string) map[string]bool {
 
 // TestMetricsExposition checks the exposition contract on trustd while
 // pending, on trustd loaded with every conditional family present (rank,
-// anomaly and an appleseed landmark sketch forced, a checkpoint status
-// set, a web built), and on the router fronting it.
+// anomaly and an appleseed landmark sketch forced and warmed again after
+// a swap, a checkpoint status set, a web built), and on the router
+// fronting it.
 func TestMetricsExposition(t *testing.T) {
 	pending := httptest.NewServer(server.NewPending(server.Options{}).Handler())
 	t.Cleanup(pending.Close)
@@ -116,6 +117,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("loaded trustd %s: %d %s", p, code, body)
 		}
 	}
+	// A swap after those queries warms what they forced, so the warm
+	// families count one finished warm.
+	srv.Swap(model, 0)
+	srv.WaitWarm()
 	if _, _, err := server.NewCheckpointer(srv, t.TempDir(), 0, 0).WriteNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"trustd_model_version", "trustd_rank_iterations", "trustd_anomaly_scored_users",
 		"trustd_anomaly_max_score", "trustd_landmark_count", "trustd_checkpoint_age_seconds",
-		"trustd_web_edges",
+		"trustd_web_edges", "trustd_warm_seconds", "trustd_warms_total",
 	} {
 		if !fams[want] {
 			t.Errorf("loaded trustd /metrics lacks %s", want)

@@ -9,11 +9,11 @@ import (
 )
 
 // lazyAnomaly defers the full scoring pass (internal/anomaly) until the
-// first anomaly query, or until a swap whose predecessor had scored
-// carries that demand over. Scores are a pure function of (dataset, web
-// graph), so every replica serves identical scores regardless of its
-// swap cadence — the property that lets the router fan /v1/anomaly out
-// to any shard.
+// first anomaly query, or until the post-publish warm of a swap whose
+// predecessor wanted scores; the warm forces it after the landmark
+// chain. Scores are a pure function of (dataset, web graph), so every
+// replica serves identical scores regardless of its swap cadence — the
+// property that lets the router fan /v1/anomaly out to any shard.
 func (s *Server) lazyAnomaly(model *weboftrust.TrustModel) *lazy[*anomaly.Scores] {
 	return newLazy(func() *anomaly.Scores {
 		s.metrics.anomalyComputes.Add(1)

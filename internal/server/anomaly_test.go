@@ -84,8 +84,8 @@ func TestAnomalyEndpoint(t *testing.T) {
 }
 
 // TestAnomalyIncrementalSwap: once a state's scores are forced, the
-// swap that replaces it warms the new state's scores before publishing
-// them — bitwise equal to a cold Compute over the new dataset (the
+// swap that replaces it warms the new state's scores after publishing
+// it — bitwise equal to a cold Compute over the new dataset (the
 // replica byte-identity property at single-server scope). The metrics
 // scrape reports the vector without ever forcing one.
 func TestAnomalyIncrementalSwap(t *testing.T) {
@@ -114,6 +114,7 @@ func TestAnomalyIncrementalSwap(t *testing.T) {
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
+	srv.WaitWarm()
 	st := srv.cur.Load()
 	sc, ok := st.anomaly.peek()
 	if !ok {

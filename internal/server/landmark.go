@@ -17,9 +17,9 @@ const DefaultLandmarks = 16
 // landmarkState is a state's landmark sketches: the L top-ranked hubs'
 // full propagation vectors, one set per algorithm, backing the
 // `?approx=landmark` serving mode. Like the anomaly scores, each builds
-// on first use — the L full traversals stay off the boot path — or
-// before a swap publishes, when the predecessor had built it (see
-// Server.newState). The landmark selection derives from the state's own
+// on first use — the L full traversals stay off the boot path — or in
+// the warm after a swap publishes, when the predecessor wanted it (see
+// Server.Swap). The landmark selection derives from the state's own
 // cold rank vector, so it — and therefore every served sketch — is a
 // function of the model alone.
 type landmarkState struct {

@@ -94,10 +94,11 @@ func TestLandmarkApproxMatchesFacade(t *testing.T) {
 }
 
 // TestLandmarkRefreshAcrossSwap pins the sketch lifecycle: a sketch the
-// predecessor built is warmed before the swap publishes (no query-path
-// rebuild), sketches nobody asked for stay lazy, cached landmark answers
-// are dropped, the warmed sketch equals a cold build over the new model,
-// and trustd_landmark_builds_total counts every build.
+// predecessor built is warmed after the swap publishes (no query-path
+// rebuild once the warm is done), sketches nobody asked for stay lazy,
+// cached landmark answers are dropped, the warmed sketch equals a cold
+// build over the new model, and trustd_landmark_builds_total counts
+// every build.
 func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	path, d := writeLogFile(t)
 	srv, tailer, err := Open(path, time.Hour, Options{})
@@ -117,6 +118,7 @@ func TestLandmarkRefreshAcrossSwap(t *testing.T) {
 	if n, err := tailer.Poll(); err != nil || n == 0 {
 		t.Fatalf("poll: n=%d err=%v", n, err)
 	}
+	srv.WaitWarm()
 	if got := srv.metrics.landmarkBuilds.Load(); got != 2 {
 		t.Fatalf("landmark builds = %d after the swap, want 2 (appleseed was built)", got)
 	}

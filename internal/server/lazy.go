@@ -8,14 +8,15 @@ import (
 // lazy holds one per-state artifact — the rank vector, the anomaly
 // scores, the landmark selection, a landmark sketch — through the
 // lifecycle they all share. Each computes on first use, keeping the work
-// off the boot path; a swap forces, before publishing, the holders its
-// predecessor had forced (Server.newState). get computes at most once
+// off the boot path; a swap's warm forces, after it publishes, the
+// holders its predecessor wanted (Server.warm). get computes at most once
 // and coalesces concurrent callers; peek reports the value only if it
 // already exists, so a metrics scrape never forces work. The value is
 // immutable once present.
 type lazy[T any] struct {
 	once    sync.Once
 	done    atomic.Bool
+	wanted  atomic.Bool // set by get; inherit carries it across a swap
 	compute func() T
 	v       T
 }
@@ -25,9 +26,11 @@ func newLazy[T any](compute func() T) *lazy[T] {
 	return &lazy[T]{compute: compute}
 }
 
-// get returns the value, computing it on first use.
+// get returns the value, computing it on first use, which also marks the
+// holder wanted (once, so hits never write).
 func (l *lazy[T]) get() T {
 	l.once.Do(func() {
+		l.wanted.Store(true)
 		l.v = l.compute()
 		l.compute = nil
 		l.done.Store(true)
@@ -45,12 +48,14 @@ func (l *lazy[T]) peek() (T, bool) {
 	return l.v, true
 }
 
-// warm forces next through get if prev's value exists: the swap rule
-// that carries a predecessor's forced artifacts, and only those, over to
-// the state replacing it. The rule is sticky: next's value now exists
-// too, so the swap after it warms the artifact again, queried or not.
-func warm[T any](prev, next *lazy[T]) {
-	if _, ok := prev.peek(); ok {
-		next.get()
+// inherit marks next wanted if prev was, computed or not, and appends
+// next's get to demand: the swap rule that carries demand, and only that,
+// to the state replacing prev. It is sticky, since the warm's get keeps
+// next wanted. Nil holders (a disabled artifact) carry nothing.
+func inherit[T any](demand []func(), prev, next *lazy[T]) []func() {
+	if prev == nil || !prev.wanted.Load() {
+		return demand
 	}
+	next.wanted.Store(true)
+	return append(demand, func() { next.get() })
 }

@@ -64,6 +64,10 @@ type state struct {
 	// shard is the /v1/stats and /metrics partition block, computed once
 	// per model; nil when the model is unsharded.
 	shard *ShardStats
+	// demand is the gets of the holders the state inherited demand for, in
+	// warm order; warmed closes when their warm ends. Nil if none.
+	demand []func()
+	warmed chan struct{}
 }
 
 // Options tunes a Server. The zero value uses the defaults.
@@ -133,6 +137,9 @@ type Server struct {
 	// the leader here until every concurrent request has missed, and
 	// panic here to fail a leader.
 	computeGate func(u ratings.UserID)
+	// warmGate, when non-nil, runs on a warm before each holder. Test
+	// hook: the warm tests park a state's warm here while swaps land.
+	warmGate func(version uint64)
 }
 
 // setCheckpointStatus publishes the newest durable state; nil-safe
@@ -184,6 +191,10 @@ type metrics struct {
 	// killing ingest.
 	shed          atomic.Int64
 	tailTransient atomic.Int64
+	// Post-publish warms: wall-clock, and how many finished or abandoned.
+	warmNanos      atomic.Int64
+	warmsDone      atomic.Int64
+	warmsAbandoned atomic.Int64
 }
 
 const (
@@ -240,11 +251,10 @@ func (s *Server) SetReadyTarget(offset int64) { s.readyTarget.Store(offset) }
 // predecessor's answers wholesale. Its per-state artifacts — the rank
 // vector, the anomaly scores, the landmark selection and each landmark
 // sketch — compute lazily on first use, as a function of the model
-// alone. One warm rule carries demand across a swap: before the state is
-// published, it forces exactly the artifacts prev had forced, through
-// the same get the query path uses. A warmed artifact counts as forced,
-// so once a query forces one, every later swap warms it until restart;
-// a swap computes no artifact that no query has asked for since boot.
+// alone. One warm rule carries demand across a swap: each holder
+// inherits prev's wanted flag, and Swap's warm forces the wanted holders
+// after publishing. Once a query forces one, every later swap warms it
+// until restart; a swap computes no artifact no query has asked for.
 func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version uint64, prev *state) *state {
 	st := &state{
 		model:   model,
@@ -261,11 +271,16 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 		return st
 	}
 	s.metrics.cacheDropped.Add(int64(prev.results.len()))
-	warm(prev.rank, st.rank)
-	warm(prev.anomaly, st.anomaly)
-	warm(prev.landmarks.ids, st.landmarks.ids)
+	// Warm order: the landmark chain (rank, selection, sketches) before
+	// the anomaly pass (DESIGN.md §11).
+	st.demand = inherit(st.demand, prev.rank, st.rank)
+	st.demand = inherit(st.demand, prev.landmarks.ids, st.landmarks.ids)
 	for a := range st.landmarks.algos {
-		warm(prev.landmarks.algos[a], st.landmarks.algos[a])
+		st.demand = inherit(st.demand, prev.landmarks.algos[a], st.landmarks.algos[a])
+	}
+	st.demand = inherit(st.demand, prev.anomaly, st.anomaly)
+	if st.demand != nil {
+		st.warmed = make(chan struct{})
 	}
 	return st
 }
@@ -276,16 +291,50 @@ func (s *Server) newState(model *weboftrust.TrustModel, offset int64, version ui
 // queries never block on it. The first Swap into a pending server
 // publishes version 1 — the same version New stamps — so a
 // boot-then-swap daemon and a New-constructed one number their states
-// identically.
+// identically. Swap returns at publish, and warms the new state after.
 func (s *Server) Swap(model *weboftrust.TrustModel, offset int64) {
 	var version uint64 = 1
 	prev := s.cur.Load()
 	if prev != nil {
 		version = prev.version + 1
 	}
-	s.cur.Store(s.newState(model, offset, version, prev))
+	st := s.newState(model, offset, version, prev)
+	s.cur.Store(st)
 	s.metrics.swaps.Add(1)
 	s.metrics.lastSwapNanos.Store(time.Now().UnixNano())
+	if st.warmed != nil {
+		go s.warm(st)
+	}
+}
+
+// warm forces st's demand in order on one goroutine, through the get a
+// query uses, so a query that reaches a holder first computes it. Before
+// each holder it checks that st is still served, and stops if a swap has
+// replaced it: the successor inherited the same demand.
+func (s *Server) warm(st *state) {
+	start := time.Now()
+	outcome := &s.metrics.warmsDone
+	for _, get := range st.demand {
+		if s.warmGate != nil {
+			s.warmGate(st.version)
+		}
+		if s.cur.Load() != st {
+			outcome = &s.metrics.warmsAbandoned
+			break
+		}
+		get()
+	}
+	s.metrics.warmNanos.Add(time.Since(start).Nanoseconds())
+	outcome.Add(1)
+	close(st.warmed)
+}
+
+// WaitWarm blocks until the served state's post-publish warm has ended,
+// finished or abandoned; at once if there is no state or nothing to warm.
+func (s *Server) WaitWarm() {
+	if st := s.cur.Load(); st != nil && st.warmed != nil {
+		<-st.warmed
+	}
 }
 
 // Current returns the served model, its event-log offset and version —
@@ -339,7 +388,7 @@ func (s *Server) fillScore(st *state, kind resultKind, u ratings.UserID, dst []f
 	case kindAppleseedLandmark, kindMoleTrustLandmark, kindTidalTrustLandmark:
 		// Landmark composition instead of a traversal: O(L·U) over the
 		// state's sketch (built on the first landmark query of this
-		// algorithm, or before publish when the predecessor had built it).
+		// algorithm, or by the warm when the predecessor wanted it).
 		algo := weboftrust.PropagationAlgo(kind - kindAppleseedLandmark)
 		sk := st.landmarks.algos[algo].get()
 		if err := st.model.ComposeLandmarks(sk, u, dst); err != nil {
@@ -964,6 +1013,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("trustd_result_cache_misses_total", "Ranked-result cache misses.", s.metrics.cacheMisses.Load())
 	counter("trustd_row_computes_total", "Trust rows actually evaluated (misses minus requests that waited on another's computation).", s.metrics.rowComputes.Load())
 	counter("trustd_swaps_total", "Model swaps performed by ingest.", s.metrics.swaps.Load())
+	fmt.Fprintf(w, "# HELP trustd_warm_seconds Cumulative wall-clock of post-publish warms (the rank, landmark and anomaly builds a swap forces after it publishes).\n# TYPE trustd_warm_seconds counter\ntrustd_warm_seconds %g\n",
+		float64(s.metrics.warmNanos.Load())/1e9)
+	fmt.Fprintf(w, "# HELP trustd_warms_total Post-publish warms, by outcome: done, or abandoned because a swap replaced their state.\n# TYPE trustd_warms_total counter\n")
+	fmt.Fprintf(w, "trustd_warms_total{outcome=\"done\"} %d\ntrustd_warms_total{outcome=\"abandoned\"} %d\n", s.metrics.warmsDone.Load(), s.metrics.warmsAbandoned.Load())
 	counter("trustd_cache_carryover_dropped_total", "Result-cache entries discarded at swaps (every swap starts an empty cache).", s.metrics.cacheDropped.Load())
 	counter("trustd_events_ingested_total", "Event-log records ingested since start.", s.metrics.eventsIngested.Load())
 	counter("trustd_log_truncated_reads_total", "Tail reads that hit a torn final record.", s.metrics.truncatedReads.Load())

@@ -230,11 +230,11 @@ func forcedHolders(st *state) []string {
 	return names
 }
 
-// TestSwapWarmsOnlyForcedHolders pins the swap's one warm rule: before
-// publishing, a swap forces exactly the per-state artifacts its
+// TestSwapWarmsOnlyForcedHolders pins the swap's one warm rule: after
+// publishing, a swap's warm forces exactly the per-state artifacts its
 // predecessor had forced. Three swaps under top-k and exact propagation
 // traffic force nothing and score no anomalies; once rank, anomaly and
-// the appleseed sketch are forced, the next swap publishes a state
+// the appleseed sketch are forced, the next swap's warm leaves a state
 // holding exactly those plus the landmark selection the sketch needs,
 // with the moletrust and tidaltrust sketches still lazy. The rule is
 // sticky: a swap after no query at all warms the same holders again.
@@ -261,6 +261,7 @@ func TestSwapWarmsOnlyForcedHolders(t *testing.T) {
 		if n, err := tailer.Poll(); err != nil || n != len(evs) {
 			t.Fatalf("poll n=%d err=%v, want %d events", n, err, len(evs))
 		}
+		srv.WaitWarm()
 	}
 
 	for range 3 {

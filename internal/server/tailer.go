@@ -85,10 +85,12 @@ func (t *Tailer) Offset() int64 { return t.offset }
 
 // Poll ingests every complete record currently past the checkpoint and, if
 // there were any, swaps an updated model into the server. It returns the
-// number of events ingested. Safe to call from one goroutine (Run's, or a
-// test's — not both). After an ingest error (an invalid event in the log,
-// a failed update) the tailer is poisoned: every later Poll returns the
-// same error rather than re-applying events to the half-mutated builder.
+// number of events ingested once the new state is published; its warm
+// runs after (Server.Swap, Server.WaitWarm). Safe to call from one
+// goroutine (Run's, or a test's — not both). After an ingest error (an
+// invalid event in the log, a failed update) the tailer is poisoned: every
+// later Poll returns the same error rather than re-applying events to the
+// half-mutated builder.
 func (t *Tailer) Poll() (int, error) {
 	if t.failed != nil {
 		return 0, t.failed

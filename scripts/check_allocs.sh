@@ -20,7 +20,9 @@
 #                            same rule, vs BENCH_pr22.json: the tick of a
 #                            daemon whose rank, anomaly scores and
 #                            appleseed landmark sketch were queried, so
-#                            every swap rebuilds them before it publishes.
+#                            every swap rebuilds them after it publishes;
+#                            each iteration waits for that warm, so the
+#                            gate still times the rebuild.
 #   BenchmarkServerPropagateMiss
 #                            ns/op against the same reference under the
 #                            same rule, vs BENCH_pr22.json: an uncached
