@@ -29,9 +29,10 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_FILTER)' -benchtime 1x .
 
-# bench-guard fails if the serving hot paths' allocs/op regress above
-# their recorded baselines (cached /v1/topk hit vs BENCH_pr3.json, cached
-# /v1/propagate hit vs BENCH_pr10.json), or if a gated benchmark's time
+# bench-guard fails if the serving hot paths' or the warm restart's
+# allocs/op regress above their recorded baselines (cached /v1/topk hit vs
+# BENCH_pr3.json, cached /v1/propagate hit vs BENCH_pr10.json, checkpoint
+# restore vs BENCH_pr26.json), or if a gated benchmark's time
 # as a multiple of BenchmarkPipelineRun/workers=1 grows over 1.25× its
 # multiple in the baseline: BenchmarkIngestSwap vs BENCH_pr16.json,
 # BenchmarkPropagateExact/tidaltrust vs BENCH_pr21.json,
@@ -76,10 +77,11 @@ chaos-smoke:
 	$(GO) test -race -count=1 ./internal/faulty
 	$(GO) test -race -count=50 -run 'TestResultCache|TestOversizedKSharesOneEntry|TestLeaderPanic|TestSingleflight|TestWarmDemandSurvivesReplacedState|TestReadsRacingWarmMatchCold' ./internal/server
 
-# fuzz-smoke gives each binary-decoder fuzz target (the event log, the one
-# fuzzed dataset input, and the checkpoint bundle; plus the graph
-# constructor's edge validation) a short adversarial run ($(FUZZTIME)
-# apiece); a panic or over-allocation fails CI. go test accepts one -fuzz
+# fuzz-smoke gives each binary-decoder fuzz target (the event log and the
+# checkpoint bundle, whose target re-seals each input's checksum so that
+# mutations reach the section decoders; plus the graph constructor's edge
+# validation) a short adversarial run ($(FUZZTIME) apiece); a panic or
+# over-allocation fails CI. go test accepts one -fuzz
 # pattern per package invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzLogReader$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -29,11 +29,9 @@
 //	crc32c of everything after the magic (4 bytes little-endian)
 //
 // A bundle holds the complete model whatever shard wrote it, so it
-// restores under any shard spec and any web policy. Read also accepts
-// version 1 (this layout) and version 2 bundles whose recorded shard spec
-// is 0/1 (this layout with a shard index and count after the
-// fingerprint). A sharded version-2 bundle held only its shard's rows and
-// fails with ErrBadVersion; a boot then replays the log cold.
+// restores under any shard spec and any web policy. Read restores
+// version 3 only: a version-1 or version-2 bundle fails with
+// ErrBadVersion, and a boot replays the log cold.
 //
 // Floats are serialised as their exact IEEE-754 bits, and neither the
 // derived-trust index (row sums, expert bitsets, packed expert lists and
@@ -43,16 +41,18 @@
 // count. A restored model therefore serves values bitwise-identical to
 // the Derive it checkpoints — pinned by the round-trip property tests.
 //
-// The decoder is hardened against corrupt or adversarial input: bulk
-// sections are read through a chunk-growing buffer bounded by the bytes
-// actually present, the embedded image applies the same
-// remaining-bytes bound to every entity count, every later count is
-// validated against the dataset's (now-decoded) dimensions before any
-// allocation, and the trailing checksum rejects any surviving bit-rot.
+// Write builds the bundle in one slice and Read decodes it from one. Read
+// checks the magic, the version and the trailing checksum before it
+// parses any section, then decodes every section, the embedded dataset
+// image included, through internal/wire's bounded reader: every count is
+// bounded by the bytes remaining or by the decoded dataset's dimensions
+// before it sizes an allocation, every id is range-checked, and bytes
+// left over fail the read. Every value is copied out of the input, so
+// the file's bytes are garbage once Read returns.
 package checkpoint
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,13 +65,14 @@ import (
 	"weboftrust/internal/mat"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/riggs"
+	"weboftrust/internal/wire"
 )
 
 var (
 	// ErrBadMagic reports a stream that is not a checkpoint.
 	ErrBadMagic = errors.New("checkpoint: bad magic")
 	// ErrBadVersion reports a checkpoint in a format version this reader
-	// does not restore: an unknown version, or a sharded version-2 bundle.
+	// does not restore: any version but 3.
 	ErrBadVersion = errors.New("checkpoint: unsupported format version")
 	// ErrChecksum reports checkpoint corruption caught by the CRC.
 	ErrChecksum = errors.New("checkpoint: checksum mismatch")
@@ -90,17 +91,13 @@ var magic = [8]byte{'W', 'O', 'T', 'C', 'K', '0', '0', '1'}
 // formatVersion is bumped on any incompatible layout change. Version 3
 // is version 1's layout again: version 2 added a shard spec, and for
 // sharded bundles a compact affinity section and a serialised web graph,
-// which bundles no longer need (see the package comment for what Read
-// still accepts).
+// which bundles no longer need.
 const formatVersion = 3
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// checksumLen is the size of the trailing CRC-32C.
+const checksumLen = 4
 
-// maxDatasetBytes caps the embedded dataset image's declared length. The
-// image is read through a chunk-growing buffer regardless, so a forged
-// length under the cap still cannot allocate more than the bytes actually
-// present — this bound just fails obvious garbage fast.
-const maxDatasetBytes = 1 << 31
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Info locates a checkpoint against its event log.
 type Info struct {
@@ -142,73 +139,92 @@ func (in Info) Resume(currentLogSize int64) int64 {
 // unknown: the log held at least the bytes the model consumed, which is
 // all Info.Resume needs from non-compaction checkpoints).
 func Write(w io.Writer, m *weboftrust.TrustModel, offset, logSize int64) error {
-	if m == nil {
-		return fmt.Errorf("checkpoint: nil model")
-	}
-	if offset < 0 {
-		return fmt.Errorf("checkpoint: negative offset %d", offset)
-	}
-	if logSize < offset {
-		return fmt.Errorf("checkpoint: log size %d below offset %d", logSize, offset)
-	}
-	d, art := m.Dataset(), m.Artifacts()
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	b, err := encode(m, offset, logSize)
+	if err != nil {
 		return err
 	}
-	crc := crc32.New(castagnoli)
-	enc := &encoder{w: io.MultiWriter(bw, crc)}
+	_, err = w.Write(b)
+	return err
+}
 
-	enc.uvarint(formatVersion)
-	enc.fixed64(m.Fingerprint())
-	enc.uvarint(uint64(offset))
-	enc.uvarint(uint64(logSize))
-
-	// Embedded dataset image, length-prefixed so the decoder can bound
-	// the section before decoding it.
-	img := ratings.AppendImage(nil, d)
-	enc.uvarint(uint64(len(img)))
-	enc.bytes(img)
-
-	if len(art.RiggsResults) != d.NumCategories() {
-		return fmt.Errorf("checkpoint: %d riggs results for %d categories",
-			len(art.RiggsResults), d.NumCategories())
+// encode builds the whole bundle in one slice.
+func encode(m *weboftrust.TrustModel, offset, logSize int64) ([]byte, error) {
+	if m == nil {
+		return nil, fmt.Errorf("checkpoint: nil model")
 	}
+	if offset < 0 {
+		return nil, fmt.Errorf("checkpoint: negative offset %d", offset)
+	}
+	if logSize < offset {
+		return nil, fmt.Errorf("checkpoint: log size %d below offset %d", logSize, offset)
+	}
+	d, art := m.Dataset(), m.Artifacts()
+	numU, numC := d.NumUsers(), d.NumCategories()
+	for _, x := range []*mat.Dense{art.Expertise, art.Affinity} {
+		if x == nil || x.Rows() != numU || x.Cols() != numC {
+			return nil, fmt.Errorf("checkpoint: matrix shape mismatch (want %dx%d)", numU, numC)
+		}
+	}
+	if len(art.RiggsResults) != numC {
+		return nil, fmt.Errorf("checkpoint: %d riggs results for %d categories", len(art.RiggsResults), numC)
+	}
+	// The embedded dataset image is length-prefixed so the decoder can
+	// bound the section before decoding it.
+	img := ratings.AppendImage(nil, d)
+	// size bounds the bundle: the header and checksum, the image, E and
+	// A, and per category its ids and counts at up to 10 varint bytes
+	// each beside their 8-byte floats.
+	size := 64 + len(img) + 2*8*numU*numC
 	for c, cr := range art.RiggsResults {
 		if cr == nil || len(cr.Quality) != len(cr.Reviews) ||
 			len(cr.RaterRep) != len(cr.Raters) || len(cr.RaterCount) != len(cr.Raters) {
-			return fmt.Errorf("checkpoint: malformed riggs result %d", c)
+			return nil, fmt.Errorf("checkpoint: malformed riggs result %d", c)
 		}
-		enc.uvarint(uint64(len(cr.Reviews)))
+		size += 21 + 18*len(cr.Reviews) + 28*len(cr.Raters)
+	}
+
+	b := make([]byte, 0, size)
+	b = append(b, magic[:]...)
+	b = binary.AppendUvarint(b, formatVersion)
+	b = binary.LittleEndian.AppendUint64(b, m.Fingerprint())
+	b = binary.AppendUvarint(b, uint64(offset))
+	b = binary.AppendUvarint(b, uint64(logSize))
+	b = binary.AppendUvarint(b, uint64(len(img)))
+	b = append(b, img...)
+	for _, cr := range art.RiggsResults {
+		b = binary.AppendUvarint(b, uint64(len(cr.Reviews)))
 		for _, r := range cr.Reviews {
-			enc.uvarint(uint64(r))
+			b = binary.AppendUvarint(b, uint64(r))
 		}
-		enc.floats(cr.Quality)
-		enc.uvarint(uint64(len(cr.Raters)))
+		b = appendFloats(b, cr.Quality)
+		b = binary.AppendUvarint(b, uint64(len(cr.Raters)))
 		for _, u := range cr.Raters {
-			enc.uvarint(uint64(u))
+			b = binary.AppendUvarint(b, uint64(u))
 		}
-		enc.floats(cr.RaterRep)
+		b = appendFloats(b, cr.RaterRep)
 		for _, n := range cr.RaterCount {
-			enc.uvarint(uint64(n))
+			b = binary.AppendUvarint(b, uint64(n))
 		}
-		enc.uvarint(uint64(cr.Iterations))
-		enc.boolByte(cr.Converged)
+		b = binary.AppendUvarint(b, uint64(cr.Iterations))
+		converged := byte(0)
+		if cr.Converged {
+			converged = 1
+		}
+		b = append(b, converged)
 	}
+	for _, x := range []*mat.Dense{art.Expertise, art.Affinity} {
+		for i := 0; i < numU; i++ {
+			b = appendFloats(b, x.Row(i))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[len(magic):], castagnoli)), nil
+}
 
-	enc.matrix(art.Expertise, d.NumUsers(), d.NumCategories())
-	enc.matrix(art.Affinity, d.NumUsers(), d.NumCategories())
-	if enc.err != nil {
-		return enc.err
+func appendFloats(b []byte, fs []float64) []byte {
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
-
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := bw.Write(sum[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return b
 }
 
 // Read restores a model from r. opts must be the derive options the
@@ -217,106 +233,94 @@ func Write(w io.Writer, m *weboftrust.TrustModel, offset, logSize int64) error {
 // under their worker setting. The returned offset is the event-log
 // position the model reflects — the place to resume tailing from.
 func Read(r io.Reader, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info, error) {
-	return read(r, 0, opts...)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, Info{}, fmt.Errorf("checkpoint: %w", err)
+	}
+	return decode(data, opts...)
 }
 
-// read is Read with a total-size hint (0 = unknown): when the caller
-// knows how many bytes the stream can possibly hold (ReadFile stats the
-// file), bulk sections under that bound allocate exactly once instead of
-// growing geometrically.
-func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info, error) {
+// decode restores a model from a whole bundle; see Read.
+func decode(data []byte, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info, error) {
 	servingFingerprint, err := weboftrust.Fingerprint(opts...)
 	if err != nil {
 		return nil, Info{}, err
 	}
-
-	br := bufio.NewReaderSize(r, 1<<16)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, Info{}, fmt.Errorf("%w: %v", ErrBadMagic, err)
-	}
-	if m != magic {
+	if !bytes.HasPrefix(data, magic[:]) {
 		return nil, Info{}, ErrBadMagic
 	}
-	crc := crc32.New(castagnoli)
-	dec := &decoder{r: br, crc: crc, sizeHint: sizeHint}
-
-	version := dec.uvarint()
-	if dec.err == nil && version != 1 && version != 2 && version != formatVersion {
+	body := data[len(magic):]
+	if len(body) < checksumLen {
+		return nil, Info{}, fmt.Errorf("%w: missing checksum", ErrCorrupt)
+	}
+	body, sum := body[:len(body)-checksumLen], binary.LittleEndian.Uint32(body[len(body)-checksumLen:])
+	r := wire.NewReader(body, ErrCorrupt)
+	if version := r.Uvarint(); r.Err() != nil {
+		return nil, Info{}, r.Err()
+	} else if version != formatVersion {
 		return nil, Info{}, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
-	fingerprint := dec.fixed64()
-	if version == 2 {
-		// Only an unsharded version-2 bundle has version 1's sections.
-		if idx, cnt := dec.uvarint(), dec.uvarint(); dec.err == nil && (idx != 0 || cnt != 1) {
-			return nil, Info{}, fmt.Errorf("%w: 2 with shard spec %d/%d", ErrBadVersion, idx, cnt)
-		}
-	}
-	offset := dec.uvarint()
-	logSize := dec.uvarint()
-	if dec.err == nil && (offset > math.MaxInt64 || logSize > math.MaxInt64 || logSize < offset) {
-		return nil, Info{}, fmt.Errorf("%w: offset %d / log size %d", ErrCorrupt, offset, logSize)
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, Info{}, ErrChecksum
 	}
 
-	imgLen := dec.uvarint()
-	if dec.err == nil && imgLen > maxDatasetBytes {
-		return nil, Info{}, fmt.Errorf("%w: dataset section %d bytes too large", ErrCorrupt, imgLen)
+	fingerprint := r.Fixed64()
+	offset, logSize := r.Uvarint(), r.Uvarint()
+	if r.Err() == nil && (offset > math.MaxInt64 || logSize > math.MaxInt64 || logSize < offset) {
+		return nil, Info{}, fmt.Errorf("%w: offset %d / log size %d", ErrCorrupt, offset, logSize)
 	}
-	img := dec.chunked(int64(imgLen))
-	if dec.err != nil {
-		return nil, Info{}, dec.err
+	img := r.Prefixed("dataset section")
+	if r.Err() != nil {
+		return nil, Info{}, r.Err()
 	}
 	d, err := ratings.DatasetFromImage(img)
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("%w: embedded dataset: %v", ErrCorrupt, err)
 	}
 
-	// Every count below is bounded by the validated dataset's dimensions
-	// before any slice is allocated.
+	// Every count below is bounded by the decoded dataset's dimensions
+	// before any slice is sized by it.
 	numU, numC, numR := d.NumUsers(), d.NumCategories(), d.NumReviews()
 	results := make([]*riggs.CategoryResult, numC)
 	for c := range results {
 		cr := &riggs.CategoryResult{Category: ratings.CategoryID(c)}
-		nrev := int(dec.count("reviews", uint64(numR)))
-		cr.Reviews = make([]ratings.ReviewID, nrev)
+		cr.Reviews = make([]ratings.ReviewID, r.Bounded("reviews", numR))
 		for i := range cr.Reviews {
-			cr.Reviews[i] = ratings.ReviewID(dec.id("review", uint64(numR)))
+			cr.Reviews[i] = ratings.ReviewID(r.ID("review", numR))
 		}
-		cr.Quality = dec.floats(nrev)
-		nrat := int(dec.count("raters", uint64(numU)))
-		cr.Raters = make([]ratings.UserID, nrat)
+		cr.Quality = r.Floats("qualities", len(cr.Reviews))
+		cr.Raters = make([]ratings.UserID, r.Bounded("raters", numU))
 		for i := range cr.Raters {
-			cr.Raters[i] = ratings.UserID(dec.id("rater", uint64(numU)))
+			cr.Raters[i] = ratings.UserID(r.ID("rater", numU))
 		}
-		cr.RaterRep = dec.floats(nrat)
-		cr.RaterCount = make([]int, nrat)
+		cr.RaterRep = r.Floats("reputations", len(cr.Raters))
+		cr.RaterCount = make([]int, len(cr.Raters))
 		for i := range cr.RaterCount {
-			cr.RaterCount[i] = int(dec.count("rater count", uint64(numR)))
+			cr.RaterCount[i] = r.Bounded("rater count", numR)
 		}
-		cr.Iterations = int(dec.count("iterations", 1<<30))
-		cr.Converged = dec.boolByte()
-		if dec.err != nil {
-			return nil, Info{}, dec.err
+		cr.Iterations = r.Bounded("iterations", 1<<30)
+		converged := r.Byte()
+		if converged > 1 {
+			r.Fail("converged flag %d", converged)
+		}
+		cr.Converged = converged == 1
+		if r.Err() != nil {
+			return nil, Info{}, r.Err()
 		}
 		results[c] = cr
 	}
 
-	e := dec.matrix(numU, numC)
-	a := dec.matrix(numU, numC)
-	if dec.err != nil {
-		return nil, Info{}, dec.err
+	e := matrix(r, "expertise", numU, numC)
+	a := matrix(r, "affinity", numU, numC)
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail("%d trailing bytes", r.Len())
+	}
+	if r.Err() != nil {
+		return nil, Info{}, r.Err()
 	}
 
-	var sum [4]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return nil, Info{}, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if binary.LittleEndian.Uint32(sum[:]) != crc.Sum32() {
-		return nil, Info{}, ErrChecksum
-	}
-
-	// Integrity is now established; only reject on staleness after the
-	// bytes themselves are known good, so ErrStale reliably means "valid
+	// Integrity is established; only reject on staleness once the
+	// sections themselves decoded, so ErrStale reliably means "valid
 	// checkpoint, different configuration".
 	if fingerprint != servingFingerprint {
 		return nil, Info{}, fmt.Errorf("%w: checkpoint %#x, serving config %#x",
@@ -334,221 +338,15 @@ func read(r io.Reader, sizeHint int64, opts ...weboftrust.Option) (*weboftrust.T
 	return model, Info{Offset: int64(offset), LogSize: int64(logSize)}, nil
 }
 
-type encoder struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
-}
-
-func (e *encoder) fixed64(v uint64) {
-	if e.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(e.buf[:8], v)
-	_, e.err = e.w.Write(e.buf[:8])
-}
-
-func (e *encoder) bytes(b []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(b)
-}
-
-func (e *encoder) boolByte(b bool) {
-	var v byte
-	if b {
-		v = 1
-	}
-	e.bytes([]byte{v})
-}
-
-func (e *encoder) floats(fs []float64) {
-	for _, f := range fs {
-		e.fixed64(math.Float64bits(f))
-	}
-}
-
-func (e *encoder) matrix(m *mat.Dense, rows, cols int) {
-	if e.err != nil {
-		return
-	}
-	if m == nil || m.Rows() != rows || m.Cols() != cols {
-		e.err = fmt.Errorf("checkpoint: matrix shape mismatch (want %dx%d)", rows, cols)
-		return
-	}
-	for i := 0; i < rows; i++ {
-		e.floats(m.Row(i))
-	}
-}
-
-type decoder struct {
-	r   *bufio.Reader
-	crc io.Writer
-	err error
-	// sizeHint, when positive, bounds the stream's total length: bulk
-	// sections no larger than it allocate exactly once.
-	sizeHint int64
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(crcByteReader{d})
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return 0
-	}
-	return v
-}
-
-// count reads a uvarint and rejects values above max before the caller
-// allocates anything sized by it.
-func (d *decoder) count(what string, max uint64) uint64 {
-	v := d.uvarint()
-	if d.err == nil && v > max {
-		d.err = fmt.Errorf("%w: %s count %d exceeds bound %d", ErrCorrupt, what, v, max)
-		return 0
-	}
-	return v
-}
-
-// id reads a uvarint identifier and range-checks it against the dataset.
-func (d *decoder) id(what string, n uint64) uint64 {
-	v := d.uvarint()
-	if d.err == nil && v >= n {
-		d.err = fmt.Errorf("%w: %s id %d out of range %d", ErrCorrupt, what, v, n)
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) fixed64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	var buf [8]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return 0
-	}
-	d.crc.Write(buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-func (d *decoder) boolByte() bool {
-	if d.err != nil {
-		return false
-	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return false
-	}
-	d.crc.Write([]byte{b})
-	switch b {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.err = fmt.Errorf("%w: bool byte %d", ErrCorrupt, b)
-		return false
-	}
-}
-
-// floats reads n exact float64 bit patterns in one bulk read (the E and
-// A sections are hundreds of thousands of cells at scale; per-cell reads
-// would dominate restore time). n is always derived from an
-// already-validated count.
-func (d *decoder) floats(n int) []float64 {
-	if d.err != nil {
-		return nil
-	}
-	raw := d.chunked(int64(n) * 8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return out
-}
-
-func (d *decoder) matrix(rows, cols int) *mat.Dense {
-	if d.err != nil {
-		return nil
-	}
-	data := d.floats(rows * cols)
-	if d.err != nil {
+// matrix reads a rows×cols matrix of exact float64 bits, row-major.
+func matrix(r *wire.Reader, what string, rows, cols int) *mat.Dense {
+	data := r.Floats(what, rows*cols)
+	if r.Err() != nil {
 		return nil
 	}
 	m, err := mat.NewDenseData(rows, cols, data)
 	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		return nil
+		r.Fail("%s: %v", what, err)
 	}
 	return m
-}
-
-// chunked reads exactly n bytes, growing the buffer geometrically but
-// never past the bytes actually delivered (doubling, clamped to n): a
-// forged length cannot preallocate more than ~2× what the stream really
-// holds, and a genuine multi-megabyte section costs O(n) copying, not
-// O(n²/chunk).
-func (d *decoder) chunked(n int64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.sizeHint > 0 && n <= d.sizeHint {
-		// The caller vouched the stream can hold n bytes, so a declared
-		// length within that bound is safe to allocate in one piece.
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(d.r, buf); err != nil {
-			d.err = fmt.Errorf("%w: bulk section: %v", ErrCorrupt, err)
-			return nil
-		}
-		d.crc.Write(buf)
-		return buf
-	}
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for int64(len(buf)) < n {
-		take := min(n-int64(len(buf)), chunk)
-		if need := int64(len(buf)) + take; int64(cap(buf)) < need {
-			grown := make([]byte, len(buf), min(max(2*int64(cap(buf)), need), n))
-			copy(grown, buf)
-			buf = grown
-		}
-		start := len(buf)
-		buf = buf[:start+int(take)]
-		if _, err := io.ReadFull(d.r, buf[start:]); err != nil {
-			d.err = fmt.Errorf("%w: bulk section: %v", ErrCorrupt, err)
-			return nil
-		}
-	}
-	d.crc.Write(buf)
-	return buf
-}
-
-// crcByteReader feeds single bytes to the varint reader while keeping the
-// checksum in sync.
-type crcByteReader struct{ d *decoder }
-
-func (c crcByteReader) ReadByte() (byte, error) {
-	b, err := c.d.r.ReadByte()
-	if err == nil {
-		c.d.crc.Write([]byte{b})
-	}
-	return b, err
 }

@@ -2,8 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,39 +285,48 @@ func TestReadRejectsDamage(t *testing.T) {
 	})
 }
 
+// seal returns raw with its trailing CRC-32C recomputed over the bytes
+// between the magic and the checksum, so a forged or mutated bundle gets
+// past the checksum to the section decoders. Inputs too short to hold a
+// magic and a checksum come back unchanged.
+func seal(raw []byte) []byte {
+	if len(raw) < len(magic)+checksumLen {
+		return raw
+	}
+	out := bytes.Clone(raw)
+	end := len(out) - checksumLen
+	binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[len(magic):end], castagnoli))
+	return out
+}
+
 // TestForgedCountsFailFastWithoutAllocation hand-crafts a valid header
-// followed by a section declaring an absurd size, and asserts decoding
-// fails quickly and cleanly on that very section — the adversarial-input
-// hardening the count caps exist for.
+// followed by a section declaring an absurd size, seals it with a valid
+// checksum, and asserts decoding fails quickly and cleanly on that very
+// section — the adversarial-input hardening the count bounds exist for.
 func TestForgedCountsFailFastWithoutAllocation(t *testing.T) {
-	forge := func(f func(e *encoder)) []byte {
-		var buf bytes.Buffer
-		buf.Write(magic[:])
-		e := &encoder{w: &buf}
-		e.uvarint(formatVersion)
-		e.fixed64(0) // fingerprint
-		e.uvarint(0) // offset
-		e.uvarint(0) // log size
-		f(e)
-		if e.err != nil {
-			t.Fatal(e.err)
-		}
-		return buf.Bytes()
+	forge := func(section func(b []byte) []byte) []byte {
+		b := append([]byte(nil), magic[:]...)
+		b = binary.AppendUvarint(b, formatVersion)
+		b = binary.LittleEndian.AppendUint64(b, 0) // fingerprint
+		b = binary.AppendUvarint(b, 0)             // offset
+		b = binary.AppendUvarint(b, 0)             // log size
+		b = section(b)
+		return seal(binary.LittleEndian.AppendUint32(b, 0))
 	}
 	img := ratings.AppendImage(nil, smallDataset(t))
 
 	for _, tc := range []struct {
 		name, section string
-		forged        func(e *encoder)
+		forged        func(b []byte) []byte
 	}{
-		{"huge dataset length", "dataset section", func(e *encoder) { e.uvarint(1 << 40) }},
-		// Under the cap, but the stream ends immediately: the chunked
-		// reader must fail after reading what exists, not preallocate.
-		{"dataset length beyond stream", "bulk section", func(e *encoder) { e.uvarint(1 << 28) }},
-		{"huge riggs review count", "reviews count", func(e *encoder) {
-			e.uvarint(uint64(len(img)))
-			e.bytes(img)
-			e.uvarint(1 << 50) // reviews count for category 0
+		{"huge dataset length", "dataset section", func(b []byte) []byte { return binary.AppendUvarint(b, 1<<40) }},
+		// A length that would fit in memory, but the bundle ends right
+		// after it: the bound is the bytes present, not a cap.
+		{"dataset length beyond stream", "dataset section", func(b []byte) []byte { return binary.AppendUvarint(b, 1<<28) }},
+		{"huge riggs review count", "reviews count", func(b []byte) []byte {
+			b = binary.AppendUvarint(b, uint64(len(img)))
+			b = append(b, img...)
+			return binary.AppendUvarint(b, 1<<50) // reviews count for category 0
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"weboftrust"
 	"weboftrust/internal/store"
@@ -125,8 +124,8 @@ func Compact(logPath, dir string, allowTruncated bool, opts ...weboftrust.Option
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: compact: read remainder: %w", err)
 	}
-	if err := replaceFile(logPath, remainder); err != nil {
-		return nil, err
+	if err := writeFileAtomic(logPath, remainder); err != nil {
+		return nil, fmt.Errorf("checkpoint: compact: %w", err)
 	}
 	if err := faultAt("swap"); err != nil {
 		return nil, err
@@ -193,34 +192,4 @@ func WriteFromLog(logPath, dir string, allowTruncated bool, opts ...weboftrust.O
 		return nil, err
 	}
 	return &WriteResult{Path: path, Offset: l.Offset, TailedEvents: l.Replayed, Warm: l.Warm()}, nil
-}
-
-// replaceFile atomically replaces path's contents via a same-directory
-// temp file, fsync and rename.
-func replaceFile(path string, contents []byte) error {
-	tmp := path + ".compact.tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: compact: %w", err)
-	}
-	if _, err := f.Write(contents); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: compact: %w", err)
-	}
-	syncDir(filepath.Dir(path))
-	return nil
 }

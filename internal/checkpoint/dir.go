@@ -99,13 +99,16 @@ func nextSeq(dir string) (uint64, error) {
 // WriteDir atomically adds a checkpoint of the model to dir and returns
 // its path. offset and logSize locate the model against its event log
 // (see Write; pass offset as logSize when the size is unknown). The
-// bundle is written to a temp file in the same directory, fsynced, and
-// renamed into its final sequence-numbered name, then the directory is
-// fsynced — so a crash at any point leaves either no new checkpoint or a
-// complete one, never a torn file under a final name. Torn temp files
-// from crashed writers are ignored by Restore and cleaned up by
-// RemoveTemps.
+// bundle goes to its final sequence-numbered name through
+// writeFileAtomic, so a crash at any point leaves either no new
+// checkpoint or a complete one, never a torn file under a final name.
+// Torn temp files from crashed writers are ignored by Restore and
+// cleaned up by RemoveTemps.
 func WriteDir(dir string, m *weboftrust.TrustModel, offset, logSize int64) (string, error) {
+	data, err := encode(m, offset, logSize)
+	if err != nil {
+		return "", err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
@@ -114,32 +117,38 @@ func WriteDir(dir string, m *weboftrust.TrustModel, offset, logSize int64) (stri
 		return "", err
 	}
 	final := filepath.Join(dir, fileName(seq))
-	tmp := final + tempSuffix
-
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeFileAtomic(final, data); err != nil {
 		return "", fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := Write(f, m, offset, logSize); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: publish %s: %w", final, err)
-	}
-	syncDir(dir)
 	return final, nil
+}
+
+// writeFileAtomic replaces path's contents with data: it writes a temp
+// file beside path, fsyncs and closes it, renames it over path, and
+// fsyncs the directory, so a crash leaves either the old contents or the
+// new, never a torn file under path. A crash can leave the temp file.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + tempSuffix
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.
@@ -152,20 +161,13 @@ func syncDir(dir string) {
 	}
 }
 
-// ReadFile restores a model from one checkpoint file. Knowing the file's
-// size lets the decoder allocate bulk sections exactly instead of
-// growing defensively (see read).
+// ReadFile restores a model from one checkpoint file; see Read.
 func ReadFile(path string, opts ...weboftrust.Option) (*weboftrust.TrustModel, Info, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, Info{}, fmt.Errorf("checkpoint: %w", err)
 	}
-	defer f.Close()
-	var sizeHint int64
-	if st, err := f.Stat(); err == nil {
-		sizeHint = st.Size()
-	}
-	m, info, err := read(f, sizeHint, opts...)
+	m, info, err := decode(data, opts...)
 	if err != nil {
 		return nil, Info{}, err
 	}

@@ -51,6 +51,9 @@ func fuzzModel(t testing.TB) *weboftrust.TrustModel {
 // FuzzReadCheckpoint pins the checkpoint decoder's hardening: no input
 // may panic it or allocate meaningfully past the input's own length, and
 // anything that decodes must serve the exact values it re-encodes to.
+// Each input is read twice: as given, which covers the magic, version
+// and checksum checks, and re-sealed with a valid checksum, which lets a
+// mutation reach the section decoders behind them.
 func FuzzReadCheckpoint(f *testing.F) {
 	model := fuzzModel(f)
 	var buf bytes.Buffer
@@ -71,26 +74,28 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(flippedTail)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, info, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if info.Offset < 0 || info.LogSize < info.Offset {
-			t.Fatalf("implausible position %+v from successful read", info)
-		}
-		// A successful read is CRC-clean, so re-encoding must be
-		// deterministic and re-decodable.
-		var out bytes.Buffer
-		if err := Write(&out, m, info.Offset, info.LogSize); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		m2, info2, err := Read(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if info2.Offset != info.Offset || m2.Dataset().NumUsers() != m.Dataset().NumUsers() {
-			t.Fatalf("round trip drifted: offset %d→%d, users %d→%d",
-				info.Offset, info2.Offset, m.Dataset().NumUsers(), m2.Dataset().NumUsers())
+		for _, in := range [][]byte{data, seal(data)} {
+			m, info, err := Read(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if info.Offset < 0 || info.LogSize < info.Offset {
+				t.Fatalf("implausible position %+v from successful read", info)
+			}
+			// A successful read is CRC-clean, so re-encoding must be
+			// deterministic and re-decodable.
+			var out bytes.Buffer
+			if err := Write(&out, m, info.Offset, info.LogSize); err != nil {
+				t.Fatalf("re-encode failed: %v", err)
+			}
+			m2, info2, err := Read(bytes.NewReader(out.Bytes()))
+			if err != nil {
+				t.Fatalf("re-decode failed: %v", err)
+			}
+			if info2.Offset != info.Offset || m2.Dataset().NumUsers() != m.Dataset().NumUsers() {
+				t.Fatalf("round trip drifted: offset %d→%d, users %d→%d",
+					info.Offset, info2.Offset, m.Dataset().NumUsers(), m2.Dataset().NumUsers())
+			}
 		}
 	})
 }

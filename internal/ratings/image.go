@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"weboftrust/internal/wire"
 )
 
 // This file implements the dataset *image*: a trusted bulk binary form of
@@ -20,13 +22,16 @@ import (
 //
 // The image carries NO checksum of its own and performs NO duplicate
 // detection: the caller must deliver bytes whose integrity is already
-// established (the checkpoint codec wraps the image in its CRC) and that
-// originate from a real Dataset. What the decoder does guarantee, for
-// any byte string whatsoever, is memory safety: every count is bounded
-// by the bytes actually present before any allocation, every id is
-// range-checked, offset arrays are validated monotonic, and malformed
-// input yields ErrBadImage — never a panic or an outsized allocation
-// (pinned by the checkpoint fuzz target). A forged index section can
+// established (a checkpoint bundle embeds the image and checks its CRC
+// before decoding any section) and that originate from a real Dataset.
+// What the decoder does guarantee, for any byte string whatsoever, is
+// memory safety. It reads through internal/wire's bounded reader, the
+// one the checkpoint bundle's other sections decode through: every count
+// is bounded by the bytes actually present before any allocation, every
+// id is range-checked, offset arrays are validated monotonic, and
+// malformed input yields ErrBadImage — never a panic or an outsized
+// allocation (pinned by the checkpoint fuzz target, which re-seals its
+// inputs' checksums to reach this decoder). A forged index section can
 // therefore misgroup records (provenance is the caller's problem) but
 // never read out of bounds.
 //
@@ -174,18 +179,18 @@ func ratingPerm(list []Rating, groups int, key func(Rating) int32) []int32 {
 // the caller; the decoder guarantees memory safety and structural sanity
 // for arbitrary input, not provenance.
 func DatasetFromImage(data []byte) (*Dataset, error) {
-	ir := &imageReader{rest: data}
-	if v := ir.uvarint(); ir.err == nil && v != imageVersion {
+	ir := wire.NewReader(data, ErrBadImage)
+	if v := ir.Uvarint(); ir.Err() == nil && v != imageVersion {
 		return nil, fmt.Errorf("%w: image version %d", ErrBadImage, v)
 	}
-	numU := ir.count("user", 1)
-	numC := ir.count("category", 1)
-	numO := ir.count("object", 5)
-	numRv := ir.count("review", 8)
-	numRt := ir.count("rating", 9)
-	numT := ir.count("trust", 8)
-	if ir.err != nil {
-		return nil, ir.err
+	numU := ir.Count("user", 1)
+	numC := ir.Count("category", 1)
+	numO := ir.Count("object", 5)
+	numRv := ir.Count("review", 8)
+	numRt := ir.Count("rating", 9)
+	numT := ir.Count("trust", 8)
+	if ir.Err() != nil {
+		return nil, ir.Err()
 	}
 
 	// Entity sections grow by capped append while bytes are consumed
@@ -196,18 +201,18 @@ func DatasetFromImage(data []byte) (*Dataset, error) {
 	// constant of the bytes actually decoded, and a lying count dies on
 	// EOF.
 	d := &Dataset{}
-	d.categories = ir.strs(numC)
-	d.userNames = ir.strs(numU)
+	d.categories = strs(ir, numC)
+	d.userNames = strs(ir, numU)
 	d.objects = growEntity(d.objects, numO)
-	for i := 0; i < numO && ir.err == nil; i++ {
-		cat := ir.u32("object category", numC)
-		d.objects = append(d.objects, Object{ID: ObjectID(i), Category: CategoryID(cat), Name: ir.str()})
+	for i := 0; i < numO && ir.Err() == nil; i++ {
+		cat := ir.U32("object category", numC)
+		d.objects = append(d.objects, Object{ID: ObjectID(i), Category: CategoryID(cat), Name: ir.Str()})
 	}
 	d.reviews = growEntity(d.reviews, numRv)
-	for i := 0; i < numRv && ir.err == nil; i++ {
-		writer := ir.u32("review writer", numU)
-		object := ir.u32("review object", numO)
-		if ir.err != nil {
+	for i := 0; i < numRv && ir.Err() == nil; i++ {
+		writer := ir.U32("review writer", numU)
+		object := ir.U32("review object", numO)
+		if ir.Err() != nil {
 			break
 		}
 		d.reviews = append(d.reviews, Review{
@@ -217,80 +222,80 @@ func DatasetFromImage(data []byte) (*Dataset, error) {
 			Category: d.objects[object].Category,
 		})
 	}
-	quantized := ir.byte()
-	if ir.err == nil && quantized > 1 {
+	quantized := ir.Byte()
+	if ir.Err() == nil && quantized > 1 {
 		return nil, fmt.Errorf("%w: rating encoding flag %d", ErrBadImage, quantized)
 	}
 	d.ratingList = growEntity(d.ratingList, numRt)
-	for i := 0; i < numRt && ir.err == nil; i++ {
-		rater := ir.u32("rater", numU)
-		review := ir.u32("rated review", numRv)
+	for i := 0; i < numRt && ir.Err() == nil; i++ {
+		rater := ir.U32("rater", numU)
+		review := ir.U32("rated review", numRv)
 		var value float64
 		if quantized == 1 {
-			level := ir.byte()
-			if ir.err == nil && (level < 1 || level > RatingLevels) {
+			level := ir.Byte()
+			if ir.Err() == nil && (level < 1 || level > RatingLevels) {
 				return nil, fmt.Errorf("%w: rating %d level %d", ErrBadImage, i, level)
 			}
 			value = float64(level) / RatingLevels
 		} else {
-			value = ir.floatBits()
-			if ir.err == nil && !ValidRating(value) {
+			value = ir.Float()
+			if ir.Err() == nil && !ValidRating(value) {
 				return nil, fmt.Errorf("%w: rating %d value %v off scale", ErrBadImage, i, value)
 			}
 		}
-		if ir.err != nil {
+		if ir.Err() != nil {
 			break
 		}
 		d.ratingList = append(d.ratingList, Rating{Rater: UserID(rater), Review: ReviewID(review), Value: value})
 	}
 	d.trust = growEntity(d.trust, numT)
-	for i := 0; i < numT && ir.err == nil; i++ {
-		from := ir.u32("trust from", numU)
-		to := ir.u32("trust to", numU)
+	for i := 0; i < numT && ir.Err() == nil; i++ {
+		from := ir.U32("trust from", numU)
+		to := ir.U32("trust to", numU)
 		d.trust = append(d.trust, TrustEdge{From: UserID(from), To: UserID(to)})
 	}
-	if ir.err != nil {
-		return nil, ir.err
+	if ir.Err() != nil {
+		return nil, ir.Err()
 	}
 
 	// Frozen indexes: decode the arrays instead of rebuilding them.
 	idx := &indexes{}
-	idx.reviewsByCategoryOff = ir.offsets("reviews by category", numC, numRv, true)
-	idx.reviewsByCategory = reviewIDs(ir.u32s("reviews by category ids", numRv, numRv))
-	idx.reviewsByWriterOff = ir.offsets("reviews by writer", numU, numRv, true)
-	idx.reviewsByWriter = reviewIDs(ir.u32s("reviews by writer ids", numRv, numRv))
-	idx.ratingsByReviewOff = ir.offsets("ratings by review", numRv, numRt, true)
-	idx.ratingsByReview = gather(d.ratingList, ir.u32s("ratings by review perm", numRt, numRt))
-	idx.ratingsByRaterOff = ir.offsets("ratings by rater", numU, numRt, true)
-	idx.ratingsByRater = gather(d.ratingList, ir.u32s("ratings by rater perm", numRt, numRt))
-	idx.connOff = ir.offsets("connections", numU, numRt, false)
-	if ir.err == nil {
+	idx.reviewsByCategoryOff = ir.Offsets("reviews by category", numC, numRv, true)
+	idx.reviewsByCategory = reviewIDs(ir.U32s("reviews by category ids", numRv, numRv))
+	idx.reviewsByWriterOff = ir.Offsets("reviews by writer", numU, numRv, true)
+	idx.reviewsByWriter = reviewIDs(ir.U32s("reviews by writer ids", numRv, numRv))
+	idx.ratingsByReviewOff = ir.Offsets("ratings by review", numRv, numRt, true)
+	idx.ratingsByReview = gather(d.ratingList, ir.U32s("ratings by review perm", numRt, numRt))
+	idx.ratingsByRaterOff = ir.Offsets("ratings by rater", numU, numRt, true)
+	idx.ratingsByRater = gather(d.ratingList, ir.U32s("ratings by rater perm", numRt, numRt))
+	idx.connOff = ir.Offsets("connections", numU, numRt, false)
+	if ir.Err() == nil {
 		connN := int(idx.connOff[numU])
 		idx.connTo = make([]UserID, connN)
 		idx.connCount = make([]int32, connN)
 		idx.connSum = make([]float64, connN)
 		for i := 0; i < connN; i++ {
-			idx.connTo[i] = UserID(ir.u32("connection writer", numU))
-			count := ir.u32("connection count", numRt+1)
-			if ir.err == nil && count == 0 {
-				ir.fail("connection count 0")
+			idx.connTo[i] = UserID(ir.U32("connection writer", numU))
+			count := ir.U32("connection count", numRt+1)
+			if ir.Err() == nil && count == 0 {
+				ir.Fail("connection count 0")
 			}
 			idx.connCount[i] = count
-			idx.connSum[i] = ir.floatBits()
+			idx.connSum[i] = ir.Float()
 		}
 	}
-	idx.trustOff = ir.offsets("trust adjacency", numU, numT, true)
-	if ir.err == nil {
+	idx.trustOff = ir.Offsets("trust adjacency", numU, numT, true)
+	if ir.Err() == nil {
 		idx.trustTo = make([]UserID, numT)
-		for i, v := range ir.u32s("trustees", numT, numU) {
+		for i, v := range ir.U32s("trustees", numT, numU) {
 			idx.trustTo[i] = UserID(v)
 		}
 	}
-	if ir.err != nil {
-		return nil, ir.err
+	if ir.Err() != nil {
+		return nil, ir.Err()
 	}
-	if len(ir.rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadImage, len(ir.rest))
+	if ir.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadImage, ir.Len())
 	}
 	d.idx = idx
 	return d, nil
@@ -314,91 +319,6 @@ func gather(list []Rating, perm []int32) []Rating {
 	return out
 }
 
-// imageReader decodes an image from an in-memory byte string, which lets
-// every count be validated against the bytes actually remaining before
-// anything is allocated.
-type imageReader struct {
-	rest []byte
-	err  error
-}
-
-func (ir *imageReader) fail(format string, args ...any) {
-	if ir.err == nil {
-		ir.err = fmt.Errorf("%w: "+format, append([]any{ErrBadImage}, args...)...)
-	}
-}
-
-func (ir *imageReader) uvarint() uint64 {
-	if ir.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(ir.rest)
-	if n <= 0 {
-		ir.fail("truncated varint")
-		return 0
-	}
-	ir.rest = ir.rest[n:]
-	return v
-}
-
-// count reads a section count and bounds it: a section of n records, each
-// at least minBytes long, cannot be larger than the bytes that remain —
-// so no forged count can size an allocation past the input's own length.
-func (ir *imageReader) count(what string, minBytes int) int {
-	v := ir.uvarint()
-	if ir.err != nil {
-		return 0
-	}
-	if v > uint64(len(ir.rest)/minBytes) {
-		ir.fail("%s count %d exceeds remaining %d bytes", what, v, len(ir.rest))
-		return 0
-	}
-	return int(v)
-}
-
-// u32 reads one fixed-width identifier and range-checks it.
-func (ir *imageReader) u32(what string, n int) int32 {
-	if ir.err != nil {
-		return 0
-	}
-	if len(ir.rest) < 4 {
-		ir.fail("truncated %s", what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(ir.rest)
-	ir.rest = ir.rest[4:]
-	if v >= uint32(n) {
-		ir.fail("%s id %d out of range %d", what, v, n)
-		return 0
-	}
-	return int32(v)
-}
-
-// u32s bulk-decodes n fixed-width values, each range-checked below max —
-// the hot path for payload and permutation arrays.
-func (ir *imageReader) u32s(what string, n, max int) []int32 {
-	if ir.err != nil {
-		return nil
-	}
-	if len(ir.rest) < 4*n {
-		ir.fail("truncated %s (%d entries)", what, n)
-		return nil
-	}
-	raw := ir.rest[:4*n]
-	ir.rest = ir.rest[4*n:]
-	out := make([]int32, n)
-	bound := uint32(max)
-	for i := range out {
-		v := binary.LittleEndian.Uint32(raw[4*i:])
-		if v >= bound {
-			ir.fail("%s entry %d out of range %d", what, v, max)
-			return nil
-		}
-		out[i] = int32(v)
-	}
-	return out
-}
-
 // imageAllocChunk caps the initial capacity of count-sized entity
 // slices; growth past it happens only as wire bytes are consumed.
 const imageAllocChunk = 1 << 12
@@ -410,87 +330,10 @@ func growEntity[T any](_ []T, n int) []T {
 }
 
 // strs decodes n length-prefixed strings by capped append.
-func (ir *imageReader) strs(n int) []string {
-	out := make([]string, 0, min(n, imageAllocChunk))
-	for i := 0; i < n && ir.err == nil; i++ {
-		out = append(out, ir.str())
+func strs(ir *wire.Reader, n int) []string {
+	out := growEntity([]string(nil), n)
+	for i := 0; i < n && ir.Err() == nil; i++ {
+		out = append(out, ir.Str())
 	}
 	return out
-}
-
-func (ir *imageReader) byte() byte {
-	if ir.err != nil {
-		return 0
-	}
-	if len(ir.rest) < 1 {
-		ir.fail("truncated byte")
-		return 0
-	}
-	b := ir.rest[0]
-	ir.rest = ir.rest[1:]
-	return b
-}
-
-func (ir *imageReader) str() string {
-	n := ir.uvarint()
-	if ir.err != nil {
-		return ""
-	}
-	if n > uint64(len(ir.rest)) {
-		ir.fail("string length %d exceeds remaining %d bytes", n, len(ir.rest))
-		return ""
-	}
-	s := string(ir.rest[:n])
-	ir.rest = ir.rest[n:]
-	return s
-}
-
-func (ir *imageReader) floatBits() float64 {
-	if ir.err != nil {
-		return 0
-	}
-	if len(ir.rest) < 8 {
-		ir.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(ir.rest))
-	ir.rest = ir.rest[8:]
-	return v
-}
-
-// offsets decodes a groups+1 fixed-width offset array, enforcing
-// monotonicity within [0, payloadLen] starting at 0 — so any group slice
-// taken through it is in bounds. When exact is set the final entry must
-// equal payloadLen (the grouping covers the whole payload); the
-// connection index instead treats payloadLen as an upper bound, its
-// final entry defining the payload's actual length.
-func (ir *imageReader) offsets(what string, groups, payloadLen int, exact bool) []int32 {
-	if ir.err != nil {
-		return nil
-	}
-	if len(ir.rest) < 4*(groups+1) {
-		ir.fail("truncated %s offsets", what)
-		return nil
-	}
-	offs := make([]int32, groups+1)
-	prev := uint32(0)
-	for i := range offs {
-		v := binary.LittleEndian.Uint32(ir.rest[4*i:])
-		if v < prev || v > uint32(payloadLen) {
-			ir.fail("%s offsets not monotonic in [0,%d]", what, payloadLen)
-			return nil
-		}
-		offs[i] = int32(v)
-		prev = v
-	}
-	ir.rest = ir.rest[4*(groups+1):]
-	if offs[0] != 0 {
-		ir.fail("%s offsets start at %d", what, offs[0])
-		return nil
-	}
-	if exact && int(offs[groups]) != payloadLen {
-		ir.fail("%s offsets end at %d, want %d", what, offs[groups], payloadLen)
-		return nil
-	}
-	return offs
 }
