@@ -83,7 +83,11 @@ chaos-smoke:
 # validation) a short adversarial run ($(FUZZTIME) apiece); a panic or
 # over-allocation fails CI. go test accepts one -fuzz
 # pattern per package invocation, hence one run per target.
+# -fuzzminimizetime 100x caps the work spent minimising each new input at
+# 100 executions: at the default (60 s, longer than the whole run) one
+# early find could stall a target at 0 execs/s for the rest of its budget.
+# A crash still fails the run; it is only minimised less.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzLogReader$$' -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz 'FuzzGraphNew$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz 'FuzzLogReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/store
+	$(GO) test -run '^$$' -fuzz 'FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz 'FuzzGraphNew$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/graph

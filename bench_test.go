@@ -310,10 +310,9 @@ func BenchmarkDerivedTrustRowSparseLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKHeap measures the bounded-heap top-k selection on a real
-// Medium trust row at the serving default k=10 (compare with
-// BenchmarkTopKQuickselect, the full-index path it replaced on the query
-// side).
+// BenchmarkTopKHeap measures the bounded-heap top-k selection the query
+// path ranks with, on a real Medium trust row at the serving default
+// k=10.
 func BenchmarkTopKHeap(b *testing.B) {
 	e := env(b)
 	row := e.Artifacts.Trust.Row(17, nil)
@@ -321,17 +320,6 @@ func BenchmarkTopKHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch = mat.TopKHeapInto(row, 10, scratch)
-	}
-}
-
-// BenchmarkTopKQuickselect is the quickselect selection BenchmarkTopKHeap
-// replaced in the query path, on the same row and k.
-func BenchmarkTopKQuickselect(b *testing.B) {
-	e := env(b)
-	row := e.Artifacts.Trust.Row(17, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.TopK(row, 10)
 	}
 }
 
@@ -998,10 +986,11 @@ func BenchmarkPropagateExact(b *testing.B) {
 // BenchmarkAnomalySwap measures the incremental suspicion-score update
 // (anomaly.Update over a one-category ingest tick, O(dirty closure))
 // against the cold full pass (anomaly.Compute, O(users)). trustd scores
-// cold: a swap whose predecessor had scores runs Compute before it
-// publishes, because the tick dirties most users and warm costs about
-// what cold does: 25–31 ms each at Medium in BENCH_pr22.json, where
-// only users with a reciprocated out-edge pay for clustering.
+// cold: a swap whose predecessor had scores publishes first, and its
+// background warm then runs Compute, because the tick dirties most users
+// and warm costs about what cold does: 25–31 ms each at Medium in
+// BENCH_pr22.json, where only users with a reciprocated out-edge pay for
+// clustering.
 func BenchmarkAnomalySwap(b *testing.B) {
 	e := env(b)
 	model, err := weboftrust.Derive(e.Dataset)

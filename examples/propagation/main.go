@@ -80,15 +80,15 @@ func main() {
 	}
 	t := tables.New("Rank", "EigenTrust on explicit web", "EigenTrust on derived web").
 		Title("global trust rankings").AlignRight(0)
-	topE := propagation.TopRanked(rankE, 5)
-	topD := propagation.TopRanked(rankD, 5)
+	topE := core.RankRow(rankE, 5)
+	topD := core.RankRow(rankD, 5)
 	for i := 0; i < 5 && (i < len(topE) || i < len(topD)); i++ {
 		var left, right string
 		if i < len(topE) {
-			left = fmt.Sprintf("%s (%.4f)", dataset.UserName(ratings.UserID(topE[i])), rankE[topE[i]])
+			left = fmt.Sprintf("%s (%.4f)", dataset.UserName(topE[i].User), topE[i].Score)
 		}
 		if i < len(topD) {
-			right = fmt.Sprintf("%s (%.4f)", dataset.UserName(ratings.UserID(topD[i])), rankD[topD[i]])
+			right = fmt.Sprintf("%s (%.4f)", dataset.UserName(topD[i].User), topD[i].Score)
 		}
 		t.AddRow(i+1, left, right)
 	}
@@ -112,7 +112,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overlap := jaccard(propagation.TopRanked(rE, 10), propagation.TopRanked(rD, 10))
+	overlap := jaccard(core.RankRow(rE, 10), core.RankRow(rD, 10))
 	fmt.Printf("\nAppleseed top-10 overlap for %s (explicit vs derived): %.2f\n",
 		dataset.UserName(connected), overlap)
 }
@@ -185,14 +185,14 @@ func findUnanswerable(explicit, derived *graph.Graph, tt propagation.TidalTrust,
 	return -1
 }
 
-func jaccard(a, b []int) float64 {
-	set := make(map[int]bool, len(a))
+func jaccard(a, b []core.Ranked) float64 {
+	set := make(map[ratings.UserID]bool, len(a))
 	for _, x := range a {
-		set[x] = true
+		set[x.User] = true
 	}
 	inter := 0
 	for _, x := range b {
-		if set[x] {
+		if set[x.User] {
 			inter++
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"weboftrust"
 	"weboftrust/internal/anomaly"
+	"weboftrust/internal/core"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/stats"
 	"weboftrust/internal/synth"
@@ -214,9 +215,9 @@ func (r *Runner) Run(sc *Scenario) (*ScenarioResult, error) {
 		ar.AttackerAnomalyMedian = stats.Quantile(cohortScores, 0.5)
 
 		if b := c.Beneficiary; b != ratings.NoUser {
-			ar.AttackedRank = rankOf(attackedRanks, b)
+			ar.AttackedRank = core.RankPosition(attackedRanks, b)
 			if int(b) < base.d.NumUsers() {
-				ar.CleanRank = rankOf(base.ranks, b)
+				ar.CleanRank = core.RankPosition(base.ranks, b)
 				ar.RankLift = ar.CleanRank - ar.AttackedRank
 				ar.TopKExposureClean = r.topKExposure(base.model, b, base.d.NumUsers())
 			}
@@ -231,8 +232,8 @@ func (r *Runner) Run(sc *Scenario) (*ScenarioResult, error) {
 			}
 		}
 		if v := c.Victim; v != ratings.NoUser {
-			ar.VictimCleanRank = rankOf(base.ranks, v)
-			ar.VictimAttackedRank = rankOf(attackedRanks, v)
+			ar.VictimCleanRank = core.RankPosition(base.ranks, v)
+			ar.VictimAttackedRank = core.RankPosition(attackedRanks, v)
 			ar.VictimRankDrop = ar.VictimAttackedRank - ar.VictimCleanRank
 			ar.VictimPropagationChange = make(map[string]float64, len(measuredAlgos))
 			for _, algo := range measuredAlgos {
@@ -259,20 +260,6 @@ func (r *Runner) RunSuite(scs []*Scenario) (*Report, error) {
 		rep.Passed = rep.Passed && res.Passed
 	}
 	return rep, nil
-}
-
-// rankOf converts a global trust vector into u's leaderboard position,
-// with exactly the tie-break /v1/rank serves: 1 + the number of users
-// strictly above, counting equal scores with lower ids as above.
-func rankOf(vec []float64, u ratings.UserID) int {
-	s := vec[u]
-	pos := 1
-	for id, v := range vec {
-		if v > s || (v == s && ratings.UserID(id) < u) {
-			pos++
-		}
-	}
-	return pos
 }
 
 // topKExposure measures how often the beneficiary appears in sampled

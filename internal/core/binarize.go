@@ -84,13 +84,13 @@ func topCount(k float64, n int) int {
 
 // Binarize converts the continuous derived matrix into the binary
 // prediction matrix T̂′ under the given policy — the single entry point
-// behind BinarizeDerived, BinarizeDerivedThreshold, the web-of-trust
-// artifact and the facade's binarize option. For PerUserTopK, generosity
-// must hold one k_i per user (a k_i of 0 falls back to
-// policy.ColdGenerosity when that is positive); for GlobalThreshold it is
-// ignored and may be nil. Rows are processed in parallel across workers
-// (<= 0 means one per available CPU) and are identical at any worker
-// count: each row is a pure function of its own inputs.
+// behind BinarizeDerived, the web-of-trust artifact and the facade's
+// binarize option. For PerUserTopK, generosity must hold one k_i per
+// user (a k_i of 0 falls back to policy.ColdGenerosity when that is
+// positive); for GlobalThreshold it is ignored and may be nil. Rows are
+// processed in parallel across workers (<= 0 means one per available
+// CPU) and are identical at any worker count: each row is a pure
+// function of its own inputs.
 func Binarize(dt *DerivedTrust, policy WebPolicy, generosity []float64, workers int) (*mat.CSR, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
@@ -146,15 +146,11 @@ func BinarizeDerived(dt *DerivedTrust, generosity []float64) (*mat.CSR, error) {
 // the offline evaluation path and the served graph. k is the user's
 // effective generosity (PerUserTopK only; cold fallback already applied).
 //
-// Selection is threshold-based rather than heap- or sort-based: the
-// take-th largest candidate value is found by quickselect over the
-// compacted positive values — O(candidates) expected — and one ascending
-// scan then emits every score above it plus the lowest-index ties, which
-// is exactly the set mat.TopK keeps (its order is value descending, ties
-// toward the smaller index). The output is therefore already in ascending
-// id order with zero per-row selection allocations beyond the result
-// itself, where the first binarize iteration paid an O(U)-index
-// quickselect plus an O(take log take) sort per row.
+// PerUserTopK selects through mat.SelectTop over a compacted copy of the
+// positive candidate values, expected O(candidates), then one ascending
+// scan of the row emits every score above the threshold plus the
+// lowest-index ties: the set mat.TopKHeapInto would keep, already in
+// ascending id order, with no allocation beyond the result itself.
 func policyRowInto(dt *DerivedTrust, i ratings.UserID, p WebPolicy, k float64, sc *selectScratch, withWeights bool) WebRow {
 	row := sc.row
 	var ids []int32
@@ -177,45 +173,15 @@ func policyRowInto(dt *DerivedTrust, i ratings.UserID, p WebPolicy, k float64, s
 		if take == 0 {
 			return WebRow{}
 		}
+		thresh, ties := mat.SelectTop(vals, take)
 		ids = make([]int32, 0, take)
 		if withWeights {
 			ws = make([]float64, 0, take)
 		}
-		if take == len(vals) {
-			// Everything positive is selected; no threshold needed.
-			for j, v := range row {
-				if v > 0 {
-					ids = append(ids, int32(j))
-					if withWeights {
-						ws = append(ws, v)
-					}
-				}
-			}
-			break
-		}
-		quickselectDesc(vals, take)
-		// The selected set occupies vals[:take] in unspecified order; the
-		// threshold is its weakest member.
-		thresh := vals[0]
-		for _, v := range vals[1:take] {
-			if v < thresh {
-				thresh = v
-			}
-		}
-		// Entries strictly above the threshold are all in; ties at the
-		// threshold fill the remainder lowest-index-first, matching
-		// TopK's deterministic tie-break.
-		greater := 0
-		for _, v := range row {
-			if v > thresh {
-				greater++
-			}
-		}
-		tiesLeft := take - greater
 		for j, v := range row {
-			if v > thresh || (v == thresh && tiesLeft > 0) {
+			if v > thresh || (v == thresh && ties > 0) {
 				if v == thresh {
-					tiesLeft--
+					ties--
 				}
 				ids = append(ids, int32(j))
 				if withWeights {
@@ -238,64 +204,6 @@ func policyRowInto(dt *DerivedTrust, i ratings.UserID, p WebPolicy, k float64, s
 		return WebRow{}
 	}
 	return WebRow{To: ids, W: ws}
-}
-
-// quickselectDesc partitions vals so vals[:k] holds the k largest values
-// in unspecified order (iterative Hoare partition, median-of-three
-// pivot): expected O(n). 0 < k <= len(vals); values are finite (trust
-// scores in [0, 1]).
-func quickselectDesc(vals []float64, k int) {
-	lo, hi := 0, len(vals)
-	for k > lo && k < hi {
-		if hi-lo == 2 {
-			if vals[lo+1] > vals[lo] {
-				vals[lo], vals[lo+1] = vals[lo+1], vals[lo]
-			}
-			return
-		}
-		// Median-of-three, arranged so vals[lo] >= pivot >= vals[hi-1]:
-		// both scans stop inside the range and the split is interior.
-		mid := lo + (hi-lo)/2
-		last := hi - 1
-		if vals[mid] > vals[lo] {
-			vals[mid], vals[lo] = vals[lo], vals[mid]
-		}
-		if vals[last] > vals[lo] {
-			vals[last], vals[lo] = vals[lo], vals[last]
-		}
-		if vals[last] > vals[mid] {
-			vals[last], vals[mid] = vals[mid], vals[last]
-		}
-		pivot := vals[mid]
-		i, j := lo, hi-1
-		for {
-			for {
-				i++
-				if !(vals[i] > pivot) {
-					break
-				}
-			}
-			for {
-				j--
-				if !(pivot > vals[j]) {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			vals[i], vals[j] = vals[j], vals[i]
-		}
-		p := j + 1
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p
-		default:
-			hi = p
-		}
-	}
 }
 
 // BaselineMatrix builds the paper's baseline B: B_ij is the average rating
@@ -330,49 +238,27 @@ func BinarizeSparse(scores *mat.CSR, generosity []float64) (*mat.CSR, error) {
 		return nil, fmt.Errorf("core: generosity length %d, want %d", len(generosity), numU)
 	}
 	rows := make([][]int32, numU)
+	var sel []float64
 	for i := 0; i < numU; i++ {
 		colIdx, vals := scores.Row(i)
 		take := topCount(generosity[i], len(vals))
 		if take == 0 {
 			continue
 		}
-		selected := mat.TopK(vals, take)
-		out := make([]int32, 0, len(selected))
-		for _, k := range selected {
-			out = append(out, colIdx[k])
+		// SelectTop partitions its argument, and Row shares the matrix's
+		// storage.
+		sel = append(sel[:0], vals...)
+		thresh, ties := mat.SelectTop(sel, take)
+		out := make([]int32, 0, take)
+		for k, v := range vals {
+			if v > thresh || (v == thresh && ties > 0) {
+				if v == thresh {
+					ties--
+				}
+				out = append(out, colIdx[k])
+			}
 		}
 		rows[i] = out
 	}
 	return mat.NewCSRFromRows(numU, cols, rows, nil)
-}
-
-// BinarizeDerivedThreshold is the GlobalThreshold variant for the derived
-// matrix: predict trust wherever T̂_ij >= tau (j != i). Rows are processed
-// in parallel.
-func BinarizeDerivedThreshold(dt *DerivedTrust, tau float64) *mat.CSR {
-	m, err := Binarize(dt, WebPolicy{Policy: GlobalThreshold, Tau: tau}, nil, 0)
-	if err != nil {
-		panic(fmt.Sprintf("core: BinarizeDerivedThreshold: %v", err)) // rows are unique and in-range
-	}
-	return m
-}
-
-// BinarizeSparseThreshold is the GlobalThreshold variant for sparse score
-// matrices: keep stored entries with value >= tau.
-func BinarizeSparseThreshold(scores *mat.CSR, tau float64) *mat.CSR {
-	numU, cols := scores.Dims()
-	rows := make([][]int32, numU)
-	for i := 0; i < numU; i++ {
-		colIdx, vals := scores.Row(i)
-		for k, v := range vals {
-			if v >= tau {
-				rows[i] = append(rows[i], colIdx[k])
-			}
-		}
-	}
-	m, err := mat.NewCSRFromRows(numU, cols, rows, nil)
-	if err != nil {
-		panic(fmt.Sprintf("core: BinarizeSparseThreshold: %v", err))
-	}
-	return m
 }

@@ -308,3 +308,19 @@ func RankRowScratch(row []float64, k int, scratch []int) []Ranked {
 	}
 	return out
 }
+
+// RankPosition returns u's 1-based place in RankRow's order: 1 + the
+// number of entries scored higher than u, counting equal scores at
+// smaller ids as higher. A u with a positive score sits at that place on
+// RankRow(vec, len(vec)); a zero score still gets a place, behind every
+// positive one.
+func RankPosition(vec []float64, u ratings.UserID) int {
+	s := vec[u]
+	pos := 1
+	for j, v := range vec {
+		if v > s || (v == s && ratings.UserID(j) < u) {
+			pos++
+		}
+	}
+	return pos
+}

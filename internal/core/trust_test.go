@@ -130,6 +130,49 @@ func TestTopTrusted(t *testing.T) {
 	}
 }
 
+// TestRankRowDropsZeros pins RankRow's order and its zero rule: score
+// descending, and zero scores never ranked, even when k exceeds the
+// positive entries.
+func TestRankRowDropsZeros(t *testing.T) {
+	row := []float64{0, 5, 3, 0, 7}
+	if got := RankRow(row, 2); len(got) != 2 || got[0].User != 4 || got[1].User != 1 {
+		t.Errorf("RankRow(k=2) = %v, want users [4 1]", got)
+	}
+	if got := RankRow(row, 10); len(got) != 3 {
+		t.Errorf("RankRow(k=10) = %v, want the 3 positive entries", got)
+	}
+}
+
+// Property: on random vectors with heavy ties and zeros, RankPosition
+// places every positive-score user where the full leaderboard
+// RankRow(vec, len(vec)) lists it, and every zero-score user behind it.
+func TestRankPositionMatchesRankRowQuick(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRand(seed)
+		vec := make([]float64, 1+rng.IntN(60))
+		for i := range vec {
+			vec[i] = float64(rng.IntN(5)) / 4 // heavy ties, about a fifth zeros
+		}
+		board := RankRow(vec, len(vec))
+		for place, r := range board {
+			if got := RankPosition(vec, r.User); got != place+1 {
+				t.Logf("seed %d: user %d is place %d, RankPosition %d", seed, r.User, place+1, got)
+				return false
+			}
+		}
+		for u, v := range vec {
+			if v == 0 && RankPosition(vec, ratings.UserID(u)) <= len(board) {
+				t.Logf("seed %d: zero-score user %d placed among the %d positive", seed, u, len(board))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	dt := buildAE(t)
 	if dt.NumUsers() != 3 || dt.NumCategories() != 2 {

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 
-	"weboftrust/internal/mat"
 	"weboftrust/internal/ratings"
 	"weboftrust/internal/stats"
 )
@@ -145,7 +145,10 @@ func TestWebThresholdPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := BinarizeDerivedThreshold(art.Trust, 0.5)
+	pred, err := Binarize(art.Trust, cfg.Web, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if art.Web.NumEdges() != pred.NNZ() {
 		t.Fatalf("web has %d edges, threshold matrix %d", art.Web.NumEdges(), pred.NNZ())
 	}
@@ -418,10 +421,10 @@ func TestBinarizeUnifiedEntry(t *testing.T) {
 }
 
 // TestPolicyRowMatchesTopKOracle pins the threshold-based selection in
-// policyRowInto against mat.TopK as an independent oracle: for random
+// policyRowInto against a plain sort as an independent oracle: for random
 // derived matrices and generosities, the selected set must be exactly
-// TopK's deterministic top-take (value descending, ties toward the
-// smaller index), emitted ascending with the row's own weights. This is
+// the top-take of the row sorted by value descending, ties toward the
+// smaller index, emitted ascending with the row's own weights. This is
 // the one test of the selection that does not route through the code
 // under test on both sides.
 func TestPolicyRowMatchesTopKOracle(t *testing.T) {
@@ -444,9 +447,14 @@ func TestPolicyRowMatchesTopKOracle(t *testing.T) {
 				}
 			}
 			take := topCount(k, candidates)
-			want := mat.TopK(oracle, take) // descending by value, ties by index
-			wantIDs := make([]int, len(want))
-			copy(wantIDs, want)
+			// A stable sort of ascending ids by value descending breaks
+			// ties toward the smaller id.
+			order := make([]int, numU)
+			for j := range order {
+				order[j] = j
+			}
+			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(oracle[b], oracle[a]) })
+			wantIDs := order[:take]
 			slices.Sort(wantIDs)
 			if len(got.To) != len(wantIDs) {
 				t.Logf("seed %d user %d: %d selected, oracle %d", seed, i, len(got.To), len(wantIDs))

@@ -25,12 +25,6 @@ type Suite struct {
 	Pipeline core.Config
 }
 
-// DefaultSuite returns the configuration the experiment binary runs: the
-// paper-scale community and the paper's pipeline settings.
-func DefaultSuite() Suite {
-	return Suite{Synth: synth.PaperScale(), Pipeline: core.DefaultConfig()}
-}
-
 // Env bundles the generated dataset, ground truth and pipeline artifacts
 // so several experiments can share one expensive setup.
 type Env struct {

@@ -205,8 +205,8 @@ func RunPropagation(env *Env, params PropagationParams) (*PropagationResult, err
 		if err != nil {
 			return nil, err
 		}
-		topE := propagation.TopRanked(re, params.TopK)
-		topD := propagation.TopRanked(rd, params.TopK)
+		topE := core.RankRow(re, params.TopK)
+		topD := core.RankRow(rd, params.TopK)
 		if len(topE) == 0 && len(topD) == 0 {
 			continue
 		}
@@ -235,17 +235,18 @@ func sampleInts(rng interface{ IntN(int) int }, pool []int, n int) []int {
 	return cp[:n]
 }
 
-func jaccard(a, b []int) float64 {
+// jaccard compares the user ids of two rankings as sets.
+func jaccard(a, b []core.Ranked) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	set := make(map[int]bool, len(a))
+	set := make(map[ratings.UserID]bool, len(a))
 	for _, x := range a {
-		set[x] = true
+		set[x.User] = true
 	}
 	inter := 0
 	for _, x := range b {
-		if set[x] {
+		if set[x.User] {
 			inter++
 		}
 	}

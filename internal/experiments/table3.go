@@ -24,12 +24,6 @@ func RunTable3(env *Env) (*Table3Result, error) {
 	return table3From(env.Dataset, env.Truth, env.Artifacts.RiggsResults, env.Suite.Pipeline.Reputation)
 }
 
-// RunTable3WithOptions executes Table 3 with specific Riggs results and
-// reputation options (used by the ablations).
-func RunTable3WithOptions(env *Env, results []*riggs.CategoryResult, opts reputation.Options) (*Table3Result, error) {
-	return table3From(env.Dataset, env.Truth, results, opts)
-}
-
 func table3From(d *ratings.Dataset, gt *synth.GroundTruth, results []*riggs.CategoryResult, opts reputation.Options) (*Table3Result, error) {
 	rows := make([]eval.QuartileRow, 0, d.NumCategories())
 	for c := 0; c < d.NumCategories(); c++ {

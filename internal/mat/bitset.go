@@ -31,14 +31,6 @@ func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (b *Bitset) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic("mat: Bitset.Clear out of range")
-	}
-	b.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Test reports whether bit i is set. It panics if i is out of range.
 func (b *Bitset) Test(i int) bool {
 	if i < 0 || i >= b.n {

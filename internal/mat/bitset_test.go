@@ -19,13 +19,6 @@ func TestBitsetBasic(t *testing.T) {
 	if b.Count() != 4 {
 		t.Errorf("Count = %d, want 4", b.Count())
 	}
-	b.Clear(64)
-	if b.Test(64) {
-		t.Error("bit 64 still set after Clear")
-	}
-	if b.Count() != 3 {
-		t.Errorf("Count = %d, want 3", b.Count())
-	}
 	b.Reset()
 	if b.Count() != 0 {
 		t.Errorf("Count after Reset = %d, want 0", b.Count())
@@ -60,7 +53,6 @@ func TestBitsetPanics(t *testing.T) {
 		func() { b.Set(10) },
 		func() { b.Set(-1) },
 		func() { b.Test(10) },
-		func() { b.Clear(10) },
 		func() { b.OrInto(other) },
 	}
 	for i, f := range cases {
@@ -76,7 +68,7 @@ func TestBitsetPanics(t *testing.T) {
 }
 
 // Property: Count equals the size of the reference set after a random
-// sequence of Set/Clear operations.
+// sequence of Set operations.
 func TestBitsetCountQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const n = 200
@@ -84,13 +76,8 @@ func TestBitsetCountQuick(t *testing.T) {
 		ref := make(map[int]bool)
 		for _, op := range ops {
 			i := int(op) % n
-			if op%2 == 0 {
-				b.Set(i)
-				ref[i] = true
-			} else {
-				b.Clear(i)
-				delete(ref, i)
-			}
+			b.Set(i)
+			ref[i] = true
 		}
 		if b.Count() != len(ref) {
 			return false

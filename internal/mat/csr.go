@@ -242,28 +242,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// MulVec computes dst = m * x and returns dst. If dst is nil a new slice is
-// allocated; otherwise it must have length m.Rows(). x must have length
-// m.Cols().
-func (m *CSR) MulVec(dst, x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("mat: MulVec: len(x)=%d, want %d", len(x), m.cols))
-	}
-	if dst == nil {
-		dst = make([]float64, m.rows)
-	} else if len(dst) != m.rows {
-		panic(fmt.Sprintf("mat: MulVec: len(dst)=%d, want %d", len(dst), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // RowSum returns the sum of the stored values of row i.
 func (m *CSR) RowSum(i int) float64 {
 	_, vals := m.Row(i)

@@ -151,50 +151,6 @@ func TestCSRTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestCSRMulVecAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	b := NewBuilder(6, 4)
-	for n := 0; n < 12; n++ {
-		b.Set(rng.IntN(6), rng.IntN(4), rng.Float64())
-	}
-	m := b.Build()
-	x := make([]float64, 4)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	got := m.MulVec(nil, x)
-	d := m.Dense()
-	for i := 0; i < 6; i++ {
-		want := Dot(d.Row(i), x)
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Errorf("MulVec[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-	// Reuse destination.
-	dst := make([]float64, 6)
-	got2 := m.MulVec(dst, x)
-	if &got2[0] != &dst[0] {
-		t.Error("MulVec did not reuse dst")
-	}
-}
-
-func TestCSRMulVecShapePanics(t *testing.T) {
-	m := NewBuilder(2, 3).Build()
-	for i, f := range []func(){
-		func() { m.MulVec(nil, make([]float64, 2)) },
-		func() { m.MulVec(make([]float64, 3), make([]float64, 3)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestCSRDensityRowNNZRowSum(t *testing.T) {
 	b := NewBuilder(2, 4)
 	b.Set(0, 0, 1)

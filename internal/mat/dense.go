@@ -94,13 +94,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // RowSum returns the sum of row i.
 func (m *Dense) RowSum(i int) float64 {
 	var s float64
@@ -124,14 +117,6 @@ func (m *Dense) RowMax(i int) float64 {
 		}
 	}
 	return max
-}
-
-// ScaleRow multiplies every element of row i by f.
-func (m *Dense) ScaleRow(i int, f float64) {
-	row := m.Row(i)
-	for k := range row {
-		row[k] *= f
-	}
 }
 
 // NNZ returns the number of non-zero elements.
@@ -203,22 +188,4 @@ func Sum(a []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Scale multiplies every element of a by f in place.
-func Scale(a []float64, f float64) {
-	for i := range a {
-		a[i] *= f
-	}
-}
-
-// Normalize1 scales a in place so it sums to 1 and reports whether it could
-// (a zero vector is left unchanged and false is returned).
-func Normalize1(a []float64) bool {
-	s := Sum(a)
-	if s == 0 {
-		return false
-	}
-	Scale(a, 1/s)
-	return true
 }

@@ -85,44 +85,24 @@ func Add(a, b *CSR, scale float64) (*CSR, error) {
 	return out, nil
 }
 
-// ScaleCSR returns a copy of m with every stored value multiplied by f.
-// f = 0 yields an empty matrix of the same shape.
-func ScaleCSR(m *CSR, f float64) *CSR {
-	if f == 0 {
-		return &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int32, m.rows+1)}
-	}
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int32(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for i, v := range m.vals {
-		out.vals[i] = f * v
-	}
-	return out
-}
-
 // PruneRows keeps only the k largest-valued entries of each row (ties
 // broken toward smaller columns), returning a new matrix. It bounds the
 // fill-in of iterated sparse products.
 func PruneRows(m *CSR, k int) *CSR {
-	if k < 0 {
-		k = 0
-	}
 	out := &CSR{rows: m.rows, cols: m.cols, rowPtr: make([]int32, m.rows+1)}
+	var sel []float64
 	for i := 0; i < m.rows; i++ {
 		cols, vals := m.Row(i)
-		if len(cols) <= k {
-			out.colIdx = append(out.colIdx, cols...)
-			out.vals = append(out.vals, vals...)
-		} else {
-			keep := TopK(vals, k)
-			sortInts(keep) // restore ascending column order positions
-			for _, p := range keep {
+		// SelectTop partitions its argument, and Row shares m's storage.
+		sel = append(sel[:0], vals...)
+		thresh, ties := SelectTop(sel, k)
+		for p, v := range vals {
+			if v > thresh || (v == thresh && ties > 0) {
+				if v == thresh {
+					ties--
+				}
 				out.colIdx = append(out.colIdx, cols[p])
-				out.vals = append(out.vals, vals[p])
+				out.vals = append(out.vals, v)
 			}
 		}
 		out.rowPtr[i+1] = int32(len(out.colIdx))
@@ -159,18 +139,6 @@ func RowNormalize(m *CSR) *CSR {
 func sortInt32s(xs []int32) {
 	// Insertion sort: rows touched per product are short and nearly
 	// sorted; avoids sort.Slice closure overhead in the hot loop.
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
-func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]
 		j := i - 1

@@ -118,26 +118,6 @@ func TestAddCancellationDropped(t *testing.T) {
 	}
 }
 
-func TestScaleCSR(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Set(0, 1, 3)
-	m := b.Build()
-	s := ScaleCSR(m, 2)
-	if s.At(0, 1) != 6 {
-		t.Errorf("scaled value = %v, want 6", s.At(0, 1))
-	}
-	if m.At(0, 1) != 3 {
-		t.Error("original mutated")
-	}
-	z := ScaleCSR(m, 0)
-	if z.NNZ() != 0 {
-		t.Errorf("zero scale should empty the matrix, nnz=%d", z.NNZ())
-	}
-	if r, c := z.Dims(); r != 2 || c != 2 {
-		t.Error("zero scale changed shape")
-	}
-}
-
 func TestPruneRows(t *testing.T) {
 	b := NewBuilder(2, 5)
 	for j, v := range []float64{0.5, 0.9, 0.1, 0.7, 0.3} {
@@ -158,6 +138,9 @@ func TestPruneRows(t *testing.T) {
 	}
 	if p.RowNNZ(1) != 1 {
 		t.Error("short rows should be untouched")
+	}
+	if _, vals := m.Row(0); vals[0] != 0.5 || vals[1] != 0.9 || vals[4] != 0.3 {
+		t.Errorf("original mutated: %v", vals)
 	}
 	if PruneRows(m, 0).NNZ() != 0 {
 		t.Error("k=0 should empty the matrix")

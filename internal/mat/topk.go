@@ -1,160 +1,25 @@
 package mat
 
-import "sort"
+import "math"
 
-// TopK returns the indices of the k largest values, in descending value
-// order. Ties break toward the smaller index, making the selection fully
-// deterministic. If k >= len(values) all indices are returned (sorted the
-// same way); if k <= 0 the result is empty.
+// The two selections below share one ranking order: value descending,
+// ties toward the smaller index. TopKHeapInto returns the top k in that
+// order; SelectTop returns the same top k as a set.
+
+// TopKHeapInto returns the indices of the k largest values in descending
+// value order, ties toward the smaller index. It keeps a bounded min-heap
+// of k indices and heap-sorts it at the end: O(n log k) worst case
+// (O(n + k log k) expected on unordered data, since most elements fail
+// the cheap beats-the-root test) and O(k) working memory, 80 bytes at
+// k=10 where a sort-select over an n-length index slice would take 8 MB
+// at a million users. If k >= len(values) every index is returned in
+// that order; if k <= 0 the result is nil.
 //
-// Selection uses an iterative quickselect with a median-of-three pivot, so
-// the expected cost is O(n + k log k) rather than O(n log n); the pipeline
-// calls this once per user row when binarising the derived trust matrix.
-func TopK(values []float64, k int) []int {
-	n := len(values)
-	if k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	if k == 0 {
-		return nil
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	greater := makeGreater(values)
-	quickselect(idx, k, greater)
-	top := idx[:k]
-	sort.Slice(top, func(a, b int) bool { return greater(top[a], top[b]) })
-	return top
-}
-
-// TopKSet is TopK but returns the selection as a membership slice: out[i]
-// is true iff index i is among the k largest. It avoids the final sort when
-// only membership matters.
-func TopKSet(values []float64, k int) []bool {
-	n := len(values)
-	out := make([]bool, n)
-	if k <= 0 {
-		return out
-	}
-	if k >= n {
-		for i := range out {
-			out[i] = true
-		}
-		return out
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	quickselect(idx, k, makeGreater(values))
-	for _, i := range idx[:k] {
-		out[i] = true
-	}
-	return out
-}
-
-// makeGreater returns a strict total order over indices: by value
-// descending, then index ascending. A total order makes the selected set
-// unique even in the presence of equal values.
-func makeGreater(values []float64) func(a, b int) bool {
-	return func(a, b int) bool {
-		va, vb := values[a], values[b]
-		if va != vb {
-			return va > vb
-		}
-		return a < b
-	}
-}
-
-// quickselect partitions idx so that the k elements greatest under the
-// strict total order occupy idx[:k] (in unspecified order). It requires
-// 0 < k < len(idx) or k == len(idx), both of which it handles.
-func quickselect(idx []int, k int, greater func(a, b int) bool) {
-	lo, hi := 0, len(idx)
-	for k > lo && k < hi {
-		if hi-lo == 2 {
-			if greater(idx[lo+1], idx[lo]) {
-				idx[lo], idx[lo+1] = idx[lo+1], idx[lo]
-			}
-			return
-		}
-		p := partition(idx, lo, hi, greater)
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p
-		default:
-			hi = p
-		}
-	}
-}
-
-// partition performs a Hoare partition of idx[lo:hi] (which must have at
-// least 3 elements) around a median-of-three pivot and returns a split
-// point p with lo < p < hi such that every element of idx[lo:p] is >= the
-// pivot and every element of idx[p:hi] is <= the pivot under the order.
-//
-// The three samples are arranged so idx[lo] >= pivot >= idx[hi-1], which
-// guarantees both scans stop inside the range and the split is strictly
-// interior, so the quickselect loop always makes progress.
-func partition(idx []int, lo, hi int, greater func(a, b int) bool) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	if greater(idx[mid], idx[lo]) {
-		idx[mid], idx[lo] = idx[lo], idx[mid]
-	}
-	if greater(idx[last], idx[lo]) {
-		idx[last], idx[lo] = idx[lo], idx[last]
-	}
-	if greater(idx[last], idx[mid]) {
-		idx[last], idx[mid] = idx[mid], idx[last]
-	}
-	pivot := idx[mid]
-	i, j := lo, hi-1
-	for {
-		for {
-			i++
-			if !greater(idx[i], pivot) {
-				break
-			}
-		}
-		for {
-			j--
-			if !greater(pivot, idx[j]) {
-				break
-			}
-		}
-		if i >= j {
-			return j + 1
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-}
-
-// TopKHeap returns exactly what TopK returns — the indices of the k
-// largest values in descending value order, ties toward the smaller index
-// — but selects with a bounded min-heap of k indices instead of
-// quickselecting an n-length index permutation. The cost is O(n log k)
-// worst case (O(n + k log k) expected on unordered data, since most
-// elements fail the cheap beats-the-root test) and, crucially for the
-// serving path, the working memory is O(k) rather than the O(n) index
-// slice TopK materialises: at a million users and k=10 that is 80 bytes
-// instead of 8 MB per query.
-func TopKHeap(values []float64, k int) []int {
-	return TopKHeapInto(values, k, nil)
-}
-
-// TopKHeapInto is TopKHeap with a caller-owned scratch slice: the heap is
-// built in dst's storage when it has capacity for min(k, len(values))
-// indices, so steady-state callers (the server's query path) select with
-// zero allocations. The returned slice aliases dst whenever dst was large
-// enough; dst's previous contents are ignored.
+// The heap is built in dst's storage when it has capacity for
+// min(k, len(values)) indices, so steady-state callers (the server's
+// query path) select with zero allocations. The returned slice aliases
+// dst whenever dst was large enough; dst's previous contents are
+// ignored.
 func TopKHeapInto(values []float64, k int, dst []int) []int {
 	n := len(values)
 	if k <= 0 {
@@ -172,7 +37,7 @@ func TopKHeapInto(values []float64, k int, dst []int) []int {
 	}
 	// worse orders the heap: the root is the weakest of the kept k —
 	// smallest value, ties toward the larger index (the exact inverse of
-	// makeGreater's order, so the kept set matches TopK's).
+	// the ranking order).
 	worse := func(a, b int) bool {
 		va, vb := values[a], values[b]
 		if va != vb {
@@ -212,15 +77,14 @@ func TopKHeapInto(values []float64, k int, dst []int) []int {
 			continue
 		}
 		// Ties lose to the incumbent: indices stream in ascending order,
-		// so equal values keep the earlier index, matching TopK.
+		// so equal values keep the earlier index.
 		if va, vr := values[i], values[h[0]]; va > vr {
 			h[0] = i
 			siftDown(h, 0)
 		}
 	}
 	// Heap-sort in place: repeatedly move the current weakest to the back,
-	// leaving the slice in descending order under makeGreater's total
-	// order — identical to TopK's sorted output.
+	// leaving the slice in the ranking order.
 	for m := len(h) - 1; m > 0; m-- {
 		h[0], h[m] = h[m], h[0]
 		siftDown(h[:m], 0)
@@ -228,12 +92,80 @@ func TopKHeapInto(values []float64, k int, dst []int) []int {
 	return h
 }
 
-// KthLargest returns the k-th largest value of values (1-based: k=1 is the
-// maximum). It panics if k is out of range.
-func KthLargest(values []float64, k int) float64 {
-	if k < 1 || k > len(values) {
-		panic("mat: KthLargest: k out of range")
+// SelectTop selects the take largest of vals as a set and returns
+// thresh, the take-th largest value, and ties, how many entries equal to
+// thresh the set holds. A caller walking its entries in ascending index
+// order keeps every v > thresh plus the first ties entries equal to
+// thresh: exactly the set TopKHeapInto keeps. take is clamped to
+// len(vals); when it is <= 0 nothing is kept (thresh is +Inf, ties 0).
+//
+// SelectTop partitions vals in place by an iterative quickselect with a
+// median-of-three pivot, expected O(len(vals)), so pass a copy of
+// values the caller still reads. Values must not be NaN.
+func SelectTop(vals []float64, take int) (thresh float64, ties int) {
+	if take > len(vals) {
+		take = len(vals)
 	}
-	top := TopK(values, k)
-	return values[top[k-1]]
+	if take <= 0 {
+		return math.Inf(1), 0
+	}
+	lo, hi := 0, len(vals)
+	for take > lo && take < hi {
+		if hi-lo == 2 {
+			if vals[lo+1] > vals[lo] {
+				vals[lo], vals[lo+1] = vals[lo+1], vals[lo]
+			}
+			break
+		}
+		// Median-of-three, arranged so vals[lo] >= pivot >= vals[hi-1]:
+		// both scans stop inside the range and the split is interior.
+		mid := lo + (hi-lo)/2
+		last := hi - 1
+		if vals[mid] > vals[lo] {
+			vals[mid], vals[lo] = vals[lo], vals[mid]
+		}
+		if vals[last] > vals[lo] {
+			vals[last], vals[lo] = vals[lo], vals[last]
+		}
+		if vals[last] > vals[mid] {
+			vals[last], vals[mid] = vals[mid], vals[last]
+		}
+		pivot := vals[mid]
+		i, j := lo, hi-1
+		for {
+			for {
+				i++
+				if !(vals[i] > pivot) {
+					break
+				}
+			}
+			for {
+				j--
+				if !(pivot > vals[j]) {
+					break
+				}
+			}
+			if i >= j {
+				break
+			}
+			vals[i], vals[j] = vals[j], vals[i]
+		}
+		if p := j + 1; p < take {
+			lo = p
+		} else {
+			hi = p
+		}
+	}
+	// vals[:take] now holds the selected values in unspecified order:
+	// every value above the weakest of them, and some of its ties.
+	thresh, ties = vals[0], 1
+	for _, v := range vals[1:take] {
+		switch {
+		case v < thresh:
+			thresh, ties = v, 1
+		case v == thresh:
+			ties++
+		}
+	}
+	return thresh, ties
 }

@@ -1,7 +1,9 @@
 package mat
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,48 +31,71 @@ func refTopK(values []float64, k int) []int {
 	return idx[:k]
 }
 
+// selectSet runs SelectTop on a copy of values and walks values in
+// ascending index order the way its callers do, returning the kept
+// indices (ascending).
+func selectSet(values []float64, take int) []int {
+	thresh, ties := SelectTop(slices.Clone(values), take)
+	var kept []int
+	for i, v := range values {
+		if v > thresh || (v == thresh && ties > 0) {
+			if v == thresh {
+				ties--
+			}
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// sortedCopy returns idx sorted ascending, for comparing a ranked
+// selection with a set.
+func sortedCopy(idx []int) []int {
+	out := slices.Clone(idx)
+	slices.Sort(out)
+	return out
+}
+
 func TestTopKBasic(t *testing.T) {
 	values := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	got := TopK(values, 3)
-	want := []int{5, 7, 4} // 9, 6, 5
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
+	if got, want := selectSet(values, 3), []int{4, 5, 7}; !slices.Equal(got, want) { // 5, 9, 6
+		t.Errorf("SelectTop set = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TopK[%d] = %d, want %d", i, got[i], want[i])
-		}
+	thresh, ties := SelectTop(slices.Clone(values), 3)
+	if thresh != 5 || ties != 1 {
+		t.Errorf("SelectTop = (%v, %d), want (5, 1)", thresh, ties)
 	}
 }
 
 func TestTopKTiesDeterministic(t *testing.T) {
 	values := []float64{2, 2, 2, 2, 2}
-	got := TopK(values, 3)
-	want := []int{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TopK[%d] = %d, want %d (smaller index wins ties)", i, got[i], want[i])
-		}
+	if got, want := selectSet(values, 3), []int{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("SelectTop set = %v, want %v (smaller index wins ties)", got, want)
+	}
+	thresh, ties := SelectTop(slices.Clone(values), 3)
+	if thresh != 2 || ties != 3 {
+		t.Errorf("SelectTop = (%v, %d), want (2, 3)", thresh, ties)
 	}
 }
 
 func TestTopKEdgeCases(t *testing.T) {
-	if got := TopK([]float64{1, 2}, 0); got != nil {
-		t.Errorf("k=0: got %v, want nil", got)
+	for _, c := range []struct {
+		values []float64
+		take   int
+	}{{[]float64{1, 2}, 0}, {[]float64{1, 2}, -3}, {nil, 5}, {nil, 0}} {
+		thresh, ties := SelectTop(slices.Clone(c.values), c.take)
+		if !math.IsInf(thresh, 1) || ties != 0 {
+			t.Errorf("SelectTop(%v, %d) = (%v, %d), want (+Inf, 0)", c.values, c.take, thresh, ties)
+		}
 	}
-	if got := TopK([]float64{1, 2}, -3); got != nil {
-		t.Errorf("k<0: got %v, want nil", got)
+	if got := selectSet([]float64{1, 3, 2}, 10); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("take>n: got %v, want [0 1 2]", got)
 	}
-	if got := TopK(nil, 5); got != nil {
-		t.Errorf("empty values: got %v, want nil", got)
+	if got := selectSet([]float64{2, 1, 1}, 3); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("take=n with a tied minimum: got %v, want [0 1 2]", got)
 	}
-	got := TopK([]float64{1, 3, 2}, 10)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("k>n: got %v, want [1 2 0]", got)
-	}
-	one := TopK([]float64{7}, 1)
-	if len(one) != 1 || one[0] != 0 {
-		t.Errorf("single element: got %v, want [0]", one)
+	if thresh, ties := SelectTop([]float64{7}, 1); thresh != 7 || ties != 1 {
+		t.Errorf("single element: got (%v, %d), want (7, 1)", thresh, ties)
 	}
 }
 
@@ -84,13 +109,14 @@ func TestTopKTwoElements(t *testing.T) {
 		{[]float64{2, 1}, []int{0}},
 		{[]float64{2, 2}, []int{0}},
 	} {
-		got := TopK(c.values, 1)
-		if len(got) != 1 || got[0] != c.want[0] {
-			t.Errorf("TopK(%v, 1) = %v, want %v", c.values, got, c.want)
+		if got := selectSet(c.values, 1); !slices.Equal(got, c.want) {
+			t.Errorf("SelectTop(%v, 1) set = %v, want %v", c.values, got, c.want)
 		}
 	}
 }
 
+// TestTopKSetMatchesTopK checks SelectTop's set against TopKHeapInto's
+// ranked top k: the two selections keep the same indices.
 func TestTopKSetMatchesTopK(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	values := make([]float64, 100)
@@ -98,56 +124,32 @@ func TestTopKSetMatchesTopK(t *testing.T) {
 		values[i] = rng.Float64()
 	}
 	for _, k := range []int{0, 1, 5, 50, 99, 100, 150} {
-		set := TopKSet(values, k)
-		top := TopK(values, k)
-		count := 0
-		for _, in := range set {
-			if in {
-				count++
-			}
-		}
-		wantCount := k
-		if wantCount > len(values) {
-			wantCount = len(values)
-		}
-		if wantCount < 0 {
-			wantCount = 0
-		}
-		if count != wantCount {
-			t.Errorf("k=%d: TopKSet selected %d, want %d", k, count, wantCount)
-		}
-		for _, i := range top {
-			if !set[i] {
-				t.Errorf("k=%d: index %d in TopK but not TopKSet", k, i)
-			}
+		set := selectSet(values, k)
+		top := sortedCopy(TopKHeapInto(values, k, nil))
+		if !slices.Equal(set, top) {
+			t.Errorf("k=%d: SelectTop kept %v, TopKHeapInto %v", k, set, top)
 		}
 	}
 }
 
+// TestKthLargest checks SelectTop's threshold, the take-th largest value
+// (1-based: take=1 is the maximum), and its tie count.
 func TestKthLargest(t *testing.T) {
 	values := []float64{3, 1, 4, 1, 5}
-	for k, want := range map[int]float64{1: 5, 2: 4, 3: 3, 4: 1, 5: 1} {
-		if got := KthLargest(values, k); got != want {
-			t.Errorf("KthLargest(k=%d) = %v, want %v", k, got, want)
+	for _, c := range []struct {
+		take, ties int
+		thresh     float64
+	}{{1, 1, 5}, {2, 1, 4}, {3, 1, 3}, {4, 1, 1}, {5, 2, 1}} {
+		thresh, ties := SelectTop(slices.Clone(values), c.take)
+		if thresh != c.thresh || ties != c.ties {
+			t.Errorf("SelectTop(take=%d) = (%v, %d), want (%v, %d)", c.take, thresh, ties, c.thresh, c.ties)
 		}
 	}
 }
 
-func TestKthLargestPanics(t *testing.T) {
-	for _, k := range []int{0, 6} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("k=%d: expected panic", k)
-				}
-			}()
-			KthLargest([]float64{1, 2, 3, 4, 5}, k)
-		}()
-	}
-}
-
-// Property: TopK matches the sort-based reference on random inputs with
-// many duplicate values (stress for tie handling and the partition).
+// Property: SelectTop's set matches the sort-based reference on random
+// inputs with many duplicate values (stress for tie handling and the
+// partition).
 func TestTopKQuick(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
@@ -157,24 +159,15 @@ func TestTopKQuick(t *testing.T) {
 			values[i] = float64(rng.IntN(8)) // heavy ties
 		}
 		k := int(kRaw) % (n + 2)
-		got := TopK(values, k)
-		want := refTopK(values, k)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(selectSet(values, k), sortedCopy(refTopK(values, k)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: every selected value is >= every unselected value.
+// Property: SelectTop keeps exactly k entries, and every kept value is
+// >= every value left out.
 func TestTopKSetBoundaryQuick(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 123))
@@ -184,17 +177,21 @@ func TestTopKSetBoundaryQuick(t *testing.T) {
 			values[i] = rng.Float64()
 		}
 		k := int(kRaw) % n
-		set := TopKSet(values, k)
+		kept := selectSet(values, k)
+		in := make([]bool, n)
+		for _, i := range kept {
+			in[i] = true
+		}
 		minIn, maxOut := 2.0, -1.0
-		for i, in := range set {
-			if in && values[i] < minIn {
-				minIn = values[i]
+		for i, v := range values {
+			if in[i] && v < minIn {
+				minIn = v
 			}
-			if !in && values[i] > maxOut {
-				maxOut = values[i]
+			if !in[i] && v > maxOut {
+				maxOut = v
 			}
 		}
-		return k == 0 || minIn >= maxOut
+		return len(kept) == k && (k == 0 || minIn >= maxOut)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -203,37 +200,29 @@ func TestTopKSetBoundaryQuick(t *testing.T) {
 
 func TestTopKHeapBasic(t *testing.T) {
 	values := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	got := TopKHeap(values, 3)
-	want := []int{5, 7, 4} // 9, 6, 5
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TopKHeap[%d] = %d, want %d", i, got[i], want[i])
-		}
+	if got, want := TopKHeapInto(values, 3, nil), []int{5, 7, 4}; !slices.Equal(got, want) { // 9, 6, 5
+		t.Errorf("TopKHeapInto = %v, want %v", got, want)
 	}
 }
 
 func TestTopKHeapEdgeCases(t *testing.T) {
-	if got := TopKHeap([]float64{1, 2}, 0); got != nil {
+	if got := TopKHeapInto([]float64{1, 2}, 0, nil); got != nil {
 		t.Errorf("k=0: got %v, want nil", got)
 	}
-	if got := TopKHeap([]float64{1, 2}, -3); got != nil {
+	if got := TopKHeapInto([]float64{1, 2}, -3, nil); got != nil {
 		t.Errorf("k<0: got %v, want nil", got)
 	}
-	if got := TopKHeap(nil, 5); got != nil {
+	if got := TopKHeapInto(nil, 5, nil); got != nil {
 		t.Errorf("empty values: got %v, want nil", got)
 	}
-	got := TopKHeap([]float64{1, 3, 2}, 10)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
+	if got := TopKHeapInto([]float64{1, 3, 2}, 10, nil); !slices.Equal(got, []int{1, 2, 0}) {
 		t.Errorf("k>n: got %v, want [1 2 0]", got)
 	}
-	ties := TopKHeap([]float64{2, 2, 2, 2, 2}, 3)
-	for i, want := range []int{0, 1, 2} {
-		if ties[i] != want {
-			t.Errorf("ties[%d] = %d, want %d (smaller index wins)", i, ties[i], want)
-		}
+	if got := TopKHeapInto([]float64{7}, 1, nil); !slices.Equal(got, []int{0}) {
+		t.Errorf("single element: got %v, want [0]", got)
+	}
+	if got := TopKHeapInto([]float64{2, 2, 2, 2, 2}, 3, nil); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("ties: got %v, want [0 1 2] (smaller index wins)", got)
 	}
 }
 
@@ -260,9 +249,9 @@ func TestTopKHeapIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// Property (ISSUE 3 satellite): TopKHeap returns exactly TopK's order —
-// descending score, ties by ascending id — on random inputs with heavy
-// duplication, across the full k range including k=0, k=n and k>n.
+// Property: TopKHeapInto returns exactly the reference order — descending
+// score, ties by ascending id — on random inputs with heavy duplication,
+// across the full k range including k=0, k=n and k>n.
 func TestTopKHeapMatchesTopKQuick(t *testing.T) {
 	f := func(seed uint64, kRaw uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 17))
@@ -272,43 +261,9 @@ func TestTopKHeapMatchesTopKQuick(t *testing.T) {
 			values[i] = float64(rng.IntN(8)) // heavy ties
 		}
 		k := int(kRaw) % (n + 2)
-		got := TopKHeapInto(values, k, make([]int, 0, 4))
-		want := TopK(values, k)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(TopKHeapInto(values, k, make([]int, 0, 4)), refTopK(values, k))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkTopK(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	values := make([]float64, 10000)
-	for i := range values {
-		values[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopK(values, 100)
-	}
-}
-
-func BenchmarkTopKSet(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	values := make([]float64, 10000)
-	for i := range values {
-		values[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TopKSet(values, 100)
 	}
 }

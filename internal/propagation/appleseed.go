@@ -117,44 +117,6 @@ func (as Appleseed) Rank(g *graph.Graph, source int) ([]float64, error) {
 	return trust, nil
 }
 
-// TopRanked returns the indices of the k highest-trust nodes from ranks,
-// excluding zeros, in descending order (ties by ascending index).
-func TopRanked(ranks []float64, k int) []int {
-	type pair struct {
-		idx int
-		v   float64
-	}
-	var pairs []pair
-	for i, v := range ranks {
-		if v > 0 {
-			pairs = append(pairs, pair{idx: i, v: v})
-		}
-	}
-	// Insertion-sort into the top-k (k is small in practice).
-	if k > len(pairs) {
-		k = len(pairs)
-	}
-	out := make([]int, 0, k)
-	used := make(map[int]bool, k)
-	for len(out) < k {
-		best := -1
-		for _, p := range pairs {
-			if used[p.idx] {
-				continue
-			}
-			if best == -1 || p.v > ranks[best] || (p.v == ranks[best] && p.idx < best) {
-				best = p.idx
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		out = append(out, best)
-	}
-	return out
-}
-
 // L1Distance returns the L1 distance between two equal-length vectors,
 // used to compare propagation outputs across webs. It panics on length
 // mismatch.

@@ -2,7 +2,6 @@ package propagation
 
 import (
 	"fmt"
-	"sort"
 
 	"weboftrust/internal/graph"
 )
@@ -24,33 +23,6 @@ type Sketch struct {
 	// Vecs[i] is the full propagation vector of IDs[i]; Vecs[i][v] is the
 	// landmark's trust in node v, with Vecs[i][IDs[i]] == 0.
 	Vecs [][]float64
-}
-
-// SelectLandmarks picks the L highest-ranked nodes as landmarks —
-// score descending, id ascending on ties, so selection is deterministic
-// for a given rank vector. Zero-rank nodes are never selected (a node
-// nobody trusts carries no propagation mass worth sketching).
-func SelectLandmarks(rank []float64, l int) []int32 {
-	if l <= 0 {
-		return nil
-	}
-	ids := make([]int32, 0, len(rank))
-	for v, r := range rank {
-		if r > 0 {
-			ids = append(ids, int32(v))
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b]
-		}
-		return a < b
-	})
-	if l > len(ids) {
-		l = len(ids)
-	}
-	return append([]int32(nil), ids[:l]...)
 }
 
 // Frontier maps a direct edge (weight w out of a source whose positive

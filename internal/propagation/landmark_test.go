@@ -7,27 +7,6 @@ import (
 	"weboftrust/internal/graph"
 )
 
-func TestSelectLandmarks(t *testing.T) {
-	rank := []float64{0.1, 0.5, 0, 0.5, 0.9, 0.05}
-	got := SelectLandmarks(rank, 4)
-	want := []int32{4, 1, 3, 0} // score desc, id asc on the 0.5 tie
-	if len(got) != len(want) {
-		t.Fatalf("SelectLandmarks = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SelectLandmarks = %v, want %v", got, want)
-		}
-	}
-	// Zero-rank nodes are never selected even when l exceeds the supply.
-	if got := SelectLandmarks(rank, 10); len(got) != 5 {
-		t.Errorf("SelectLandmarks over-asked = %v, want the 5 nonzero-rank nodes", got)
-	}
-	if got := SelectLandmarks(rank, 0); got != nil {
-		t.Errorf("SelectLandmarks(_, 0) = %v, want nil", got)
-	}
-}
-
 // TestSketchComposeBasics pins the composition contract on a graph small
 // enough to reason about: the direct frontier appears, a landmark's
 // vector is gated by the source's best path into it, and the source

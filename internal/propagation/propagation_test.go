@@ -289,16 +289,7 @@ func TestAppleseedBadConfig(t *testing.T) {
 	}
 }
 
-func TestTopRankedAndL1(t *testing.T) {
-	ranks := []float64{0, 5, 3, 0, 7}
-	top := TopRanked(ranks, 2)
-	if len(top) != 2 || top[0] != 4 || top[1] != 1 {
-		t.Errorf("TopRanked = %v, want [4 1]", top)
-	}
-	all := TopRanked(ranks, 10)
-	if len(all) != 3 {
-		t.Errorf("TopRanked should exclude zeros: %v", all)
-	}
+func TestL1Distance(t *testing.T) {
 	if d := L1Distance([]float64{1, 2}, []float64{2, 0}); d != 3 {
 		t.Errorf("L1 = %v, want 3", d)
 	}

@@ -5,7 +5,7 @@ import (
 
 	"weboftrust"
 	"weboftrust/internal/anomaly"
-	"weboftrust/internal/ratings"
+	"weboftrust/internal/core"
 )
 
 // lazyAnomaly defers the full scoring pass (internal/anomaly) until the
@@ -57,17 +57,10 @@ func (s *Server) handleAnomaly(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := st.anomaly.get()
 	totals := sc.Total()
-	score := totals[u]
-	rank := 1
-	for j, v := range totals {
-		if v > score || (v == score && ratings.UserID(j) < u) {
-			rank++
-		}
-	}
 	rating, graphS, burst := sc.Signals(u)
 	writeJSON(w, http.StatusOK, AnomalyResponse{
 		User: int(u), Name: st.model.Dataset().UserName(u), Version: st.version,
-		Users: len(totals), Score: score, Rank: rank,
+		Users: len(totals), Score: totals[u], Rank: core.RankPosition(totals, u),
 		Signals: AnomalySignals{Rating: rating, Graph: graphS, Burst: burst},
 	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"weboftrust"
 	"weboftrust/internal/core"
-	"weboftrust/internal/ratings"
 )
 
 // rankVec is a state's global EigenTrust vector and the power
@@ -80,17 +79,10 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		score := vec[u]
-		rank := 1
-		for j, v := range vec {
-			if v > score || (v == score && ratings.UserID(j) < u) {
-				rank++
-			}
-		}
 		d := st.model.Dataset()
 		writeJSON(w, http.StatusOK, RankUserResponse{
 			User: int(u), Name: d.UserName(u), Version: st.version,
-			Users: len(vec), Rank: rank, Score: score, Iterations: iters,
+			Users: len(vec), Rank: core.RankPosition(vec, u), Score: vec[u], Iterations: iters,
 		})
 		return
 	}

@@ -140,3 +140,42 @@ func TestRankDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestUserPositionsMatchLeaderboards: on the Small community, the
+// position /v1/rank?user= serves for every user is that user's place on
+// the full leaderboard /v1/rank?k=U, or behind it for a user the
+// leaderboard leaves out (a zero score); likewise /v1/anomaly?user=
+// against /v1/anomaly/top?k=U.
+func TestUserPositionsMatchLeaderboards(t *testing.T) {
+	d, _, err := synth.Generate(synth.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := weboftrust.Derive(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(model, 0, Options{}).Handler()
+	numU := d.NumUsers()
+	for _, c := range []struct{ board, user string }{
+		{"/v1/rank?k=%d", "/v1/rank?user=%d"},
+		{"/v1/anomaly/top?k=%d", "/v1/anomaly?user=%d"},
+	} {
+		board := decode[struct{ Results []RankEntry }](t, get(t, h, fmt.Sprintf(c.board, numU))).Results
+		if len(board) == 0 {
+			t.Fatalf("%s: empty leaderboard", c.board)
+		}
+		place := make(map[int]int, len(board))
+		for i, row := range board {
+			place[row.User] = i + 1
+		}
+		for u := 0; u < numU; u++ {
+			got := decode[struct{ Rank int }](t, get(t, h, fmt.Sprintf(c.user, u))).Rank
+			if want, ok := place[u]; ok && got != want {
+				t.Errorf("%s: user %d at %d, leaderboard place %d", c.user, u, got, want)
+			} else if !ok && got <= len(board) {
+				t.Errorf("%s: user %d off the %d-row leaderboard at %d", c.user, u, len(board), got)
+			}
+		}
+	}
+}

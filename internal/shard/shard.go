@@ -77,9 +77,6 @@ func (s Spec) Canon() Spec {
 	return s
 }
 
-// IsSharded reports whether the spec names a real partition (Count > 1).
-func (s Spec) IsSharded() bool { return s.Count > 1 }
-
 // Owns reports whether this shard owns user id. Unsharded specs own
 // everyone.
 func (s Spec) Owns(id int) bool {

@@ -3,6 +3,7 @@ package weboftrust
 import (
 	"fmt"
 
+	"weboftrust/internal/core"
 	"weboftrust/internal/propagation"
 	"weboftrust/internal/ratings"
 )
@@ -30,11 +31,17 @@ func (sk *LandmarkSketch) Landmarks() []int32 { return sk.sk.IDs }
 func (sk *LandmarkSketch) Vector(i int) []float64 { return sk.sk.Vecs[i] }
 
 // SelectLandmarkIDs picks the l highest-scoring nodes of the rank
-// vector as landmarks — score descending, id ascending on ties, zero
-// scores never selected — the deterministic selection rule the serving
-// layer applies to each state's cold EigenTrust vector (GlobalRanks).
+// vector as landmarks, in core.RankRow's order (score descending, id
+// ascending on ties, zero scores never selected): the deterministic
+// selection rule the serving layer applies to each state's cold
+// EigenTrust vector (GlobalRanks). It returns nil when nothing is
+// selected.
 func SelectLandmarkIDs(rank []float64, l int) []int32 {
-	return propagation.SelectLandmarks(rank, l)
+	var ids []int32
+	for _, r := range core.RankRow(rank, l) {
+		ids = append(ids, int32(r.User))
+	}
+	return ids
 }
 
 // BuildLandmarkSketch computes the sketch: one full propagation run per

@@ -1,10 +1,30 @@
 package weboftrust
 
 import (
+	"slices"
 	"testing"
 
 	"weboftrust/internal/synth"
 )
+
+func TestSelectLandmarkIDs(t *testing.T) {
+	rank := []float64{0.1, 0.5, 0, 0.5, 0.9, 0.05}
+	got := SelectLandmarkIDs(rank, 4)
+	want := []int32{4, 1, 3, 0} // score desc, id asc on the 0.5 tie
+	if !slices.Equal(got, want) {
+		t.Fatalf("SelectLandmarkIDs = %v, want %v", got, want)
+	}
+	// Zero-rank nodes are never selected even when l exceeds the supply.
+	if got := SelectLandmarkIDs(rank, 10); len(got) != 5 {
+		t.Errorf("SelectLandmarkIDs over-asked = %v, want the 5 nonzero-rank nodes", got)
+	}
+	if got := SelectLandmarkIDs(rank, 0); got != nil {
+		t.Errorf("SelectLandmarkIDs(_, 0) = %v, want nil", got)
+	}
+	if got := SelectLandmarkIDs([]float64{0, 0}, 2); got != nil {
+		t.Errorf("SelectLandmarkIDs over an all-zero vector = %v, want nil", got)
+	}
+}
 
 // landmarkRelL1 composes the landmark approximation for every 7th user
 // and returns mean and max relative L1 distance from the exact
